@@ -156,9 +156,30 @@ _DEFAULTS = {
 }
 
 
+# Per-experiment defaults, layered over _DEFAULTS. subdiffusion J = None
+# resolves to kappa + 2; weights K = None runs the K ladder (10, 15, 20, 25).
+_EXPERIMENT_DEFAULTS = {
+    "convergence": {"t_end": 10.0},
+    "subdiffusion": {
+        "grid": 16, "t_end": 123.45, "steps": "1000,10000,100000",
+        "method": "radau5", "K": 20, "kappa": 12, "J": None,
+    },
+    "schrodinger": {
+        "grid": 801, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
+        "method": "radau5", "K": 50, "J": 80,
+    },
+    "weights": {
+        "alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5", "K": None,
+        "steps": "0,1,2,4,8,12,16,20,21,25,30,40,60,90,130,200,300,450,700,1000",
+    },
+    "selftest": {},
+}
+
+
 def resolve_spec(args):
-    """defaults < config file < explicitly passed flags."""
+    """defaults < experiment defaults < config file < explicitly passed flags."""
     spec = dict(_DEFAULTS)
+    spec.update(_EXPERIMENT_DEFAULTS[args.experiment])
     spec["experiment"] = args.experiment
     if args.config:
         spec.update(read_config_file(args.config))
@@ -170,6 +191,8 @@ def resolve_spec(args):
         raise ConfigError("--real and --complex are mutually exclusive")
     if spec["steps"] is not None:
         spec["steps"] = _parse_steps(spec["steps"])
+    if spec["J"] is None:
+        spec["J"] = spec["kappa"] + 2
     _validate_numeric(spec)
     return spec
 
@@ -178,7 +201,7 @@ def _validate_numeric(spec):
     """Reject invalid numeric flags before any computation starts."""
     if spec["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {spec['workers']}")
-    if spec["K"] < 2:
+    if spec["K"] is not None and spec["K"] < 2:
         raise ConfigError(f"K must be >= 2, got {spec['K']}")
     if spec["Lambda"] < 2:
         raise ConfigError(f"Lambda must be >= 2, got {spec['Lambda']}")
@@ -241,7 +264,7 @@ def _emit_rows(spec, schema, header, rows):
 
 def convergence_rows(spec, problem=None):
     """Rows (method, s, h, N, K, error_inf, fitted_slope_so_far, note)."""
-    t_end = spec["t_end"] if spec["t_end"] is not None else 10.0
+    t_end = spec["t_end"]
     if problem is None:
         problem = caputo.example1_problem().problem
     methods = [spec["method"]] if spec["method"] else ["radau1", "radau3", "radau5"]
@@ -294,16 +317,12 @@ def _median(values):
 
 
 def subdiffusion_report(spec, problem=None):
-    grid = spec["grid"] if spec["grid"] is not None else 16
-    t_end = spec["t_end"] if spec["t_end"] is not None else 123.45
-    steps = spec["steps"] or (1000, 10000, 100000)
+    grid, t_end, steps = spec["grid"], spec["t_end"], spec["steps"]
+    K, kappa, J = spec["K"], spec["kappa"], spec["J"]
     repeats = max(1, spec["repeats"])
-    kappa = spec["kappa"] if spec["kappa"] != _DEFAULTS["kappa"] else 12
-    J = spec["J"] if spec["J"] != _DEFAULTS["J"] else kappa + 2
-    K = spec["K"] if spec["K"] != _DEFAULTS["K"] else 20
     if problem is None:
         problem = caputo.example2_problem(grid, t_max=t_end * 1.01).problem
-    tab = tableau_mod.by_name(spec["method"] or "radau5")
+    tab = tableau_mod.by_name(spec["method"])
 
     def timed_run(n, workers):
         cfg = fastcq.CQConfig(
@@ -368,13 +387,8 @@ def run_subdiffusion(spec):
 
 
 def schrodinger_rows(spec):
-    n_points = spec["grid"] if spec["grid"] is not None else 801
-    a_half = spec["a_half"]
-    alpha = spec["alpha"] if spec["alpha"] is not None else 0.75
-    h = spec["h"] if spec["h"] is not None else 0.00025
-    t_end = spec["t_end"] if spec["t_end"] is not None else 1.0
-    K = spec["K"] if spec["K"] != _DEFAULTS["K"] else 50
-    J = spec["J"] if spec["J"] != _DEFAULTS["J"] else 80
+    n_points, a_half, alpha = spec["grid"], spec["a_half"], spec["alpha"]
+    h, t_end, K, J = spec["h"], spec["t_end"], spec["K"], spec["J"]
     snap_times = [t_end * (i + 1) / 20 for i in range(20)]
     for t in snap_times:
         n = t / h
@@ -404,7 +418,7 @@ def schrodinger_rows(spec):
         reference = (ref_problem, ref_offset, np.array(idx_ref), np.array(idx_run))
 
     rows = []
-    tab = tableau_mod.by_name(spec["method"] or "radau5")
+    tab = tableau_mod.by_name(spec["method"])
     # t = 0 snapshot: the transformed unknown vanishes, so |v| = |u0| exactly
     zero_err = [""] * n_points
     if reference is not None:
@@ -455,17 +469,13 @@ def weights_rows(spec):
     Below-cutoff indices are evaluated on the first hyperbola anyway, to
     document why the direct block exists.
     """
-    alpha = spec["alpha"] if spec["alpha"] is not None else 0.5
-    h = spec["h"] if spec["h"] is not None else 0.01
-    t_end = spec["t_end"] if spec["t_end"] is not None else 10.0
+    alpha, h, t_end = spec["alpha"], spec["h"], spec["t_end"]
     N = int(round(t_end / h))
-    tab = tableau_mod.by_name(spec["method"] or "radau5")
+    tab = tableau_mod.by_name(spec["method"])
     kappa = spec["kappa"]
     family = operators.dense_operator(None, caputo.EXAMPLE1_MATRIX)
-    n_list = spec["steps"] or (
-        0, 1, 2, 4, 8, 12, 16, 20, 21, 25, 30, 40, 60, 90, 130, 200, 300, 450, 700, 1000
-    )
-    k_values = (10, 15, 20, 25) if spec["K"] == _DEFAULTS["K"] else (spec["K"],)
+    n_list = spec["steps"]
+    k_values = (10, 15, 20, 25) if spec["K"] is None else (spec["K"],)
     plan = fastcq.plan_levels(N, kappa, spec["Lambda"])
     inside = [n for n in n_list if n < plan.m[-1]]
     w_direct = {}

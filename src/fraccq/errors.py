@@ -21,10 +21,6 @@ class PoleError(FracCQError):
         self.where = where
 
 
-class SingularMatrixError(FracCQError):
-    """Linear solve hit a vanishing pivot."""
-
-
 class DecompositionError(FracCQError):
     """Eigendecomposition failed (defective or near-defective matrix)."""
 

@@ -8,15 +8,15 @@ free-space Schroedinger operator closed with transparent boundary rows.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from . import contour, smallmat
-from .errors import ConfigError, DomainError, SingularMatrixError, SolverError, SupportError
+from . import contour
+from .errors import ConfigError, DomainError, SolverError, SupportError
 
 _SUPPORT_ABS = 1e-20
 
@@ -25,7 +25,7 @@ class OperatorFamily(ABC):
     """Resolvent provider: solve (nu*M - A) x = y for complex nu.
 
     Implementations must be safe to call from several threads after
-    construction; caches may only synchronize on insertion.
+    construction, so solve() keeps no state between calls.
     """
 
     dim: int
@@ -50,7 +50,7 @@ class OperatorFamily(ABC):
 
 
 class DenseOperator(OperatorFamily):
-    """(nu*M - A) with explicit matrices, LU-factored and cached per nu."""
+    """(nu*M - A) with explicit matrices, one LAPACK solve per call."""
 
     def __init__(self, A, M=None, theta1_hint=np.pi / 2):
         self.A = np.asarray(A, dtype=complex)
@@ -63,22 +63,12 @@ class DenseOperator(OperatorFamily):
             raise ConfigError(f"M must match A, got shape {self.M.shape}")
         self.dim = n
         self.theta1_hint = float(theta1_hint)
-        self._cache = {}
-        self._lock = threading.Lock()
-
-    def _factor(self, nu):
-        fac = self._cache.get(nu)
-        if fac is None:
-            try:
-                fac = smallmat.LUFactor(nu * self.M - self.A)
-            except SingularMatrixError as exc:
-                raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
-            with self._lock:
-                fac = self._cache.setdefault(nu, fac)
-        return fac
 
     def solve(self, nu, y):
-        return self._factor(complex(nu)).solve(y)
+        try:
+            return np.linalg.solve(nu * self.M - self.A, np.asarray(y, dtype=complex))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
 
     def apply_op(self, y):
         return self.A @ np.asarray(y, dtype=complex)
@@ -181,7 +171,8 @@ class SchrodingerTBC1D(OperatorFamily):
     Interior rows of (nu*M - i*A) are the constant tridiagonal
     (phi, psi, phi) with phi = nu/12 - i/eta^2 and psi = 5 nu/6 + 2 i/eta^2.
     The exterior decaying solution u_out = z1 * u_boundary (|z1| < 1, root
-    of phi z^2 + psi z + phi = 0) folds into the two corner rows.
+    of phi z^2 + psi z + phi = 0) folds into the two corner rows; solve()
+    is one LAPACK tridiagonal solve of those closed rows.
     """
 
     has_mass = True
@@ -198,8 +189,6 @@ class SchrodingerTBC1D(OperatorFamily):
         self.eta = 2.0 * self.a_half / (self.n - 1)
         self.x = np.linspace(-self.a_half, self.a_half, self.n)
         self.theta1_hint = contour.theta1(alpha, 0.0)
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def roots(self, nu):
         """Both roots of phi z^2 + psi z + phi = 0, decaying one first.
@@ -222,60 +211,24 @@ class SchrodingerTBC1D(OperatorFamily):
         z1, z2 = (z_a, z_b) if abs(z_a) < 1.0 else (z_b, z_a)
         return z1, z2
 
-    def _coeffs(self, nu):
+    def closed_rows(self, nu):
+        """(sub/super, diag) of the boundary-closed tridiagonal at nu."""
         phi = nu / 12.0 - 1j / self.eta**2
         psi = 5.0 * nu / 6.0 + 2j / self.eta**2
-        return phi, psi
-
-    def _factor(self, nu):
-        """Thomas factorization of the closed tridiagonal system at nu."""
-        fac = self._cache.get(nu)
-        if fac is None:
-            phi, psi = self._coeffs(nu)
-            z1, _ = self.roots(nu)
-            diag = np.full(self.n, psi, dtype=complex)
-            diag[0] += phi * z1
-            diag[-1] += phi * z1
-            dtil = np.empty(self.n, dtype=complex)
-            mult = np.empty(self.n, dtype=complex)
-            dtil[0] = diag[0]
-            scale = max(abs(phi), abs(psi))
-            for i in range(1, self.n):
-                if abs(dtil[i - 1]) < 1e-30 * scale:
-                    raise SolverError(
-                        f"tridiagonal pivot breakdown at row {i - 1}, nu={nu}",
-                        frequency=nu,
-                    )
-                mult[i] = phi / dtil[i - 1]
-                dtil[i] = diag[i] - mult[i] * phi
-            if abs(dtil[-1]) < 1e-30 * scale:
-                raise SolverError(f"tridiagonal pivot breakdown at last row, nu={nu}",
-                                  frequency=nu)
-            fac = (phi, mult, dtil, z1)
-            with self._lock:
-                fac = self._cache.setdefault(nu, fac)
-        return fac
-
-    def solve(self, nu, y):
-        phi, mult, dtil, _ = self._factor(complex(nu))
-        y = np.asarray(y, dtype=complex)
-        vector = y.ndim == 1
-        w = y.reshape(self.n, -1).copy()
-        for i in range(1, self.n):
-            w[i] -= mult[i] * w[i - 1]
-        w[-1] /= dtil[-1]
-        for i in range(self.n - 2, -1, -1):
-            w[i] = (w[i] - phi * w[i + 1]) / dtil[i]
-        return w[:, 0] if vector else w
-
-    def closed_rows(self, nu):
-        """(sub, diag, super) of the boundary-closed tridiagonal at nu."""
-        phi, psi = self._coeffs(nu)
         z1, _ = self.roots(nu)
         diag = np.full(self.n, psi, dtype=complex)
         diag[0] += phi * z1
         diag[-1] += phi * z1
         return phi, diag
+
+    def solve(self, nu, y):
+        phi, diag = self.closed_rows(complex(nu))
+        bands = np.array([np.full(self.n, phi), diag, np.full(self.n, phi)])
+        y = np.asarray(y, dtype=complex)
+        try:
+            return solve_banded((1, 1), bands, y, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"closed tridiagonal singular at nu={nu}", frequency=nu) from exc
 
     def apply_op(self, y):
         # i * second difference with zero ghost values; valid for data

@@ -1,10 +1,10 @@
-"""Complex dense linear algebra for very small systems.
+"""Stage-space linear algebra for the circle-quadrature block.
 
-Everything here targets the s x s stage space of the Runge-Kutta schemes
-(s <= 3), plus a DFT helper for the circle-quadrature block. Eigenvalues
-come from the closed-form characteristic polynomial with one Newton polish
-per root, so the results are deterministic and there is no dependency on a
-general eigensolver.
+The s x s matrices Delta(zeta)/h of the Runge-Kutta schemes are split by
+LAPACK (numpy.linalg.eig and inv) into U diag(d) U^-1, with the splits
+checked for eigenvalue gaps, reconstruction residual and conditioning.
+Also here: principal-branch fractional powers and the DFT helper of the
+first-weights block.
 """
 
 from __future__ import annotations
@@ -13,78 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DecompositionError, DomainError, SingularMatrixError
+from .errors import BranchCutError, DecompositionError, DomainError
 
-_PIVOT_FLOOR = 1e-30
 _GAP_REL = 1e-8
 _RECON_REL = 1e-10
 _COND_FLAG = 1e8
-
-_CUBE_ROOT_UNITY = np.exp(2j * np.pi / 3)
-
-
-class LUFactor:
-    """Reusable LU factorization with partial pivoting (complex arithmetic).
-
-    Raises SingularMatrixError when a pivot falls below 1e-30 in modulus.
-    """
-
-    def __init__(self, mtx):
-        a = np.array(mtx, dtype=complex)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        piv = np.arange(n)
-        for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            if abs(a[p, k]) < _PIVOT_FLOOR:
-                raise SingularMatrixError(
-                    f"pivot {abs(a[p, k]):.3e} below {_PIVOT_FLOOR:g} in column {k}"
-                )
-            if p != k:
-                a[[k, p]] = a[[p, k]]
-                piv[[k, p]] = piv[[p, k]]
-            a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-        self._lu = a
-        self._piv = piv
-        self.n = n
-
-    def solve(self, rhs):
-        """Solve A @ X = rhs; rhs may be a vector or a matrix of columns."""
-        rhs = np.asarray(rhs, dtype=complex)
-        vector = rhs.ndim == 1
-        x = rhs.reshape(self.n, -1)[self._piv].copy()
-        lu = self._lu
-        for k in range(1, self.n):
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(self.n - 1, -1, -1):
-            x[k] -= lu[k, k + 1:] @ x[k + 1:]
-            x[k] /= lu[k, k]
-        return x[:, 0] if vector else x
-
-    @property
-    def det(self):
-        d = np.prod(np.diagonal(self._lu))
-        # sign of the row permutation via its cycle decomposition
-        seen = np.zeros(self.n, dtype=bool)
-        sign = 1
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = self._piv[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign * d
-
-
-def lu_solve(mtx, rhs):
-    """Solve mtx @ X = rhs by LU with partial pivoting."""
-    return LUFactor(mtx).solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -98,100 +31,8 @@ class EigDecomp:
     flagged: bool
 
 
-def _char_roots(m):
-    """Roots of the characteristic polynomial of a 1x1 .. 3x3 matrix.
-
-    Closed quadratic/cubic formulas followed by two Newton polish steps on
-    the monic polynomial. Output sorted by (real, imag) for determinism.
-    """
-    s = m.shape[0]
-    if s == 1:
-        return m[0, :1].astype(complex)
-    if s == 2:
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = np.sqrt(complex(tr * tr - 4 * det))
-        roots = np.array([(tr + disc) / 2, (tr - disc) / 2], dtype=complex)
-        coeffs = (1.0, -tr, det)
-    elif s == 3:
-        tr = m[0, 0] + m[1, 1] + m[2, 2]
-        minors = (
-            m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-            + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-            + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        )
-        det = (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-        # monic p(x) = x^3 + a x^2 + b x + c, depressed via x = t - a/3
-        a, b, c = -tr, minors, -det
-        p = b - a * a / 3
-        q = 2 * a**3 / 27 - a * b / 3 + c
-        sq = np.sqrt(complex(q * q + 4 * p**3 / 27))
-        # pick the branch that avoids cancellation in -q +- sq
-        u3 = (-q + sq) / 2 if abs(-q + sq) >= abs(-q - sq) else (-q - sq) / 2
-        if abs(u3) == 0.0:
-            # u3 vanishes only when p = q = 0: triple root of the depressed cubic
-            ts = np.zeros(3, dtype=complex)
-        else:
-            u = u3 ** (1.0 / 3.0)
-            ts = np.array([u * _CUBE_ROOT_UNITY**k for k in range(3)])
-            ts = ts - p / (3 * ts)
-        roots = ts + tr / 3
-        coeffs = (1.0, a, b, c)
-    else:
-        raise DomainError(f"closed-form eigenvalues support s <= 3, got s={s}")
-
-    # Newton polish on the monic characteristic polynomial
-    cf = np.array(coeffs, dtype=complex)
-    dcf = cf[:-1] * np.arange(len(cf) - 1, 0, -1)
-    for _ in range(2):
-        pv = np.polyval(cf, roots)
-        dv = np.polyval(dcf, roots)
-        safe = np.abs(dv) > 0
-        roots = np.where(safe, roots - pv / np.where(safe, dv, 1), roots)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def _null_vector(b):
-    """A null vector of a (numerically rank-deficient) small matrix.
-
-    Gaussian elimination with complete pivoting; the final pivot column
-    spans the kernel. Normalized so the largest entry is exactly 1.
-    """
-    b = np.array(b, dtype=complex)
-    n = b.shape[0]
-    colperm = np.arange(n)
-    for k in range(n - 1):
-        sub = np.abs(b[k:, k:])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        i += k
-        j += k
-        if i != k:
-            b[[k, i]] = b[[i, k]]
-        if j != k:
-            b[:, [k, j]] = b[:, [j, k]]
-            colperm[[k, j]] = colperm[[j, k]]
-        if abs(b[k, k]) == 0.0:
-            break
-        b[k + 1:, k:] -= np.outer(b[k + 1:, k] / b[k, k], b[k, k:])
-    x = np.zeros(n, dtype=complex)
-    x[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        if abs(b[i, i]) == 0.0:
-            raise DecompositionError("rank deficiency above the last pivot")
-        x[i] = -(b[i, i + 1:] @ x[i + 1:]) / b[i, i]
-    out = np.zeros(n, dtype=complex)
-    out[colperm] = x
-    out = out / out[np.argmax(np.abs(out))]
-    return out
-
-
 def eig_small(mtx):
-    """Eigendecomposition of an s x s complex matrix, s <= 3.
+    """Eigendecomposition of a square complex matrix.
 
     Returns an EigDecomp whose reconstruction residual is verified to be
     below 1e-10 relative in max norm. Raises DecompositionError for
@@ -200,27 +41,24 @@ def eig_small(mtx):
     """
     m = np.asarray(mtx, dtype=complex)
     s = m.shape[0]
-    if m.shape != (s, s) or s > 3:
-        raise DomainError(f"eig_small expects square s<=3, got shape {m.shape}")
-    d = _char_roots(m)
-    scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(m))), 1e-300)
-    if s > 1:
-        gaps = [abs(d[i] - d[j]) for i in range(s) for j in range(i + 1, s)]
-        if min(gaps) < _GAP_REL * scale:
-            raise DecompositionError(
-                f"eigenvalue gap {min(gaps):.3e} below {_GAP_REL:g} * {scale:.3e}; "
-                "near-defective matrix, perturb the quadrature node and retry"
-            )
-    cols = []
-    for lam in d:
-        cols.append(_null_vector(m - lam * np.eye(s)))
-    u = np.array(cols, dtype=complex).T
+    if m.shape != (s, s):
+        raise DomainError(f"eig_small expects a square matrix, got shape {m.shape}")
     try:
-        u_inv = lu_solve(u, np.eye(s))
-    except SingularMatrixError as exc:
+        d, u = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
+    scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(m))), 1e-300)
+    gaps = np.abs(d[:, None] - d[None, :])[np.triu_indices(s, 1)]
+    if gaps.size and gaps.min() < _GAP_REL * scale:
+        raise DecompositionError(
+            f"eigenvalue gap {gaps.min():.3e} below {_GAP_REL:g} * {scale:.3e}; "
+            "near-defective matrix, perturb the quadrature node and retry"
+        )
+    try:
+        u_inv = np.linalg.inv(u)
+    except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvector matrix singular: {exc}") from exc
-    recon = (u * d) @ u_inv
-    resid = float(np.max(np.abs(recon - m)))
+    resid = float(np.max(np.abs((u * d) @ u_inv - m)))
     bound = _RECON_REL * max(float(np.max(np.abs(m))), 1e-300)
     if resid > bound:
         raise DecompositionError(

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import smallmat
-from .errors import ConfigError, PoleError, SingularMatrixError, SolverError
+from .errors import ConfigError, PoleError, SolverError
 
 _DET_FLOOR = 1e-12
 
@@ -96,16 +95,15 @@ def stability(z: complex, t: Tableau):
     e_s^T (Id - z A)^-1 1 form, which stays accurate as |z| grows; the
     1 + z q(z) 1 form is used otherwise.
     """
-    m = np.eye(t.s) - z * t.A
     try:
-        factor = smallmat.LUFactor(m)
-    except SingularMatrixError as exc:
+        m_inv = np.linalg.inv(np.eye(t.s, dtype=complex) - z * t.A)
+    except np.linalg.LinAlgError as exc:
         raise PoleError(f"Id - z*A singular at z={z}", where=z) from exc
-    q = smallmat.lu_solve(m.T, t.b.astype(complex))
+    q = t.b @ m_inv
     if t.stiffly_accurate:
-        r = factor.solve(np.ones(t.s, dtype=complex))[-1]
+        r = m_inv[-1].sum()
     else:
-        r = 1.0 + z * (q @ np.ones(t.s))
+        r = 1.0 + z * q.sum()
     return complex(r), q
 
 
@@ -115,8 +113,8 @@ def delta(zeta: complex, t: Tableau) -> np.ndarray:
         raise PoleError("Delta has a pole at zeta = 1", where=zeta)
     inner = t.A + (zeta / (1.0 - zeta)) * np.outer(np.ones(t.s), t.b)
     try:
-        return smallmat.lu_solve(inner, np.eye(t.s))
-    except SingularMatrixError as exc:
+        return np.linalg.inv(inner)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"Delta(zeta) inner matrix singular at zeta={zeta}") from exc
 
 
@@ -142,11 +140,8 @@ class AssumptionReport:
 def check_assumptions(t: Tableau) -> AssumptionReport:
     """Verify (a) b = last row of A, (b) A invertible, (c) Re(eig A) > 0."""
     weights_ok = t.stiffly_accurate
-    try:
-        abs_det = abs(smallmat.LUFactor(t.A).det)
-    except SingularMatrixError:
-        abs_det = 0.0
-    eigs = smallmat._char_roots(np.asarray(t.A, dtype=complex))
+    abs_det = abs(np.linalg.det(t.A))
+    eigs = np.linalg.eigvals(t.A)
     return AssumptionReport(
         weights_equal_last_row=weights_ok,
         matrix_invertible=abs_det > _DET_FLOOR,

@@ -178,3 +178,19 @@ def test_numeric_validation_before_compute():
     assert run_cli(["convergence", "--K", "1"]) == 2
     assert run_cli(["convergence", "--kappa", "0"]) == 2
     assert run_cli(["convergence", "--alpha", "1.5"]) == 2
+
+
+def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path, capsys):
+    # K=25, kappa=20, J=160 are the global defaults; passed explicitly they
+    # must run as given, not be replaced by the experiment's own defaults
+    base = ["subdiffusion", "--grid", "8", "--steps", "100", "--repeats", "1",
+            "--bound", "1"]
+    explicit = ["--K", "25", "--kappa", "20", "--J", "160"]
+    for flags, expected in ((explicit, (25, 20, 160)), ([], (20, 12, 14))):
+        out = tmp_path / "sub.json"
+        assert run_cli(base + flags + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["K"], payload["kappa"], payload["J"]) == expected
+        assert run_cli(base + flags + ["--dump-config"]) == 0
+        dumped = capsys.readouterr().out.splitlines()
+        assert {f"K={expected[0]}", f"kappa={expected[1]}", f"J={expected[2]}"} <= set(dumped)

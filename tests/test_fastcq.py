@@ -12,7 +12,7 @@ from fraccq import (
     transform_initial,
 )
 from fraccq import fastcq
-from fraccq.errors import ConfigError
+from fraccq.errors import ConfigError, PoleError
 from fraccq.operators import (
     CallableInhomogeneity,
     ConstantInhomogeneity,
@@ -203,6 +203,14 @@ def test_march_pure_accumulation():
     table = ConstantInhomogeneity(np.array([c_val])).table(12, 0.25, tab.c)
     y = rk_march_scalar(0.0, table, 0, 12, tab, 0.25)
     assert y[0] == pytest.approx(12 * 0.25 * c_val, rel=1e-14)
+
+
+def test_march_pole_error():
+    # backward Euler at lambda = 1/h makes the stage matrix Id - h*lambda*A zero
+    tab = radau_iia(1)
+    table = ConstantInhomogeneity(np.array([1.0])).table(4, 0.25, tab.c)
+    with pytest.raises(PoleError):
+        rk_march_scalar(4.0, table, 0, 4, tab, 0.25)
 
 
 def test_march_exponential_forcing_order():

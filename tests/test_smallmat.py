@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraccq import radau_iia
-from fraccq.errors import BranchCutError, DecompositionError, DomainError, SingularMatrixError
-from fraccq.smallmat import LUFactor, dft, eig_small, lu_solve, power_alpha
+from fraccq.errors import BranchCutError, DecompositionError, DomainError
+from fraccq.smallmat import dft, eig_small, power_alpha
 from fraccq.tableau import delta
 
 
@@ -28,51 +28,19 @@ def test_eig_delta_reconstruction():
 
 
 def test_eig_3x3_random_reconstruction():
+    # the stage sizes s = 1..3 and one size beyond them
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        dec = eig_small(m)
-        recon = (dec.U * dec.d) @ dec.U_inv
-        assert np.max(np.abs(recon - m)) <= 1e-10 * np.max(np.abs(m))
+    for s in (1, 2, 3, 4):
+        for _ in range(25):
+            m = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+            dec = eig_small(m)
+            recon = (dec.U * dec.d) @ dec.U_inv
+            assert np.max(np.abs(recon - m)) <= 1e-10 * np.max(np.abs(m))
 
 
 def test_eig_defective_raises():
     with pytest.raises(DecompositionError):
         eig_small(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_eig_rejects_large_matrices():
-    with pytest.raises(DomainError):
-        eig_small(np.eye(4))
-
-
-def test_lu_identity():
-    y = np.array([1.0, 2.0, 3.0])
-    assert lu_solve(np.eye(3), y) == pytest.approx(y)
-
-
-def test_lu_diagonal():
-    x = lu_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 4.0]))
-    assert x == pytest.approx([1.0, 1.0])
-
-
-def test_lu_random_residual():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        x = lu_solve(m, y)
-        assert np.max(np.abs(m @ x - y)) <= 1e-10 * np.max(np.abs(y)) * np.linalg.cond(m)
-
-
-def test_lu_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        lu_solve(np.zeros((2, 2)), np.ones(2))
-
-
-def test_lu_det_sign():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert LUFactor(m).det == pytest.approx(-1.0)
 
 
 def test_power_alpha_values():
