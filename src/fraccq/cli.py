@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from . import caputo, contour, fastcq, operators, smallmat, tableau as tableau_m
 from .errors import ConfigError, FracCQError
 
 SCHEMA_PREFIX = "fraccq"
-_EXPERIMENTS = ("convergence", "subdiffusion", "schrodinger", "weights", "selftest")
 
 # per-method step ladders ending at t = N h = t_end, chosen to sit inside
 # the pre-saturation convergence range at K = 25
@@ -31,29 +31,6 @@ _DEFAULT_LADDERS = {
     "radau5": (20, 40, 80, 160, 320, 640),
 }
 
-_FLAG_TYPES = {
-    "alpha": float,
-    "h": float,
-    "steps": str,
-    "K": int,
-    "Lambda": int,
-    "kappa": int,
-    "J": int,
-    "method": str,
-    "workers": int,
-    "grid": int,
-    "a_half": float,
-    "t_end": float,
-    "out": str,
-    "format": str,
-    "real": bool,
-    "complex": bool,
-    "repeats": int,
-    "reference": bool,
-    "bound": float,
-    "dump_config": bool,
-}
-
 
 def fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
@@ -61,40 +38,109 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _parse_steps(text):
-    try:
-        steps = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse step list {text!r}") from exc
+def step_list(text):
+    """Comma-separated nonnegative step counts, as a tuple."""
+    steps = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
     if not steps or any(n < 0 for n in steps):
-        raise ConfigError(f"step list must hold nonnegative integers, got {text!r}")
+        raise ValueError(f"step list must hold nonnegative integers, got {text!r}")
     return steps
 
 
-def read_config_file(path):
-    """Flat key=value file; keys identical to flag names, '#' comments."""
+def boolean(text):
+    """true/false or 1/0, in any case."""
+    value = str(text).lower()
+    if value not in ("true", "false", "1", "0"):
+        raise ValueError(f"boolean expected, got {text!r}")
+    return value in ("true", "1")
+
+
+class Flag(NamedTuple):
+    """How a flag's text parses, and which parsed values are valid."""
+
+    parse: Callable[[str], object]
+    valid: Callable[[object], bool] | None = None
+    rule: str = ""
+
+
+# Every flag, stated once. Booleans are switches on the command line
+# (--real has the second spelling --complex) and true/false in a file.
+_FLAGS = {
+    "alpha": Flag(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "h": Flag(float, lambda v: v > 0.0, "be positive"),
+    "t_end": Flag(float),
+    "steps": Flag(step_list),
+    "method": Flag(str, lambda v: v in _DEFAULT_LADDERS,
+                   f"be one of {', '.join(_DEFAULT_LADDERS)}"),
+    "K": Flag(int, lambda v: v >= 2, "be >= 2"),
+    "Lambda": Flag(int, lambda v: v >= 2, "be >= 2"),
+    "kappa": Flag(int, lambda v: v >= 1, "be >= 1"),
+    "J": Flag(int),
+    "workers": Flag(int, lambda v: v >= 1, "be >= 1"),
+    "real": Flag(boolean),
+    "grid": Flag(int),
+    "a_half": Flag(float),
+    "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
+    "bound": Flag(float),
+    "reference": Flag(boolean),
+    "out": Flag(str),
+    "format": Flag(str, lambda v: v in ("csv", "json"), "be csv or json"),
+}
+
+# Every experiment's flags with their defaults: an experiment accepts
+# exactly these. convergence method = None runs all three methods;
+# subdiffusion J = None resolves to kappa + 2; weights K = None runs the
+# K ladder (10, 15, 20, 25).
+_EXPERIMENTS = {
+    "convergence": {
+        "t_end": 10.0, "h": None, "steps": None, "method": None,
+        "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "workers": 1, "real": True,
+        "out": None, "format": None,
+    },
+    "subdiffusion": {
+        "grid": 16, "t_end": 123.45, "steps": (1000, 10000, 100000), "method": "radau5",
+        "K": 20, "Lambda": 5, "kappa": 12, "J": None, "workers": 1, "real": True,
+        "repeats": 3, "bound": 0.05, "out": None, "format": None,
+    },
+    "schrodinger": {
+        "grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
+        "method": "radau5", "K": 50, "Lambda": 5, "kappa": 20, "J": 80, "workers": 1,
+        "real": False, "reference": False, "out": None, "format": None,
+    },
+    "weights": {
+        "alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5",
+        "steps": (0, 1, 2, 4, 8, 12, 16, 20, 21, 25, 30, 40, 60, 90, 130, 200, 300,
+                  450, 700, 1000),
+        "K": None, "Lambda": 5, "kappa": 20, "out": None, "format": None,
+    },
+    "selftest": {},
+}
+
+
+def read_config_file(path, keys=_FLAGS):
+    """Flat key=value file; keys are flag names, '#' starts a comment.
+
+    A key outside `keys` (all flags by default) is rejected.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _FLAG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = _FLAG_TYPES[key]
-            if typ is bool:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
-                entries[key] = value.lower() in ("true", "1")
-            else:
-                try:
-                    entries[key] = typ(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            entries[key] = _FLAGS[key].parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return entries
 
 
@@ -104,126 +150,48 @@ def build_parser():
         description="Experiments for the fast Runge-Kutta convolution quadrature solver.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--steps", type=str, default=None,
-                       help="comma-separated step counts")
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--Lambda", type=int, default=None)
-        p.add_argument("--kappa", type=int, default=None)
-        p.add_argument("--J", type=int, default=None)
-        p.add_argument("--method", choices=("radau1", "radau3", "radau5"), default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--a-half", dest="a_half", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--real", dest="real", action="store_const", const=True, default=None)
-        p.add_argument("--complex", dest="complex", action="store_const", const=True, default=None)
-        p.add_argument("--repeats", type=int, default=None)
-        p.add_argument("--reference", action="store_const", const=True, default=None)
-        p.add_argument("--bound", type=float, default=None)
-        p.add_argument("--dump-config", dest="dump_config", action="store_const",
-                       const=True, default=None)
+    for name, defaults in _EXPERIMENTS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in defaults:
+            if key == "real":
+                mode = p.add_mutually_exclusive_group()
+                mode.add_argument("--real", action="store_const", const=True)
+                mode.add_argument("--complex", dest="real", action="store_const", const=False)
+            elif _FLAGS[key].parse is boolean:
+                p.add_argument(f"--{key}", action="store_const", const=True)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAGS[key].parse)
+        p.add_argument("--config", help="key=value file of this experiment's flags")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the resolved configuration and exit")
     return parser
 
 
-_DEFAULTS = {
-    "alpha": None,
-    "h": None,
-    "steps": None,
-    "K": 25,
-    "Lambda": 5,
-    "kappa": 20,
-    "J": 160,
-    "method": None,
-    "workers": 1,
-    "grid": None,
-    "a_half": 2.0,
-    "t_end": None,
-    "out": None,
-    "format": None,
-    "real": None,
-    "complex": None,
-    "repeats": 3,
-    "reference": False,
-    "bound": 0.05,
-    "dump_config": False,
-}
-
-
-# Per-experiment defaults, layered over _DEFAULTS. subdiffusion J = None
-# resolves to kappa + 2; weights K = None runs the K ladder (10, 15, 20, 25).
-_EXPERIMENT_DEFAULTS = {
-    "convergence": {"t_end": 10.0},
-    "subdiffusion": {
-        "grid": 16, "t_end": 123.45, "steps": "1000,10000,100000",
-        "method": "radau5", "K": 20, "kappa": 12, "J": None,
-    },
-    "schrodinger": {
-        "grid": 801, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
-        "method": "radau5", "K": 50, "J": 80,
-    },
-    "weights": {
-        "alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5", "K": None,
-        "steps": "0,1,2,4,8,12,16,20,21,25,30,40,60,90,130,200,300,450,700,1000",
-    },
-    "selftest": {},
-}
-
-
 def resolve_spec(args):
-    """defaults < experiment defaults < config file < explicitly passed flags."""
-    spec = dict(_DEFAULTS)
-    spec.update(_EXPERIMENT_DEFAULTS[args.experiment])
-    spec["experiment"] = args.experiment
+    """experiment defaults < config file < explicitly passed flags."""
+    defaults = _EXPERIMENTS[args.experiment]
+    spec = dict(defaults)
     if args.config:
-        spec.update(read_config_file(args.config))
-    for key in _FLAG_TYPES:
-        value = getattr(args, key, None)
+        spec.update(read_config_file(args.config, defaults))
+    for key in defaults:
+        value = getattr(args, key)
         if value is not None:
             spec[key] = value
-    if spec.get("real") and spec.get("complex"):
-        raise ConfigError("--real and --complex are mutually exclusive")
-    if spec["steps"] is not None:
-        spec["steps"] = _parse_steps(spec["steps"])
-    if spec["J"] is None:
+    if "J" in spec and spec["J"] is None:
         spec["J"] = spec["kappa"] + 2
-    _validate_numeric(spec)
+    _validate(spec)
+    spec["experiment"] = args.experiment
     return spec
 
 
-def _validate_numeric(spec):
-    """Reject invalid numeric flags before any computation starts."""
-    if spec["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {spec['workers']}")
-    if spec["K"] is not None and spec["K"] < 2:
-        raise ConfigError(f"K must be >= 2, got {spec['K']}")
-    if spec["Lambda"] < 2:
-        raise ConfigError(f"Lambda must be >= 2, got {spec['Lambda']}")
-    if spec["kappa"] < 1:
-        raise ConfigError(f"kappa must be >= 1, got {spec['kappa']}")
-    if spec["J"] < spec["kappa"] + 1:
+def _validate(spec):
+    """Reject invalid values before any computation starts."""
+    for key, value in spec.items():
+        flag = _FLAGS[key]
+        if value is not None and flag.valid is not None and not flag.valid(value):
+            raise ConfigError(f"{key} must {flag.rule}, got {value}")
+    if "J" in spec and spec["J"] < spec["kappa"] + 1:
         raise ConfigError(f"J must be >= kappa+1, got J={spec['J']} kappa={spec['kappa']}")
-    if spec["alpha"] is not None and not 0.0 < spec["alpha"] <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {spec['alpha']}")
-    if spec["h"] is not None and spec["h"] <= 0.0:
-        raise ConfigError(f"h must be positive, got {spec['h']}")
-    if spec["repeats"] < 1:
-        raise ConfigError(f"repeats must be >= 1, got {spec['repeats']}")
-
-
-def _real_mode(spec, default):
-    """--real/--complex override the experiment's natural mode."""
-    if spec.get("complex"):
-        return False
-    if spec.get("real"):
-        return True
-    return default
 
 
 def _write_csv(path, schema, header, rows):
@@ -284,7 +252,7 @@ def convergence_rows(spec, problem=None):
             cfg = fastcq.CQConfig(
                 tableau=tab, h=h, N=n, K=spec["K"], Lambda=spec["Lambda"],
                 kappa=spec["kappa"], J=spec["J"], workers=spec["workers"],
-                real_input=_real_mode(spec, True),
+                real_input=spec["real"],
             )
             u, _ = fastcq.fast_solve(problem, cfg)
             err = float(np.max(np.abs(u - problem.u_exact(t_end))))
@@ -319,7 +287,7 @@ def _median(values):
 def subdiffusion_report(spec, problem=None):
     grid, t_end, steps = spec["grid"], spec["t_end"], spec["steps"]
     K, kappa, J = spec["K"], spec["kappa"], spec["J"]
-    repeats = max(1, spec["repeats"])
+    repeats = spec["repeats"]
     if problem is None:
         problem = caputo.example2_problem(grid, t_max=t_end * 1.01).problem
     tab = tableau_mod.by_name(spec["method"])
@@ -328,7 +296,7 @@ def subdiffusion_report(spec, problem=None):
         cfg = fastcq.CQConfig(
             tableau=tab, h=t_end / n, N=n, K=K, Lambda=spec["Lambda"],
             kappa=kappa, J=J, workers=workers,
-            real_input=_real_mode(spec, True),
+            real_input=spec["real"],
         )
         phases = {"first_block": [], "rk_marches": [], "resolvent_solves": []}
         u = stats = None
@@ -431,7 +399,7 @@ def schrodinger_rows(spec):
         n = int(round(t / h))
         cfg = fastcq.CQConfig(
             tableau=tab, h=h, N=n, K=K, Lambda=spec["Lambda"], kappa=spec["kappa"],
-            J=J, workers=spec["workers"], real_input=_real_mode(spec, False),
+            J=J, workers=spec["workers"], real_input=spec["real"],
         )
         u, _ = fastcq.fast_solve(problem, cfg)
         v = u + offset
@@ -616,15 +584,17 @@ def run_selftest(spec):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
     try:
         spec = resolve_spec(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if spec["dump_config"]:
-        for key in sorted(k for k in spec if k != "dump_config"):
+    if args.dump_config:
+        for key in sorted(spec):
             print(f"{key}={spec[key]}")
         return 0
     runners = {

@@ -46,13 +46,10 @@ class CQConfig:
     tableau: tableau_mod.Tableau
     h: float
     N: int
-    alpha: float | None = None
     K: int = 25
     Lambda: int = 5
     kappa: int = 20
     J: int = 160
-    rho_circle: float | None = None
-    theta: float | None = None
     real_input: bool = True
     workers: int = 1
 
@@ -69,10 +66,6 @@ class CQConfig:
             raise ConfigError(f"need kappa >= 1, got kappa={self.kappa}")
         if self.J < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
-        if self.rho_circle is not None and not 0.0 < self.rho_circle < 1.0:
-            raise ConfigError(f"circle radius must lie in (0,1), got {self.rho_circle}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.workers < 1:
             raise ConfigError(f"need workers >= 1, got {self.workers}")
         report = tableau_mod.check_assumptions(self.tableau)
@@ -82,26 +75,9 @@ class CQConfig:
                 f"invertible matrix, right-half-plane spectrum): {report}"
             )
 
-    def resolved_rho(self) -> float:
-        # rho^J = sqrt(machine eps) unless overridden
-        return self.rho_circle if self.rho_circle is not None else _EPS ** (1.0 / (2 * self.J))
-
     def resolved_theta(self, family: OperatorFamily) -> float:
-        hint = family.theta1_hint
-        theta = self.theta if self.theta is not None else hint * (1.0 - 1e-9)
-        if not theta < hint:
-            raise ConfigError(
-                f"contour angle budget theta={theta} must stay below the "
-                f"family's sector angle {hint}"
-            )
-        return theta
-
-    def resolved_alpha(self, problem: Problem) -> float:
-        if self.alpha is not None and self.alpha != problem.alpha:
-            raise ConfigError(
-                f"config alpha {self.alpha} contradicts problem alpha {problem.alpha}"
-            )
-        return problem.alpha
+        """Contour angle budget, just inside the family's sector angle."""
+        return family.theta1_hint * (1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -188,12 +164,12 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     """
     tab = config.tableau
     fam = problem.family
-    alpha = config.resolved_alpha(problem)
+    alpha = problem.alpha
     if table is None:
         table = problem.g.table(config.N, config.h, tab.c)
     terms = plan.m[0]
     J = config.J
-    rho = config.resolved_rho()
+    rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
     s, dim = tab.s, fam.dim
 
     blk = np.asarray(table.block(config.N - terms, config.N))  # G_{N-terms}..G_{N-1}
@@ -229,7 +205,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     """
     tab = config.tableau
     fam = problem.family
-    alpha = config.resolved_alpha(problem)
+    alpha = problem.alpha
     N, h = config.N, config.h
     s, dim = tab.s, fam.dim
     J = max(4 * N, 256)
@@ -270,8 +246,8 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     return u.real.copy() if config.real_input else u
 
 
-def _weight_assembly(family, tab, alpha, h, n_list, J, rho):
-    """Weight operators W_n as explicit matrices from the circle rule."""
+def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
+    """Full weight operators W_n as explicit matrices from the circle rule."""
     n_list = np.asarray(n_list, dtype=int)
     s, dim = tab.s, family.dim
     sd = s * dim
@@ -297,16 +273,10 @@ def _weight_assembly(family, tab, alpha, h, n_list, J, rho):
     return (phases @ kernels.reshape(J, sd * sd)).reshape(len(n_list), sd, sd) / h
 
 
-def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
-    """Full weight operators W_n assembled via the circle rule."""
-    return _weight_assembly(family, tab, alpha, h, n_list, J, rho)
-
-
 def weight_rows_direct(family, tab, alpha, h, n_list, J=None, rho=None):
     """Last-row weight blocks w_n = (e_s x Id) W_n as (dim, s*dim) matrices."""
-    s, dim = tab.s, family.dim
-    w_full = _weight_assembly(family, tab, alpha, h, n_list, J, rho)
-    return w_full[:, (s - 1) * dim:, :]
+    w_full = weight_matrices_direct(family, tab, alpha, h, n_list, J, rho)
+    return w_full[:, (tab.s - 1) * family.dim:, :]
 
 
 def weight_rows_contour(family, tab, alpha, h, n, level: contour.ContourLevel):
@@ -417,7 +387,7 @@ def fast_solve(problem: Problem, config: CQConfig):
     conjugate pairs are folded in as doubled real parts.
     """
     fam = problem.family
-    alpha = config.resolved_alpha(problem)
+    alpha = problem.alpha
     if problem.has_initial:
         raise ConfigError("problem carries nonzero initial data; apply transform_initial first")
     tab = config.tableau

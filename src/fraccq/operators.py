@@ -321,16 +321,6 @@ class SeparableStageTable(StageTable):
         return np.tensordot(self._time[n0:n1], spatial, axes=([2], [0]))
 
 
-class ConstantStageTable(StageTable):
-    def __init__(self, vec, N, s):
-        self._vec = np.ascontiguousarray(vec, dtype=complex)
-        self.N, self.s, self.dim = int(N), int(s), self._vec.shape[0]
-
-    def block(self, n0, n1, cols=None):
-        v = self._vec if cols is None else self._vec[cols]
-        return np.broadcast_to(v, (n1 - n0, self.s, v.shape[0]))
-
-
 class Inhomogeneity(ABC):
     """Sampler for the (mass-form) inhomogeneity of a problem."""
 
@@ -347,21 +337,6 @@ class Inhomogeneity(ABC):
     @abstractmethod
     def shifted(self, offset) -> "Inhomogeneity":
         """The sampler for g(t) + offset."""
-
-
-class ConstantInhomogeneity(Inhomogeneity):
-    def __init__(self, vec):
-        self.vec = np.asarray(vec, dtype=complex)
-        self.dim = self.vec.shape[0]
-
-    def sample(self, t):
-        return self.vec
-
-    def table(self, N, h, c):
-        return ConstantStageTable(self.vec, N, len(c))
-
-    def shifted(self, offset):
-        return ConstantInhomogeneity(self.vec + np.asarray(offset, dtype=complex))
 
 
 class CallableInhomogeneity(Inhomogeneity):
@@ -433,6 +408,12 @@ class SeparableInhomogeneity(Inhomogeneity):
             return np.hstack([f, np.ones((f.shape[0], 1))])
 
         return SeparableInhomogeneity(spatial, factors)
+
+
+def ConstantInhomogeneity(vec) -> SeparableInhomogeneity:
+    """Time-constant data g(t) = vec: rank 1 with a unit time factor."""
+    vec = np.asarray(vec, dtype=complex)
+    return SeparableInhomogeneity(vec[None, :], lambda ts: np.ones((len(ts), 1)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The s x s matrices Delta(zeta)/h of the Runge-Kutta schemes are split by
 LAPACK (numpy.linalg.eig and inv) into U diag(d) U^-1, with the splits
-checked for eigenvalue gaps, reconstruction residual and conditioning.
+checked for eigenvalue gaps and reconstruction residual.
 Also here: principal-branch fractional powers and the DFT helper of the
 first-weights block.
 """
@@ -17,7 +17,6 @@ from .errors import BranchCutError, DecompositionError, DomainError
 
 _GAP_REL = 1e-8
 _RECON_REL = 1e-10
-_COND_FLAG = 1e8
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,6 @@ class EigDecomp:
     U: np.ndarray
     d: np.ndarray
     U_inv: np.ndarray
-    cond_estimate: float
-    flagged: bool
 
 
 def eig_small(mtx):
@@ -65,8 +62,7 @@ def eig_small(mtx):
             f"reconstruction residual {resid:.3e} exceeds {bound:.3e}; "
             "perturb the quadrature node and retry"
         )
-    cond = float(np.linalg.norm(u) * np.linalg.norm(u_inv))
-    return EigDecomp(U=u, d=d, U_inv=u_inv, cond_estimate=cond, flagged=cond > _COND_FLAG)
+    return EigDecomp(U=u, d=d, U_inv=u_inv)
 
 
 def power_alpha(d, alpha):

@@ -69,10 +69,27 @@ def test_config_file_unknown_key(tmp_path):
         read_config_file(str(cfg))
 
 
+def test_flags_and_keys_an_experiment_does_not_read_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("alpha=0.3\n")
+    for args in (["convergence", "--alpha", "0.3"],
+                 ["weights", "--J", "400"],
+                 ["subdiffusion", "--h", "5"],
+                 ["schrodinger", "--steps", "10"],
+                 ["convergence", "--config", str(cfg)]):
+        assert run_cli(args + ["--out", str(out)]) == 2, args
+        assert capsys.readouterr().out == "" and not out.exists(), args
+    assert run_cli(["convergence", "--dump-config"]) == 0
+    dumped = capsys.readouterr().out.splitlines()
+    assert not [line for line in dumped if line.startswith(("alpha=", "grid="))]
+
+
 def test_config_file_bad_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("K=notanumber\n")
     assert run_cli(["convergence", "--config", str(cfg)]) == 2
+    assert run_cli(["convergence", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
 def test_weights_table(tmp_path):
@@ -178,6 +195,7 @@ def test_numeric_validation_before_compute():
     assert run_cli(["convergence", "--K", "1"]) == 2
     assert run_cli(["convergence", "--kappa", "0"]) == 2
     assert run_cli(["convergence", "--alpha", "1.5"]) == 2
+    assert run_cli(["weights", "--alpha", "1.5"]) == 2
 
 
 def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_direct_classical_limit_matches_runge_kutta():
 
     prob = Problem(family=fam, alpha=1.0, g=CallableInhomogeneity(g, dim=2))
     h, n_steps = 0.05, 20
-    cfg = CQConfig(tableau=tab, h=h, N=n_steps, alpha=1.0)
+    cfg = CQConfig(tableau=tab, h=h, N=n_steps)
     u_cq = direct_cq(prob, cfg)
 
     # independent classical implicit Runge-Kutta march of u' = A u + g
@@ -383,7 +383,7 @@ def test_transform_initial_reconstruction_consistency():
     u0 = np.array([0.4, -0.2])
     prob = Problem(family=fam, alpha=1.0, g=ConstantInhomogeneity(np.zeros(2)), u0=u0)
     new, offset = transform_initial(prob)
-    cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=100, alpha=1.0)
+    cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=100)
     u, _ = fast_solve(new, cfg)
     from scipy.linalg import expm
     v_exact = expm(A22 * 1.0) @ u0

@@ -256,3 +256,11 @@ def test_stage_tables_agree_across_kinds(rng):
     cols = slice(1, 4)
     assert np.max(np.abs(t_sep.block(2, 5, cols) - t_call.block(2, 5, cols))) < 1e-12
     assert np.max(np.abs(sep.sample(0.37) - call.sample(0.37))) < 1e-12
+    # constant data is the rank-1 separable case with a unit time factor
+    const = ConstantInhomogeneity(spatial[0])
+    const_call = CallableInhomogeneity(lambda t: spatial[0], dim=5)
+    t_const = const.table(7, 0.2, c)
+    t_const_call = const_call.table(7, 0.2, c)
+    assert np.array_equal(t_const.block(0, 7), t_const_call.block(0, 7))
+    assert np.array_equal(t_const.block(2, 5, cols), t_const_call.block(2, 5, cols))
+    assert np.array_equal(const.sample(0.37), spatial[0])
