@@ -1,4 +1,4 @@
-"""Reference Caputo derivative and the manufactured test problems.
+"""Closed-form example data, cross-checked by the Caputo-derivative oracle.
 
 The oracle evaluates D^alpha u(t) directly from the defining convolution
 of u' with the singular kernel. Substituting sigma = t - tau and then
@@ -7,10 +7,15 @@ a regular integrand for adaptive Gauss-Kronrod panels:
 
     D^alpha u(t) = 1/Gamma(2-alpha) * int_0^{t^(1-alpha)} u'(t - s^(1/(1-alpha))) ds.
 
-The experiment factories build their inhomogeneities through this oracle
-(or, for the half-order trigonometric factors needed at very many times,
-through a cumulative-panel table cross-checked against it), so no symbolic
-algebra or special-function library is involved.
+The example factories do not call it. Their solutions are finite sums of
+sin(omega t) and 1 - cos(omega t), whose half-order derivatives are
+closed-form in the Fresnel integrals (S, C) = fresnel(sqrt(2 omega t / pi)):
+
+    D^(1/2) sin(omega t)       = sqrt(2 omega) (cos(omega t) C + sin(omega t) S),
+    D^(1/2) (1 - cos(omega t)) = sqrt(2 omega) (sin(omega t) C - cos(omega t) S),
+
+so the inhomogeneities are evaluated in one vectorized call per stage
+table; the oracle is the independent check of that data.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad_vec
-from scipy.interpolate import CubicSpline
+from scipy.special import fresnel
 
 from .errors import AccuracyError, ConfigError, DomainError
 from .operators import (
-    CallableInhomogeneity,
     ConstantInhomogeneity,
     Problem,
     SeparableInhomogeneity,
@@ -34,7 +38,6 @@ from .operators import (
 )
 
 _SQRT5 = math.sqrt(5.0)
-_ORACLE_TOL = 1e-11
 
 
 def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
@@ -67,6 +70,17 @@ def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
     return value / math.gamma(2.0 - alpha)
 
 
+def _half_derivatives(omega, t):
+    """D^(1/2) of sin(omega .) and of 1 - cos(omega .) at times t >= 0, in
+    the broadcast shape of omega and t (Fresnel form: module docstring)."""
+    omega = np.asarray(omega, dtype=float)
+    wt = omega * np.asarray(t, dtype=float)
+    s, c = fresnel(np.sqrt(2.0 * wt / np.pi))
+    scale = np.sqrt(2.0 * omega)
+    sin, cos = np.sin(wt), np.cos(wt)
+    return scale * (cos * c + sin * s), scale * (sin * c - cos * s)
+
+
 @dataclass(frozen=True)
 class ManufacturedProblem:
     """A Problem with known exact solution plus a provenance note."""
@@ -77,6 +91,14 @@ class ManufacturedProblem:
 
 # ---------------------------------------------------------------------------
 # Example 1: dense 2x2 system, alpha = 1/2
+
+# u_i = sum_k b_k (1 - cos(omega_k t)): sin^6(2t) over omega = 4, 8, 12, and
+# ((1 - cos(sqrt5 t))/2)^6 = sin^12(sqrt5 t/2) over omega = sqrt5 * (1..6)
+_EXAMPLE1_COSINE_SUMS = (
+    (np.array([4.0, 8.0, 12.0]), np.array([15.0, -6.0, 1.0]) / 32.0),
+    (_SQRT5 * np.arange(1.0, 7.0),
+     np.array([1584.0, -990.0, 440.0, -132.0, 24.0, -2.0]) / 4096.0),
+)
 
 
 def _example1_u(t):
@@ -98,25 +120,25 @@ def _example1_u_prime(t):
 EXAMPLE1_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
 
-def example1_problem(oracle_tol: float = _ORACLE_TOL) -> ManufacturedProblem:
+def _example1_factors(ts):
+    """g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2) array."""
+    ts = np.asarray(ts, dtype=float)
+    dhalf = [_half_derivatives(omega, ts[:, None])[1] @ b for omega, b in _EXAMPLE1_COSINE_SUMS]
+    return np.stack(dhalf, axis=-1) - _example1_u(ts).T @ EXAMPLE1_MATRIX.T
+
+
+def example1_problem() -> ManufacturedProblem:
     """2x2 system with alpha = 1/2 and a smooth manufactured solution.
 
     Both solution components are sixth powers of oscillations vanishing at
     t = 0, so the inhomogeneity is five times continuously differentiable
-    with all those derivatives zero at the origin.
+    with all those derivatives zero at the origin. It is evaluated in
+    closed form from the cosine sums above.
     """
-    family = dense_operator(None, EXAMPLE1_MATRIX)
-
-    def g(t):
-        if t == 0.0:
-            return np.zeros(2)
-        frac = caputo_oracle(_example1_u_prime, 0.5, t, tol=oracle_tol)
-        return frac - EXAMPLE1_MATRIX @ _example1_u(t)
-
     problem = Problem(
-        family=family,
+        family=dense_operator(None, EXAMPLE1_MATRIX),
         alpha=0.5,
-        g=CallableInhomogeneity(g, dim=2),
+        g=SeparableInhomogeneity(np.eye(2), _example1_factors),
         u_exact=_example1_u,
     )
     return ManufacturedProblem(problem, "dense 2x2, alpha=1/2, sixth-power oscillations")
@@ -127,52 +149,29 @@ def example1_problem(oracle_tol: float = _ORACLE_TOL) -> ManufacturedProblem:
 
 
 class HalfOrderTrigTable:
-    """Vectorized D^(1/2) of sin(pi t) and 1 - cos(pi t) at many times.
+    """Vectorized D^(1/2) of sin(pi t) and 1 - cos(pi t) on [0, t_max].
 
-    Both reduce to the cumulative integrals
-        C(t) = 2 int_0^sqrt(t) cos(pi s^2) ds,
-        S(t) = 2 int_0^sqrt(t) sin(pi s^2) ds,
-    which are tabulated once with composite 3-point Gauss panels and then
-    spline-evaluated. Accuracy is ~1e-12 absolute; the adaptive oracle is
-    the reference this table is tested against.
+    Evaluated in closed form through the Fresnel integrals; times outside
+    the declared range raise DomainError. The adaptive oracle is the
+    reference these values are tested against.
     """
-
-    _PANELS_PER_UNIT = 16384
 
     def __init__(self, t_max: float):
         self._t_max = float(t_max)
-        s_max = math.sqrt(max(self._t_max, 1e-6)) * 1.000001
-        panels = max(4096, int(self._PANELS_PER_UNIT * s_max))
-        edges = np.linspace(0.0, s_max, panels + 1)
-        hw = (edges[1] - edges[0]) / 2.0
-        mids = edges[:-1] + hw
-        # 3-point Gauss-Legendre on each panel
-        offs = hw * math.sqrt(3.0 / 5.0)
-        wts = np.array([5.0, 8.0, 5.0]) / 9.0 * hw
-        pts = np.stack([mids - offs, mids, mids + offs])
-        cos_panels = wts @ np.cos(np.pi * pts**2)
-        sin_panels = wts @ np.sin(np.pi * pts**2)
-        c_vals = np.concatenate(([0.0], 2.0 * np.cumsum(cos_panels)))
-        s_vals = np.concatenate(([0.0], 2.0 * np.cumsum(sin_panels)))
-        self._c = CubicSpline(edges, c_vals)
-        self._s = CubicSpline(edges, s_vals)
 
-    def _cs(self, t):
+    def _checked(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > self._t_max * 1.0000001):
-            raise DomainError("time outside the tabulated range")
-        root = np.sqrt(t)
-        return self._c(root), self._s(root)
+            raise DomainError(f"time outside the declared range [0, {self._t_max}]")
+        return t
 
     def dhalf_sin(self, t):
         """D^(1/2) of sin(pi .) at the times t (array)."""
-        c, s = self._cs(t)
-        return math.sqrt(np.pi) * (np.cos(np.pi * t) * c + np.sin(np.pi * t) * s)
+        return _half_derivatives(np.pi, self._checked(t))[0]
 
     def dhalf_one_minus_cos(self, t):
         """D^(1/2) of 1 - cos(pi .) at the times t (array)."""
-        c, s = self._cs(t)
-        return math.sqrt(np.pi) * (np.sin(np.pi * t) * c - np.cos(np.pi * t) * s)
+        return _half_derivatives(np.pi, self._checked(t))[1]
 
     def f1(self, t):
         t = np.asarray(t, dtype=float)

@@ -13,6 +13,7 @@ from . import _env  # noqa: F401  (pin BLAS pools before numpy loads)
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -54,6 +55,12 @@ def boolean(text):
     return value in ("true", "1")
 
 
+def writable_file(path):
+    """path is no directory and its directory exists and is writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    return not os.path.isdir(path) and os.path.isdir(parent) and os.access(parent, os.W_OK)
+
+
 class Flag(NamedTuple):
     """How a flag's text parses, and which parsed values are valid."""
 
@@ -82,7 +89,7 @@ _FLAGS = {
     "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
     "bound": Flag(float),
     "reference": Flag(boolean),
-    "out": Flag(str),
+    "out": Flag(str, writable_file, "name a file in an existing, writable directory"),
     "format": Flag(str, lambda v: v in ("csv", "json"), "be csv or json"),
 }
 

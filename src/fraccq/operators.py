@@ -340,27 +340,15 @@ class Inhomogeneity(ABC):
 
 
 class CallableInhomogeneity(Inhomogeneity):
-    """Pointwise sampler around a callable t -> (dim,), with memoization.
+    """Pointwise sampler around a callable t -> (dim,); tables call it once
+    per stage time."""
 
-    Sampling can be expensive (each value may hide an adaptive quadrature),
-    so values are cached per time; tables are built once, sequentially,
-    before any parallel phase reads them.
-    """
-
-    def __init__(self, fn: Callable[[float], np.ndarray], dim: int, memoize: bool = True):
+    def __init__(self, fn: Callable[[float], np.ndarray], dim: int):
         self._fn = fn
         self.dim = int(dim)
-        self._memo = {} if memoize else None
 
     def sample(self, t):
-        t = float(t)
-        if self._memo is None:
-            return np.asarray(self._fn(t), dtype=complex)
-        hit = self._memo.get(t)
-        if hit is None:
-            hit = np.asarray(self._fn(t), dtype=complex)
-            self._memo[t] = hit
-        return hit
+        return np.asarray(self._fn(float(t)), dtype=complex)
 
     def table(self, N, h, c):
         s = len(c)

@@ -11,8 +11,7 @@ import fraccq  # noqa: E402
 
 @pytest.fixture(scope="session")
 def example1():
-    """Dense 2x2 manufactured problem; session-scoped so the memoized
-    inhomogeneity samples are shared across tests."""
+    """Dense 2x2 manufactured problem with closed-form data."""
     return fraccq.example1_problem().problem
 
 

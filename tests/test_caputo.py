@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fraccq import caputo_oracle, example3_initial
+from fraccq import caputo, caputo_oracle, example1_problem, example3_initial
 from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u, _example1_u_prime
 from fraccq.errors import DomainError, SupportError
+from fraccq.tableau import radau_iia
 
 
 def test_power_rule_linear():
@@ -82,6 +83,29 @@ def test_example1_manufactured_identity(example1):
         frac = caputo_oracle(_example1_u_prime, 0.5, float(t), tol=1e-11)
         resid = g - (frac - EXAMPLE1_MATRIX @ _example1_u(float(t)))
         assert np.max(np.abs(resid)) <= 1e-8
+
+
+def test_example1_tables_never_call_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("example 1 data must not call the oracle")
+
+    monkeypatch.setattr(caputo, "caputo_oracle", refuse)
+    g = example1_problem().problem.g
+    c = radau_iia(3).c
+    for n in (20, 40, 80, 160, 320, 640):
+        table = g.table(n, 10.0 / n, c)
+        assert table.block(0, n).shape == (n, 3, 2)
+
+
+def test_example1_data_matches_oracle_across_scales(example1):
+    # t = 1e-6, where g ~ t^5.5 comes from cancelling cosine sums; the
+    # smallest radau5 stage time of the N = 40 ladder run; the ladder's end
+    # t = 10; and t = 100, where the Fresnel arguments are large
+    t_stage = float(radau_iia(3).c[0]) * 10.0 / 40
+    for t in (1e-6, t_stage, 10.0, 100.0):
+        frac = caputo_oracle(_example1_u_prime, 0.5, t, tol=1e-12)
+        ref = frac - EXAMPLE1_MATRIX @ _example1_u(t)
+        assert np.max(np.abs(example1.g.sample(t) - ref)) <= 1e-10, t
 
 
 def test_example1_derivative_is_consistent():

@@ -92,6 +92,17 @@ def test_config_file_bad_value(tmp_path):
     assert run_cli(["convergence", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_unwritable_out_exits_2_before_computing(tmp_path, capsys):
+    target = tmp_path / "missing" / "w.csv"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out={target}\n")
+    base = ["weights", "--steps", "25", "--K", "15", "--t-end", "0.4", "--h", "0.01"]
+    for extra in (["--out", str(target)], ["--config", str(cfg)], ["--out", str(tmp_path)]):
+        assert run_cli(base + extra) == 2, extra
+        assert capsys.readouterr().out == "", extra
+    assert not target.parent.exists()
+
+
 def test_weights_table(tmp_path):
     out = tmp_path / "w.csv"
     assert run_cli(["weights", "--steps", "0,5,25,45", "--K", "15",
