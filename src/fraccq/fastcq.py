@@ -12,7 +12,10 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   window. Per window, the weighted history sum collapses into scalar
   linear ODE marches (one per contour node) followed by a single
   resolvent solve per node: O(N) Runge-Kutta steps and
-  O(log N * log(1/eps)) linear systems, both parallelizable.
+  O(log N * log(1/eps)) linear systems. The data are separable,
+  g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
+  factors and each node's result is expanded once, as the right-hand
+  side of its resolvent solve; the solves run on the worker pool.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .operators import OperatorFamily, Problem
 
 _EPS = float(np.finfo(float).eps)
 _MARCH_BLOCK = 1024
-_CHUNK_COLS = 512
 _SPECTRUM_CLEARANCE = 1e-8
 
 
@@ -324,41 +326,39 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
     return y
 
 
-def _march_window(r, q, table, n0, n1, h, cols=None, block=_MARCH_BLOCK):
-    """Terminal values of the scalar marches for a whole node set at once.
+def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
+    """Terminal values of the scalar marches for a whole node set at once,
+    in the rank space of the separable data.
 
+    The march is linear in the samples, so it runs on the (N, s, rank)
+    time factors of the table, and row k of the returned (nodes, rank)
+    array expands to the node's terminal value as row @ table.spatial.
     For a stiffly accurate scheme one step is y <- r_k y + h q_k . G_n, so
     a block of w steps collapses into y <- r^w y + h sum_j r^(w-1-j) q.G;
-    the inner sum is one matrix product of the power matrix against the
-    sample block. Bitwise identical regardless of how many tasks run
-    concurrently, because the block boundaries are fixed.
+    the inner sum is one matrix product of the descending power matrix
+    (a cumprod written in reverse) against the time-factor block. The
+    scaling by r^w commutes with q, so q is applied once at the end. The
+    block boundaries are fixed, so the result does not depend on the
+    worker count.
     """
     nodes = len(r)
-    ncols = table.dim if cols is None else (cols.stop - cols.start)
-    y = np.zeros((nodes, ncols), dtype=complex)
-    s = table.s
+    s, rank = table.s, table.rank
+    hist = np.zeros((nodes, s * rank), dtype=complex)
     for b0 in range(n0, n1, block):
         b1 = min(b0 + block, n1)
         w = b1 - b0
-        g = np.asarray(table.block(b0, b1, cols)).reshape(w, s * ncols)
-        powers = np.empty((nodes, w), dtype=complex)
-        powers[:, 0] = 1.0
+        desc = np.empty((nodes, w), dtype=complex)  # desc[:, j] = r^(w-1-j)
+        desc[:, -1] = 1.0
         if w > 1:
             np.cumprod(np.broadcast_to(r[:, None], (nodes, w - 1)), axis=1,
-                       out=powers[:, 1:])
-        # descending exponents, contiguous so the product dispatches to gemm
-        desc = np.ascontiguousarray(powers[:, ::-1])
-        hist = (desc @ g).reshape(nodes, s, ncols)
-        y = y * (powers[:, -1] * r)[:, None] + h * np.einsum("ks,ksc->kc", q, hist)
-    return y
+                       out=desc[:, -2::-1])
+        hist *= (desc[:, 0] * r)[:, None]
+        hist += desc @ table.time[b0:b1].reshape(w, s * rank)
+    return h * np.einsum("ks,ksr->kr", q, hist.reshape(nodes, s, rank))
 
 
 # ---------------------------------------------------------------------------
 # the fast algorithm
-
-
-def _spatial_chunks(dim, chunk=_CHUNK_COLS):
-    return [slice(c0, min(c0 + chunk, dim)) for c0 in range(0, dim, chunk)]
 
 
 def _check_spectrum_clearance(levels, tab, h):
@@ -376,15 +376,18 @@ def _check_spectrum_clearance(levels, tab, h):
             )
 
 
-def fast_solve(problem: Problem, config: CQConfig):
+def fast_solve(problem: Problem, config: CQConfig, table=None):
     """Approximation U_N at t = N h by the level-compressed algorithm.
 
-    Phases: (1) circle-rule block for the first m_0 weights; (2) scalar
-    Runge-Kutta marches over each level window, vectorized over contour
-    nodes and split over inhomogeneity columns; (3) one resolvent solve
-    per (level, node); (4) deterministic weighted combination. With real
-    data only the upper half k >= 0 of each contour is computed and the
-    conjugate pairs are folded in as doubled real parts.
+    Phases: (1) scalar Runge-Kutta marches over each level window,
+    vectorized over contour nodes and run on the rank-r time factors of
+    the separable data; (2) circle-rule block for the first m_0 weights;
+    (3) one resolvent solve per (level, node), whose right-hand side
+    expands the node's r march coefficients against the spatial factors;
+    (4) deterministic weighted combination. With real data only the upper
+    half k >= 0 of each contour is computed and the conjugate pairs are
+    folded in as doubled real parts. A caller solving the same N, h and
+    tableau repeatedly may pass the stage table of problem.g.
     """
     fam = problem.family
     alpha = problem.alpha
@@ -396,7 +399,8 @@ def fast_solve(problem: Problem, config: CQConfig):
 
     t_start = time.perf_counter()
     plan = plan_levels(N, config.kappa, config.Lambda)
-    table = problem.g.table(N, h, tab.c)
+    if table is None:
+        table = problem.g.table(N, h, tab.c)
     levels = []
     if plan.L > 0:
         params = contour.select_parameters(K, config.Lambda, config.resolved_theta(fam))
@@ -404,12 +408,6 @@ def fast_solve(problem: Problem, config: CQConfig):
             mu = contour.mu_level(ell, K, h, config.kappa, params)
             levels.append(contour.level_nodes(mu, params, ell))
         _check_spectrum_clearance(levels, tab, h)
-    stats.wall_times["prepare"] = time.perf_counter() - t_start
-
-    t_phase = time.perf_counter()
-    u_total, stats.first_block_solves = first_block(problem, config, plan, table)
-    u_total = u_total.astype(complex)
-    stats.wall_times["first_block"] = time.perf_counter() - t_phase
 
     # per-level node data; real data needs only k = 0..K
     lam_used, r_used, q_used = [], [], []
@@ -422,35 +420,31 @@ def fast_solve(problem: Problem, config: CQConfig):
         lam_used.append(lams)
         r_used.append(rs)
         q_used.append(qs)
+    stats.wall_times["prepare"] = time.perf_counter() - t_start
 
+    # the marches run first, while the table is warm in cache; a level's
+    # march is a few small products, cheaper inline than as a pool task
     t_phase = time.perf_counter()
-    y_bufs = [np.zeros((len(lam_used[li]), fam.dim), dtype=complex) for li in range(plan.L)]
-    march_tasks = []
-    for li in range(plan.L):
-        for cols in _spatial_chunks(fam.dim):
-            march_tasks.append((li, cols))
-
-    def march(task):
-        li, cols = task
-        m_lo, m_hi = plan.window(li + 1)
-        y_bufs[li][:, cols] = _march_window(
-            r_used[li], q_used[li], table, N - m_hi, N - m_lo, h, cols
-        )
-
-    parallel_map(march, march_tasks, config.workers)
+    coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.window(li + 1)
+        coeffs.append(_march_window(r_used[li], q_used[li], table, N - m_hi, N - m_lo, h))
         stats.rk_steps += len(lam_used[li]) * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    x_bufs = [np.empty_like(y_bufs[li]) for li in range(plan.L)]
+    u_total, stats.first_block_solves = first_block(problem, config, plan, table)
+    u_total = u_total.astype(complex)
+    stats.wall_times["first_block"] = time.perf_counter() - t_phase
+
+    t_phase = time.perf_counter()
+    x_bufs = [np.empty((len(lams), fam.dim), dtype=complex) for lams in lam_used]
     solve_tasks = [(li, k) for li in range(plan.L) for k in range(len(lam_used[li]))]
 
     def resolve(task):
         li, k = task
         nu = smallmat.power_alpha(lam_used[li][k], alpha)
-        x_bufs[li][k] = fam.solve(nu, y_bufs[li][k])
+        x_bufs[li][k] = fam.solve(nu, coeffs[li][k] @ table.spatial)
 
     parallel_map(resolve, solve_tasks, config.workers)
     stats.resolvent_solves = len(solve_tasks)

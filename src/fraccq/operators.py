@@ -282,89 +282,30 @@ def sector_probe(family: OperatorFamily, samples, trials: int = 4, seed: int = 0
 # Inhomogeneity sampling
 
 
-class StageTable(ABC):
-    """Read-only stage samples G_n, n = 0..N-1, each of shape (s, dim)."""
+class SeparableStageTable:
+    """Stage samples G_n = sum_r time[n, :, r] * spatial[r, :], n = 0..N-1,
+    each of shape (s, dim), kept in factored form.
 
-    N: int
-    s: int
-    dim: int
+    The marches read the (N, s, rank) time factors directly; block and row
+    expand samples only where a caller needs them in full.
+    """
 
-    @abstractmethod
-    def block(self, n0: int, n1: int, cols=None):
-        """Samples for steps n0..n1-1 as an (n1-n0, s, ncols) array."""
+    def __init__(self, time_factors, spatial):
+        self.time = np.ascontiguousarray(time_factors, dtype=complex)
+        self.spatial = np.ascontiguousarray(spatial, dtype=complex)
+        self.N, self.s, self.rank = self.time.shape
+        self.dim = self.spatial.shape[1]
+
+    def block(self, n0, n1):
+        """Samples for steps n0..n1-1 as an (n1-n0, s, dim) array."""
+        return np.tensordot(self.time[n0:n1], self.spatial, axes=([2], [0]))
 
     def row(self, n):
         return self.block(n, n + 1)[0]
 
 
-class DenseStageTable(StageTable):
-    def __init__(self, data):
-        self._data = np.ascontiguousarray(data, dtype=complex)
-        self.N, self.s, self.dim = self._data.shape
-
-    def block(self, n0, n1, cols=None):
-        blk = self._data[n0:n1]
-        return blk if cols is None else blk[:, :, cols]
-
-
-class SeparableStageTable(StageTable):
-    """G_n = sum_r time[n, :, r] * spatial[r, :], stored in factored form."""
-
-    def __init__(self, time_factors, spatial):
-        self._time = np.ascontiguousarray(time_factors, dtype=complex)
-        self._spatial = np.ascontiguousarray(spatial, dtype=complex)
-        self.N, self.s, _ = self._time.shape
-        self.dim = self._spatial.shape[1]
-
-    def block(self, n0, n1, cols=None):
-        spatial = self._spatial if cols is None else self._spatial[:, cols]
-        return np.tensordot(self._time[n0:n1], spatial, axes=([2], [0]))
-
-
-class Inhomogeneity(ABC):
-    """Sampler for the (mass-form) inhomogeneity of a problem."""
-
-    dim: int
-
-    @abstractmethod
-    def sample(self, t: float):
-        """Value at time t as a (dim,) array."""
-
-    @abstractmethod
-    def table(self, N: int, h: float, c) -> StageTable:
-        """Materialize stage samples at times (n + c_k) h, n = 0..N-1."""
-
-    @abstractmethod
-    def shifted(self, offset) -> "Inhomogeneity":
-        """The sampler for g(t) + offset."""
-
-
-class CallableInhomogeneity(Inhomogeneity):
-    """Pointwise sampler around a callable t -> (dim,); tables call it once
-    per stage time."""
-
-    def __init__(self, fn: Callable[[float], np.ndarray], dim: int):
-        self._fn = fn
-        self.dim = int(dim)
-
-    def sample(self, t):
-        return np.asarray(self._fn(float(t)), dtype=complex)
-
-    def table(self, N, h, c):
-        s = len(c)
-        data = np.empty((N, s, self.dim), dtype=complex)
-        for n in range(N):
-            for k, ck in enumerate(c):
-                data[n, k] = self.sample((n + ck) * h)
-        return DenseStageTable(data)
-
-    def shifted(self, offset):
-        offset = np.asarray(offset, dtype=complex)
-        return CallableInhomogeneity(lambda t: self.sample(t) + offset, self.dim)
-
-
-class SeparableInhomogeneity(Inhomogeneity):
-    """g(t) = sum_r time_factors(t)[r] * spatial[r, :].
+class SeparableInhomogeneity:
+    """Mass-form inhomogeneity g(t) = sum_r time_factors(t)[r] * spatial[r, :].
 
     time_factors takes an array of times (m,) and returns (m, r); tables
     never materialize the full (N, s, dim) block.
@@ -377,22 +318,27 @@ class SeparableInhomogeneity(Inhomogeneity):
         self.rank = self.spatial.shape[0]
 
     def sample(self, t):
+        """Value at time t as a (dim,) array."""
         fac = np.asarray(self._time_factors(np.array([float(t)])), dtype=complex)
         return fac[0] @ self.spatial
 
-    def table(self, N, h, c):
+    def table(self, N, h, c) -> SeparableStageTable:
+        """Stage samples at times (n + c_k) h, n = 0..N-1."""
         c = np.asarray(c, dtype=float)
         times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
         fac = np.asarray(self._time_factors(times), dtype=complex)
         return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial)
 
-    def shifted(self, offset):
+    def shifted(self, offset) -> "SeparableInhomogeneity":
+        """The sampler for g(t) + offset: one more rank with a unit time
+        factor. All-zero spatial rows add nothing and are dropped."""
         offset = np.asarray(offset, dtype=complex).reshape(1, -1)
-        spatial = np.vstack([self.spatial, offset])
+        keep = np.flatnonzero(np.any(self.spatial != 0, axis=1))
+        spatial = np.vstack([self.spatial[keep], offset])
         base = self._time_factors
 
         def factors(ts):
-            f = np.asarray(base(ts), dtype=complex)
+            f = np.asarray(base(ts), dtype=complex)[:, keep]
             return np.hstack([f, np.ones((f.shape[0], 1))])
 
         return SeparableInhomogeneity(spatial, factors)
@@ -410,7 +356,7 @@ class Problem:
 
     family: OperatorFamily
     alpha: float
-    g: Inhomogeneity
+    g: SeparableInhomogeneity
     u_exact: Callable[[float], np.ndarray] | None = None
     u0: np.ndarray | None = None
 

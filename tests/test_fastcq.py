@@ -14,9 +14,9 @@ from fraccq import (
 from fraccq import fastcq
 from fraccq.errors import ConfigError, PoleError
 from fraccq.operators import (
-    CallableInhomogeneity,
     ConstantInhomogeneity,
     Problem,
+    SeparableInhomogeneity,
     dense_operator,
 )
 
@@ -92,7 +92,10 @@ def test_direct_classical_limit_matches_runge_kutta():
     def g(t):
         return np.array([np.sin(2 * t), np.cos(t)])
 
-    prob = Problem(family=fam, alpha=1.0, g=CallableInhomogeneity(g, dim=2))
+    def factors(ts):
+        return np.stack([np.sin(2 * ts), np.cos(ts)], axis=-1)
+
+    prob = Problem(family=fam, alpha=1.0, g=SeparableInhomogeneity(np.eye(2), factors))
     h, n_steps = 0.05, 20
     cfg = CQConfig(tableau=tab, h=h, N=n_steps)
     u_cq = direct_cq(prob, cfg)
@@ -222,7 +225,7 @@ def test_march_exponential_forcing_order():
     errs, hs = [], []
     for n_steps in (4, 8, 16, 32, 64):
         h = t_end / n_steps
-        g = CallableInhomogeneity(lambda t: np.array([np.exp(-t)]), dim=1)
+        g = SeparableInhomogeneity(np.ones((1, 1)), lambda ts: np.exp(-ts)[:, None])
         table = g.table(n_steps, h, tab.c)
         y = rk_march_scalar(lam, table, 0, n_steps, tab, h)
         errs.append(abs(y[0] - exact))
@@ -231,11 +234,19 @@ def test_march_exponential_forcing_order():
     assert slope >= 4.7
 
 
-def test_march_window_matches_step_loop(example1, rng):
-    """The blocked power-matrix evaluation equals the explicit step loop."""
+def test_march_window_matches_step_loop(rng):
+    """The blocked power-matrix evaluation in rank space, expanded against
+    the spatial factors, equals the explicit step loop on full samples.
+    The spatial factors are random and not square, so coefficients left
+    unexpanded cannot pass."""
     tab = radau_iia(3)
     h, n_steps = 0.02, 150
-    table = example1.g.table(n_steps, h, tab.c)
+    spatial = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+
+    def factors(ts):
+        return np.stack([np.sin(3 * ts) + ts, np.exp(-ts)], axis=-1)
+
+    table = SeparableInhomogeneity(spatial, factors).table(n_steps, h, tab.c)
     lams = rng.standard_normal(7) * 4 + 1j * rng.standard_normal(7) * 40 - 2.0
     rs = np.empty(7, dtype=complex)
     qs = np.empty((7, 3), dtype=complex)
@@ -243,9 +254,11 @@ def test_march_window_matches_step_loop(example1, rng):
     for i, lam in enumerate(lams):
         rs[i], qs[i] = stability(h * lam, tab)
     batched = fastcq._march_window(rs, qs, table, 30, 150, h, block=64)
+    assert batched.shape == (7, 2)
     for i, lam in enumerate(lams):
         ref = rk_march_scalar(lam, table, 30, 150, tab, h)
-        assert np.max(np.abs(batched[i] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        assert ref.shape == (5,)
+        assert np.max(np.abs(batched[i] @ table.spatial - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +284,17 @@ def test_fast_matches_direct_dense(example1):
 def test_fast_linearity(rng):
     fam = dense_operator(None, A22)
 
-    def make(seed):
-        r = np.random.default_rng(seed)
-        coef = r.standard_normal(4)
-        return CallableInhomogeneity(
-            lambda t: np.array([coef[0] * np.sin(t) + coef[1] * t,
-                                coef[2] * np.cos(2 * t) + coef[3]]), dim=2)
+    def factors(ts):
+        return np.stack([np.sin(ts), ts, np.cos(2 * ts), np.ones_like(ts)], axis=-1)
 
-    g1, g2 = make(1), make(2)
-    g_sum = CallableInhomogeneity(lambda t: g1.sample(t) + g2.sample(t), dim=2)
+    def spatial(seed):
+        # g = (c0 sin t + c1 t, c2 cos 2t + c3)
+        coef = np.random.default_rng(seed).standard_normal(4)
+        return np.array([[coef[0], 0.0], [coef[1], 0.0], [0.0, coef[2]], [0.0, coef[3]]])
+
+    g1 = SeparableInhomogeneity(spatial(1), factors)
+    g2 = SeparableInhomogeneity(spatial(2), factors)
+    g_sum = SeparableInhomogeneity(spatial(1) + spatial(2), factors)
     cfg = CQConfig(tableau=radau_iia(2), h=0.02, N=120, K=20)
     outs = []
     for g in (g1, g2, g_sum):
@@ -318,6 +333,37 @@ def test_worker_count_does_not_change_bits(example1):
     u1, _ = fast_solve(example1, cfg1)
     u2, _ = fast_solve(example1, cfg2)
     assert np.array_equal(u1, u2)
+
+
+def test_worker_count_does_not_change_bits_on_a_grid():
+    """Separable 10^3 subdiffusion data, wider than a single march block of
+    columns used to be: the marches and solves split the same way at any
+    worker count."""
+    from fraccq import example2_problem
+    prob = example2_problem(10).problem
+    assert prob.family.dim > 512
+    cfg1 = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=1)
+    cfg3 = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=3)
+    u1, _ = fast_solve(prob, cfg1)
+    u3, _ = fast_solve(prob, cfg3)
+    assert np.array_equal(u1, u3)
+
+
+def test_passed_table_gives_the_same_bits(monkeypatch):
+    """A caller-built stage table is used as given: g.table is not called."""
+    from fraccq import example1_problem
+    prob = example1_problem().problem
+    tab = radau_iia(3)
+    cfg = CQConfig(tableau=tab, h=0.01, N=300, K=20)
+    table = prob.g.table(cfg.N, cfg.h, tab.c)
+    u_own, _ = fast_solve(prob, cfg)
+
+    def no_table(*args):
+        raise AssertionError("fast_solve rebuilt the stage table")
+
+    monkeypatch.setattr(prob.g, "table", no_table)
+    u_passed, _ = fast_solve(prob, cfg, table)
+    assert np.array_equal(u_own, u_passed)
 
 
 def test_oracle_equivalence_scaled_by_contour_accuracy(example1, example2_small, tbc_problem_small):
@@ -374,6 +420,16 @@ def test_transform_initial_schrodinger_constant_samples():
     g7 = prob.g_stage(7, tab.c, 0.01)
     assert np.array_equal(g0, g7)
     assert np.max(np.abs(offset - prob0.u0)) == 0.0
+
+
+def test_transform_initial_schrodinger_data_is_rank_one():
+    """The zero data of example 3 leave no spatial row behind: the shifted
+    inhomogeneity is the constant A u0 alone."""
+    from fraccq import example3_problem
+    prob0 = example3_problem(101, 2.0)
+    prob, _ = transform_initial(prob0)
+    assert prob.g.rank == 1
+    assert np.array_equal(prob.g.spatial[0], prob0.family.apply_op(prob0.u0))
 
 
 def test_transform_initial_reconstruction_consistency():

@@ -237,30 +237,31 @@ def test_problem_validation():
 
 
 def test_stage_tables_agree_across_kinds(rng):
-    from fraccq.operators import (
-        CallableInhomogeneity,
-        SeparableInhomogeneity,
-    )
+    """Separable and constant data: table.block equals pointwise sample at
+    the stage times (n + c_k) h."""
+    from fraccq.operators import SeparableInhomogeneity
+
     c = np.array([1 / 3, 1.0])
+    h = 0.2
     spatial = rng.standard_normal((2, 5))
 
     def factors(ts):
         return np.stack([np.sin(ts), np.cos(ts)], axis=-1)
 
+    def pointwise(g, n0, n1):
+        return np.array([[g.sample((n + ck) * h) for ck in c] for n in range(n0, n1)])
+
     sep = SeparableInhomogeneity(spatial, factors)
-    call = CallableInhomogeneity(
-        lambda t: np.sin(t) * spatial[0] + np.cos(t) * spatial[1], dim=5)
-    t_sep = sep.table(7, 0.2, c)
-    t_call = call.table(7, 0.2, c)
-    assert np.max(np.abs(t_sep.block(0, 7) - t_call.block(0, 7))) < 1e-12
-    cols = slice(1, 4)
-    assert np.max(np.abs(t_sep.block(2, 5, cols) - t_call.block(2, 5, cols))) < 1e-12
-    assert np.max(np.abs(sep.sample(0.37) - call.sample(0.37))) < 1e-12
+    t_sep = sep.table(7, h, c)
+    assert t_sep.block(0, 7).shape == (7, 2, 5)
+    assert np.max(np.abs(t_sep.block(0, 7) - pointwise(sep, 0, 7))) < 1e-12
+    assert np.max(np.abs(t_sep.block(2, 5) - pointwise(sep, 2, 5))) < 1e-12
+    assert np.max(np.abs(t_sep.row(4) - pointwise(sep, 4, 5)[0])) < 1e-12
+    ref = np.sin(0.37) * spatial[0] + np.cos(0.37) * spatial[1]
+    assert np.max(np.abs(sep.sample(0.37) - ref)) < 1e-12
     # constant data is the rank-1 separable case with a unit time factor
     const = ConstantInhomogeneity(spatial[0])
-    const_call = CallableInhomogeneity(lambda t: spatial[0], dim=5)
-    t_const = const.table(7, 0.2, c)
-    t_const_call = const_call.table(7, 0.2, c)
-    assert np.array_equal(t_const.block(0, 7), t_const_call.block(0, 7))
-    assert np.array_equal(t_const.block(2, 5, cols), t_const_call.block(2, 5, cols))
+    t_const = const.table(7, h, c)
+    assert np.array_equal(t_const.block(0, 7), pointwise(const, 0, 7))
+    assert np.array_equal(t_const.block(2, 5), pointwise(const, 2, 5))
     assert np.array_equal(const.sample(0.37), spatial[0])
