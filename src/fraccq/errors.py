@@ -24,9 +24,17 @@ class PoleError(FracCQError):
 class DecompositionError(FracCQError):
     """Eigendecomposition failed (defective or near-defective matrix)."""
 
+    def __init__(self, message, indices=None):
+        super().__init__(message)
+        self.indices = indices
+
 
 class BranchCutError(FracCQError):
     """Fractional power requested on the principal branch cut."""
+
+    def __init__(self, message, indices=None):
+        super().__init__(message)
+        self.indices = indices
 
 
 class AccuracyError(FracCQError):

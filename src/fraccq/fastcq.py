@@ -15,7 +15,13 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   O(log N * log(1/eps)) linear systems. The data are separable,
   g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
   factors and each node's result is expanded once, as the right-hand
-  side of its resolvent solve; the solves run on the worker pool.
+  side of its resolvent solve.
+
+Both routes work on arrays of nodes: one stability call per level, one
+stacked eigen-split and one batched family.solve per slice of circle
+nodes, one batched solve per level. The worker pool takes one contiguous
+slice of circle nodes, or one level, per task; the marches run in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -136,63 +142,69 @@ def parallel_map(fn, tasks, workers: int):
 # circle-rule machinery (first weights and the direct oracle)
 
 
-def _circle_decomp(zeta, tab, h, alpha):
-    """Eigen-split of Delta(zeta)/h with powered eigenvalues.
+def _circle_decomp(zetas, tab, h, alpha):
+    """One stacked eigen-split of Delta(zeta_j)/h over an array of nodes,
+    with powered eigenvalues.
 
-    A defective split or an eigenvalue on the branch cut triggers one
-    radial perturbation of zeta by a part in 1e9 before giving up.
+    Nodes whose split is defective or has an eigenvalue on the branch cut
+    are moved radially by a part in 1e9, once, and the stack is split
+    again; LAPACK splits each matrix on its own, so the others keep their bits.
     """
-    current = zeta
-    for attempt in range(2):
+    zetas = np.array(zetas, dtype=complex)
+    for retry in (True, False):
         try:
-            b = tableau_mod.delta(current, tab) / h
-            dec = smallmat.eig_small(b)
-            nus = smallmat.power_alpha(dec.d, alpha)
-            return dec, nus
-        except (DecompositionError, BranchCutError):
-            if attempt == 1:
+            dec = smallmat.eig_small(tableau_mod.delta(zetas, tab) / h)
+            return dec, smallmat.power_alpha(dec.d, alpha)
+        except (DecompositionError, BranchCutError) as exc:
+            if not retry:
                 raise
-            current = current * (1.0 + 1e-9)
-    raise AssertionError("unreachable")
+            zetas[exc.indices] *= 1.0 + 1e-9
+
+
+def _circle_sum(fam, tab, h, alpha, rho, data, workers):
+    """sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j]_last over the J = len(data)
+    circle nodes, U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h.
+
+    Each worker takes one contiguous slice of nodes: one stacked split and
+    one batched solve of its s * len(slice) systems. The node terms are
+    summed after all slices return, so the sum ignores the worker count.
+    """
+    J, s, dim = data.shape
+    zetas = rho * np.exp(2j * np.pi * np.arange(J) / J)
+
+    def node_terms(sl):
+        dec, nus = _circle_decomp(zetas[sl], tab, h, alpha)
+        xs = fam.solve(nus.ravel(), (dec.U_inv @ data[sl]).reshape(-1, dim))
+        return dec.U[:, -1:] @ xs.reshape(-1, s, dim)
+
+    slices = [slice(i[0], i[-1] + 1) for i in np.array_split(np.arange(J), min(workers, J))]
+    return np.concatenate(parallel_map(node_terms, slices, workers))[:, 0].sum(axis=0)
 
 
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
     """Contribution of the first m_0 weights via the circle rule.
 
     Builds the J right-hand sides as one DFT of the rho-scaled sample
-    sequence, solves the s decoupled systems per circle node, and
-    accumulates (U_j x Id) x_j over j in fixed order. Returns the
-    length-dim vector and the solve count s*J.
+    sequence and solves the s decoupled systems of every circle node
+    (_circle_sum). Returns the length-dim vector and the solve count s*J.
     """
     tab = config.tableau
     fam = problem.family
-    alpha = problem.alpha
     if table is None:
         table = problem.g.table(config.N, config.h, tab.c)
     terms = plan.m[0]
     J = config.J
     rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
-    s, dim = tab.s, fam.dim
 
     blk = np.asarray(table.block(config.N - terms, config.N))  # G_{N-terms}..G_{N-1}
-    seq = np.zeros((J, s, dim), dtype=complex)
+    seq = np.zeros((J, tab.s, fam.dim), dtype=complex)
     seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
     hat = smallmat.dft(seq, -1, axis=0)
-
-    def term(j):
-        dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * j / J), tab, config.h, alpha)
-        rhs = dec.U_inv @ hat[j]
-        xs = np.stack([fam.solve(nus[i], rhs[i]) for i in range(s)])
-        return dec.U @ xs
-
-    contribs = parallel_map(term, range(J), config.workers)
-    acc = np.zeros((s, dim), dtype=complex)
-    for c in contribs:
-        acc += c
-    u0 = acc[-1]
+    del seq, blk  # only hat is read from here on
+    u0 = _circle_sum(fam, tab, config.h, problem.alpha, rho, hat, config.workers)
     if config.real_input:
         u0 = u0.real.copy()
-    return u0, s * J
+    return u0, tab.s * J
 
 
 def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = False):
@@ -207,7 +219,6 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     """
     tab = config.tableau
     fam = problem.family
-    alpha = problem.alpha
     N, h = config.N, config.h
     s, dim = tab.s, fam.dim
     J = max(4 * N, 256)
@@ -215,36 +226,20 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     table = problem.g.table(N, h, tab.c)
 
     if return_trajectory:
-        w_rows = weight_rows_direct(fam, tab, alpha, h, np.arange(N), J=J, rho=rho)
+        w_rows = weight_rows_direct(fam, tab, problem.alpha, h, np.arange(N), J=J, rho=rho)
         traj = np.zeros((N + 1, dim), dtype=complex)
         flat = np.asarray(table.block(0, N)).reshape(N, s * dim)
         for m in range(1, N + 1):
-            acc = np.zeros(dim, dtype=complex)
-            for n in range(m):
-                acc += w_rows[n] @ flat[m - 1 - n]
-            traj[m] = h * acc
+            traj[m] = h * np.einsum("nab,nb->a", w_rows[:m], flat[m - 1::-1])
         return traj.real if config.real_input else traj
 
-    decs = [
-        _circle_decomp(rho * np.exp(2j * np.pi * j / J), tab, h, alpha)
-        for j in range(J)
-    ]
     z = np.exp(-2j * np.pi * np.arange(J) / J) / rho
     hist = np.zeros((J, s, dim), dtype=complex)
     for n in range(N):
         hist *= z[:, None, None]
         hist += np.asarray(table.row(n))[None] / J
 
-    def term(j):
-        dec, nus = decs[j]
-        rhs = dec.U_inv @ hist[j]
-        xs = np.stack([fam.solve(nus[i], rhs[i]) for i in range(s)])
-        return (dec.U @ xs)[-1]
-
-    contribs = parallel_map(term, range(J), config.workers)
-    u = np.zeros(dim, dtype=complex)
-    for c in contribs:
-        u += c
+    u = _circle_sum(fam, tab, h, problem.alpha, rho, hist, config.workers)
     return u.real.copy() if config.real_input else u
 
 
@@ -260,17 +255,11 @@ def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
     if rho is None:
         rho = _EPS ** (1.0 / (2 * J))
     eye = np.eye(dim)
-    kernels = np.empty((J, sd, sd), dtype=complex)
-    for j in range(J):
-        dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * j / J), tab, h, alpha)
-        rhs = np.kron(dec.U_inv, eye)
-        xs = np.vstack(
-            [family.solve(nus[i], rhs[i * dim:(i + 1) * dim]) for i in range(s)]
-        )
-        kernels[j] = np.kron(dec.U, eye) @ xs
-    phases = np.exp(
-        -2j * np.pi * np.outer(n_list, np.arange(J)) / J
-    ) * (rho ** -n_list.astype(float))[:, None] / J
+    dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * np.arange(J) / J), tab, h, alpha)
+    xs = family.solve(nus.ravel(), np.kron(dec.U_inv, eye).reshape(J * s, dim, sd))
+    kernels = np.kron(dec.U, eye) @ xs.reshape(J, sd, sd)
+    phases = (np.exp(-2j * np.pi * np.outer(n_list, np.arange(J)) / J)
+              * (rho ** -n_list.astype(float))[:, None] / J)
     # the circle rule produces h*W_n; divide the leading h back out
     return (phases @ kernels.reshape(J, sd * sd)).reshape(len(n_list), sd, sd) / h
 
@@ -282,16 +271,14 @@ def weight_rows_direct(family, tab, alpha, h, n_list, J=None, rho=None):
 
 
 def weight_rows_contour(family, tab, alpha, h, n, level: contour.ContourLevel):
-    """Hyperbola-quadrature approximation of w_n as a (dim, s*dim) block."""
+    """Hyperbola-quadrature approximation of w_n as a (dim, s*dim) block:
+    sum_k omega_k r(h lam_k)^n q(h lam_k) x (lam_k^alpha M - A)^-1."""
     s, dim = tab.s, family.dim
-    eye = np.eye(dim)
-    acc = np.zeros((dim, s * dim), dtype=complex)
-    for lam, om in zip(level.lambdas, level.omegas):
-        r, q = tableau_mod.stability(h * lam, tab)
-        nu = smallmat.power_alpha(lam, alpha)
-        x = family.solve(nu, eye)
-        acc += om * r**int(n) * np.kron(q, x)
-    return acc
+    r, q = tableau_mod.stability(h * level.lambdas, tab)
+    nus = smallmat.power_alpha(level.lambdas, alpha)
+    x = family.solve(nus, np.broadcast_to(np.eye(dim), (len(nus), dim, dim)))
+    coef = level.omegas * r ** int(n)
+    return np.einsum("k,ki,kab->aib", coef, q, x).reshape(dim, s * dim)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +369,13 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     Phases: (1) scalar Runge-Kutta marches over each level window,
     vectorized over contour nodes and run on the rank-r time factors of
     the separable data; (2) circle-rule block for the first m_0 weights;
-    (3) one resolvent solve per (level, node), whose right-hand side
-    expands the node's r march coefficients against the spatial factors;
-    (4) deterministic weighted combination. With real data only the upper
-    half k >= 0 of each contour is computed and the conjugate pairs are
-    folded in as doubled real parts. A caller solving the same N, h and
-    tableau repeatedly may pass the stage table of problem.g.
+    (3) one batched resolvent solve per level, one system per node, whose
+    right-hand side expands the node's r march coefficients against the
+    spatial factors; (4) deterministic weighted combination. With real
+    data only the upper half k >= 0 of each contour is computed and the
+    conjugate pairs are folded in as doubled real parts. A caller solving
+    the same N, h and tableau repeatedly may pass the stage table of
+    problem.g.
     """
     fam = problem.family
     alpha = problem.alpha
@@ -409,17 +397,9 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
             levels.append(contour.level_nodes(mu, params, ell))
         _check_spectrum_clearance(levels, tab, h)
 
-    # per-level node data; real data needs only k = 0..K
-    lam_used, r_used, q_used = [], [], []
-    for lev in levels:
-        lams = lev.lambdas[K:] if config.real_input else lev.lambdas
-        rs = np.empty(len(lams), dtype=complex)
-        qs = np.empty((len(lams), tab.s), dtype=complex)
-        for i, lam in enumerate(lams):
-            rs[i], qs[i] = tableau_mod.stability(h * lam, tab)
-        lam_used.append(lams)
-        r_used.append(rs)
-        q_used.append(qs)
+    # per-level nodes and their stability data (r, q); real data needs k = 0..K only
+    lam_used = [lev.lambdas[K:] if config.real_input else lev.lambdas for lev in levels]
+    stab = [tableau_mod.stability(h * lams, tab) for lams in lam_used]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
     # the marches run first, while the table is warm in cache; a level's
@@ -428,44 +408,37 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.window(li + 1)
-        coeffs.append(_march_window(r_used[li], q_used[li], table, N - m_hi, N - m_lo, h))
+        coeffs.append(_march_window(*stab[li], table, N - m_hi, N - m_lo, h))
         stats.rk_steps += len(lam_used[li]) * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
+    # real data: first_block returns a real vector and the terms add real parts
     u_total, stats.first_block_solves = first_block(problem, config, plan, table)
-    u_total = u_total.astype(complex)
     stats.wall_times["first_block"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    x_bufs = [np.empty((len(lams), fam.dim), dtype=complex) for lams in lam_used]
-    solve_tasks = [(li, k) for li in range(plan.L) for k in range(len(lam_used[li]))]
+    # right-hand sides expanded here, not in the pool's threads, whose
+    # malloc arenas would keep the freed blocks resident
+    rhs = [c @ table.spatial for c in coeffs]
 
-    def resolve(task):
-        li, k = task
-        nu = smallmat.power_alpha(lam_used[li][k], alpha)
-        x_bufs[li][k] = fam.solve(nu, coeffs[li][k] @ table.spatial)
+    def resolve(li):
+        return fam.solve(smallmat.power_alpha(lam_used[li], alpha), rhs[li])
 
-    parallel_map(resolve, solve_tasks, config.workers)
-    stats.resolvent_solves = len(solve_tasks)
+    x_levels = parallel_map(resolve, range(plan.L), config.workers)
+    stats.resolvent_solves = sum(len(lams) for lams in lam_used)
     stats.wall_times["resolvent_solves"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    for li in range(plan.L):
-        lev = levels[li]
-        m_prev = plan.m[li]
+    for li, lev in enumerate(levels):
         omegas = lev.omegas[K:] if config.real_input else lev.omegas
-        for k in range(len(lam_used[li])):
-            coeff = omegas[k] * r_used[li][k] ** int(m_prev)
-            term = coeff * x_bufs[li][k]
-            if config.real_input:
-                u_total += term.real if k == 0 else 2.0 * term.real
-            else:
-                u_total += term
-    u_final = u_total.real.copy() if config.real_input else u_total
+        terms = (omegas * stab[li][0] ** plan.m[li])[:, None] * x_levels[li]
+        if config.real_input:  # node k > 0 stands for itself and its conjugate
+            terms = terms.real * np.where(np.arange(len(terms)) > 0, 2.0, 1.0)[:, None]
+        u_total += terms.sum(axis=0)
     stats.wall_times["combine"] = time.perf_counter() - t_phase
     stats.wall_times["total"] = time.perf_counter() - t_start
-    return u_final, stats
+    return u_total, stats
 
 
 def transform_initial(problem: Problem):

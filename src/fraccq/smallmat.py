@@ -1,8 +1,9 @@
 """Stage-space linear algebra for the circle-quadrature block.
 
-The s x s matrices Delta(zeta)/h of the Runge-Kutta schemes are split by
-LAPACK (numpy.linalg.eig and inv) into U diag(d) U^-1, with the splits
-checked for eigenvalue gaps and reconstruction residual.
+The s x s matrices Delta(zeta)/h of the Runge-Kutta schemes, one per circle
+node, are split as one stack by LAPACK (numpy.linalg.eig and inv) into
+U diag(d) U^-1, with every split checked for eigenvalue gaps and
+reconstruction residual.
 Also here: principal-branch fractional powers and the DFT helper of the
 first-weights block.
 """
@@ -29,38 +30,38 @@ class EigDecomp:
 
 
 def eig_small(mtx):
-    """Eigendecomposition of a square complex matrix.
+    """Eigendecomposition of a square complex matrix or a stack (..., s, s).
 
-    Returns an EigDecomp whose reconstruction residual is verified to be
-    below 1e-10 relative in max norm. Raises DecompositionError for
-    (near-)defective input; callers holding a circle-quadrature node are
-    expected to perturb it radially and retry.
+    LAPACK splits each matrix on its own, so a stacked split equals the
+    per-matrix splits bit for bit. Each split must have an eigenvalue gap
+    above 1e-8 and a reconstruction residual below 1e-10, relative in max
+    norm; otherwise a DecompositionError names the failing flat indices
+    (exc.indices), for the caller to perturb those circle nodes and retry.
     """
     m = np.asarray(mtx, dtype=complex)
-    s = m.shape[0]
-    if m.shape != (s, s):
-        raise DomainError(f"eig_small expects a square matrix, got shape {m.shape}")
+    s = m.shape[-1] if m.ndim >= 2 else 0
+    if s < 1 or m.shape[-2] != s:
+        raise DomainError(f"eig_small expects square matrices, got shape {m.shape}")
     try:
         d, u = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
-    scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(m))), 1e-300)
-    gaps = np.abs(d[:, None] - d[None, :])[np.triu_indices(s, 1)]
-    if gaps.size and gaps.min() < _GAP_REL * scale:
+        raise DecompositionError(f"eigenvalue iteration failed: {exc}",
+                                 indices=np.arange(m[..., 0, 0].size)) from exc
+    mag = np.max(np.abs(m), axis=(-2, -1))
+    scale = np.maximum(np.maximum(np.max(np.abs(d), axis=-1), mag), 1e-300)
+    rows, cols = np.triu_indices(s, 1)
+    gap = np.min(np.abs(d[..., rows] - d[..., cols]), axis=-1, initial=np.inf)
+    bad = gap < _GAP_REL * scale
+    bad |= np.linalg.det(u) == 0.0
+    u_inv = np.linalg.inv(np.where(bad[..., None, None], np.eye(s), u))
+    resid = np.max(np.abs((u * d[..., None, :]) @ u_inv - m), axis=(-2, -1))
+    bad |= ~(resid <= _RECON_REL * np.maximum(mag, 1e-300))
+    if np.any(bad):
         raise DecompositionError(
-            f"eigenvalue gap {gaps.min():.3e} below {_GAP_REL:g} * {scale:.3e}; "
-            "near-defective matrix, perturb the quadrature node and retry"
-        )
-    try:
-        u_inv = np.linalg.inv(u)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvector matrix singular: {exc}") from exc
-    resid = float(np.max(np.abs((u * d) @ u_inv - m)))
-    bound = _RECON_REL * max(float(np.max(np.abs(m))), 1e-300)
-    if resid > bound:
-        raise DecompositionError(
-            f"reconstruction residual {resid:.3e} exceeds {bound:.3e}; "
-            "perturb the quadrature node and retry"
+            f"near-defective matrix at stack indices {np.flatnonzero(bad).tolist()} "
+            f"(eigenvalue gap below {_GAP_REL:g} or reconstruction residual above "
+            f"{_RECON_REL:g}, relative); perturb those quadrature nodes and retry",
+            indices=np.flatnonzero(bad),
         )
     return EigDecomp(U=u, d=d, U_inv=u_inv)
 
@@ -68,15 +69,18 @@ def eig_small(mtx):
 def power_alpha(d, alpha):
     """Principal-branch fractional power d_i^alpha, arg in (-pi, pi).
 
-    alpha = 1 is admitted as the exact classical limit.
+    alpha = 1 is admitted as the exact classical limit. An entry on the
+    cut raises BranchCutError naming its leading-axis indices (exc.indices).
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     arr = np.atleast_1d(np.asarray(d, dtype=complex))
     on_cut = (arr.imag == 0.0) & (arr.real <= 0.0)
     if np.any(on_cut):
-        bad = arr[on_cut][0]
-        raise BranchCutError(f"entry {bad} lies on the closed negative real axis")
+        raise BranchCutError(
+            f"entry {arr[on_cut][0]} lies on the closed negative real axis",
+            indices=np.flatnonzero(on_cut.reshape(len(arr), -1).any(axis=1)),
+        )
     if alpha == 1.0:
         out = arr.copy()
     else:

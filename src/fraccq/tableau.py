@@ -88,30 +88,31 @@ def by_name(name: str) -> Tableau:
     return radau_iia(table[name])
 
 
-def stability(z: complex, t: Tableau):
+def stability(z, t: Tableau):
     """Stability function r(z) and the row vector q(z) = b^T (Id - z A)^-1.
 
-    For stiffly accurate tableaux r is evaluated through the
-    e_s^T (Id - z A)^-1 1 form, which stays accurate as |z| grows; the
-    1 + z q(z) 1 form is used otherwise.
+    For an array z, r has z's shape and q one more axis of length s. For
+    stiffly accurate tableaux r is evaluated through the e_s^T (Id - z A)^-1 1
+    form, which stays accurate as |z| grows; the 1 + z q(z) 1 form is
+    used otherwise.
     """
+    z = np.asarray(z, dtype=complex)
     try:
-        m_inv = np.linalg.inv(np.eye(t.s, dtype=complex) - z * t.A)
+        m_inv = np.linalg.inv(np.eye(t.s) - z[..., None, None] * t.A)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"Id - z*A singular at z={z}", where=z) from exc
     q = t.b @ m_inv
-    if t.stiffly_accurate:
-        r = m_inv[-1].sum()
-    else:
-        r = 1.0 + z * q.sum()
-    return complex(r), q
+    r = m_inv[..., -1, :].sum(axis=-1) if t.stiffly_accurate else 1.0 + z * q.sum(axis=-1)
+    return (complex(r), q) if z.ndim == 0 else (r, q)
 
 
-def delta(zeta: complex, t: Tableau) -> np.ndarray:
-    """Generating-function matrix Delta(zeta) = (A + zeta/(1-zeta) 1 b^T)^-1."""
-    if zeta == 1:
-        raise PoleError("Delta has a pole at zeta = 1", where=zeta)
-    inner = t.A + (zeta / (1.0 - zeta)) * np.outer(np.ones(t.s), t.b)
+def delta(zeta, t: Tableau) -> np.ndarray:
+    """Generating-function matrix Delta(zeta) = (A + zeta/(1-zeta) 1 b^T)^-1,
+    stacked along zeta's shape when zeta is an array."""
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(zeta == 1):
+        raise PoleError("Delta has a pole at zeta = 1", where=1.0)
+    inner = t.A + (zeta / (1.0 - zeta))[..., None, None] * np.outer(np.ones(t.s), t.b)
     try:
         return np.linalg.inv(inner)
     except np.linalg.LinAlgError as exc:

@@ -223,3 +223,31 @@ def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path,
         assert run_cli(base + flags + ["--dump-config"]) == 0
         dumped = capsys.readouterr().out.splitlines()
         assert {f"K={expected[0]}", f"kappa={expected[1]}", f"J={expected[2]}"} <= set(dumped)
+
+
+@pytest.mark.parametrize("rk_marches, totals, flagged", [
+    # 0.3 ms of jitter in a 0.4 ms phase is more than half its median
+    ((4e-4, 7e-4, 4e-4), (0.0124, 0.0127, 0.0124), False),
+    ((4e-4, 4e-4, 4e-4), (0.0100, 0.0100, 0.0200), True),
+])
+def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, totals, flagged):
+    """The flag fires on a repeat whose whole solve is a 2x outlier, not on
+    sub-millisecond jitter in one phase."""
+    from fraccq import cli, example2_problem
+    from fraccq.fastcq import RunStats
+
+    problem = example2_problem(8, t_max=2.0).problem
+    quiet = iter([(4e-4, 0.01)] * 9)
+    first_rung = iter(zip(rk_marches, totals))
+
+    def stub_solve(prob, cfg, table=None):
+        rk, total = next(first_rung, None) or next(quiet)
+        times = {"first_block": 1e-3, "rk_marches": rk, "resolvent_solves": 1e-3,
+                 "total": total}
+        return problem.u_exact(cfg.N * cfg.h), RunStats(wall_times=times)
+
+    monkeypatch.setattr(cli.fastcq, "fast_solve", stub_solve)
+    spec = dict(cli._EXPERIMENTS["subdiffusion"], grid=8, t_end=1.0, steps=(40,), J=14)
+    report = cli.subdiffusion_report(spec, problem)
+    assert report["n_ladder"][0]["timing_flagged"] is flagged
+    assert not any(rung["timing_flagged"] for rung in report["worker_ladder"])

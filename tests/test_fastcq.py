@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -328,25 +330,28 @@ def test_fast_rejects_pending_initial_data():
 
 
 def test_worker_count_does_not_change_bits(example1):
-    cfg1 = CQConfig(tableau=radau_iia(3), h=0.01, N=300, K=20, workers=1)
-    cfg2 = CQConfig(tableau=radau_iia(3), h=0.01, N=300, K=20, workers=3)
-    u1, _ = fast_solve(example1, cfg1)
-    u2, _ = fast_solve(example1, cfg2)
-    assert np.array_equal(u1, u2)
+    """Two and three workers split the J = 160 circle nodes into slices of
+    80/80 and 54/53/53; every worker count gives the same bits."""
+    cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=300, K=20, workers=1)
+    u1, _ = fast_solve(example1, cfg)
+    for workers in (2, 3):
+        u, _ = fast_solve(example1, dataclasses.replace(cfg, workers=workers))
+        assert np.array_equal(u1, u)
 
 
 def test_worker_count_does_not_change_bits_on_a_grid():
-    """Separable 10^3 subdiffusion data, wider than a single march block of
-    columns used to be: the marches and solves split the same way at any
+    """Separable subdiffusion data on 8^3 and on 10^3 (wider than a single
+    march block of columns used to be): three workers split the J = 14
+    circle nodes unevenly (5/5/4), and the solves give the same bits at any
     worker count."""
     from fraccq import example2_problem
-    prob = example2_problem(10).problem
-    assert prob.family.dim > 512
-    cfg1 = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=1)
-    cfg3 = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=3)
-    u1, _ = fast_solve(prob, cfg1)
-    u3, _ = fast_solve(prob, cfg3)
-    assert np.array_equal(u1, u3)
+    cfg = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=1)
+    for grid in (8, 10):
+        prob = example2_problem(grid).problem
+        u1, _ = fast_solve(prob, cfg)
+        for workers in (2, 3):
+            u, _ = fast_solve(prob, dataclasses.replace(cfg, workers=workers))
+            assert np.array_equal(u1, u), (grid, workers)
 
 
 def test_passed_table_gives_the_same_bits(monkeypatch):
@@ -455,3 +460,47 @@ def test_config_rejects_nonconforming_tableau():
                     np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]), 4, 2)
     with pytest.raises(ConfigError):
         CQConfig(tableau=gauss, h=0.1, N=10)
+
+
+def test_circle_decomp_perturbs_only_the_flagged_nodes(monkeypatch):
+    """A split that fails at one node perturbs that node alone; every other
+    node keeps the bits of an undisturbed split."""
+    from fraccq import smallmat
+    from fraccq.errors import DecompositionError
+    tab, h, alpha = radau_iia(3), 0.01, 0.5
+    zetas = 0.8 * np.exp(2j * np.pi * np.arange(9) / 9)
+    clean, clean_nus = fastcq._circle_decomp(zetas, tab, h, alpha)
+
+    original = smallmat.eig_small
+    seen = []
+
+    def fail_once_at_node_5(stack):
+        seen.append(np.array(stack))
+        if len(seen) == 1:
+            raise DecompositionError("forced", indices=np.array([5]))
+        return original(stack)
+
+    monkeypatch.setattr(smallmat, "eig_small", fail_once_at_node_5)
+    dec, nus = fastcq._circle_decomp(zetas, tab, h, alpha)
+    assert len(seen) == 2
+    moved = [k for k in range(9) if not np.array_equal(seen[0][k], seen[1][k])]
+    assert moved == [5]
+    assert np.array_equal(zetas, 0.8 * np.exp(2j * np.pi * np.arange(9) / 9))
+    keep = np.arange(9) != 5
+    assert np.array_equal(dec.U[keep], clean.U[keep])
+    assert np.array_equal(dec.U_inv[keep], clean.U_inv[keep])
+    assert np.array_equal(nus[keep], clean_nus[keep])
+    assert not np.array_equal(nus[5], clean_nus[5])
+    assert np.allclose(nus[5], clean_nus[5], rtol=1e-7)
+
+
+def test_circle_decomp_gives_up_after_one_perturbation(monkeypatch):
+    from fraccq import smallmat
+    from fraccq.errors import DecompositionError
+
+    def always_fail(stack):
+        raise DecompositionError("forced", indices=np.array([0]))
+
+    monkeypatch.setattr(smallmat, "eig_small", always_fail)
+    with pytest.raises(DecompositionError):
+        fastcq._circle_decomp(np.array([0.5, 0.5j]), radau_iia(2), 0.1, 0.5)

@@ -265,3 +265,25 @@ def test_stage_tables_agree_across_kinds(rng):
     assert np.array_equal(t_const.block(0, 7), pointwise(const, 0, 7))
     assert np.array_equal(t_const.block(2, 5), pointwise(const, 2, 5))
     assert np.array_equal(const.sample(0.37), spatial[0])
+
+
+@pytest.mark.parametrize("backend", ["dense", "spectral", "tbc"])
+def test_batched_solve_equals_per_node_solves(backend, rng):
+    if backend == "dense":
+        fam = dense_operator(np.eye(5) + 0.1 * rng.standard_normal((5, 5)),
+                             rng.standard_normal((5, 5)))
+    elif backend == "spectral":
+        fam = periodic_compact_fd_3d(4)
+    else:
+        fam = schrodinger_tbc_1d(2.0, 41, 0.75)
+    nus = np.array([1.1 + 0.7j, 0.3 - 2.0j, 4.0 + 0.1j, 2.5j])
+    ys = rng.standard_normal((4, fam.dim)) + 1j * rng.standard_normal((4, fam.dim))
+    xs = fam.solve(nus, ys)
+    assert xs.shape == ys.shape
+    for k in range(4):
+        assert np.array_equal(xs[k], fam.solve(nus[k], ys[k]))
+    cols = rng.standard_normal((4, fam.dim, 3)) + 0j
+    xcols = fam.solve(nus, cols)
+    assert xcols.shape == cols.shape
+    for k in range(4):
+        assert np.array_equal(xcols[k], fam.solve(nus[k], cols[k]))

@@ -124,3 +124,32 @@ def test_eig_condition_flag():
     # defectiveness threshold: decomposes
     skewed = eig_small(np.array([[1.0, 8e7], [0.0, 2.0]]))
     assert np.sort(skewed.d.real) == pytest.approx([1.0, 2.0])
+
+
+def test_stacked_eig_equals_per_matrix_splits_bitwise():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((37, 3, 3)) + 1j * rng.standard_normal((37, 3, 3))
+    dec = eig_small(stack)
+    assert dec.U.shape == (37, 3, 3) and dec.d.shape == (37, 3)
+    for k, m in enumerate(stack):
+        one = eig_small(m)
+        assert np.array_equal(one.U, dec.U[k])
+        assert np.array_equal(one.d, dec.d[k])
+        assert np.array_equal(one.U_inv, dec.U_inv[k])
+
+
+def test_stacked_eig_names_exactly_the_defective_index():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+    stack[4] = [[1.0, 1.0], [0.0, 1.0]]  # a Jordan block
+    with pytest.raises(DecompositionError) as info:
+        eig_small(stack)
+    assert info.value.indices.tolist() == [4]
+    assert "[4]" in str(info.value)
+
+
+def test_power_alpha_names_the_rows_on_the_cut():
+    d = np.array([[1.0 + 1j, 2.0], [3.0, -1.0], [1j, 0.0]])
+    with pytest.raises(BranchCutError) as info:
+        power_alpha(d, 0.5)
+    assert info.value.indices.tolist() == [1, 2]

@@ -187,3 +187,25 @@ def test_tableau_arrays_immutable():
     t = radau_iia(3)
     with pytest.raises(ValueError):
         t.A[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_array_delta_and_stability_equal_the_scalar_results(s):
+    t = radau_iia(s)
+    zetas = 0.9 * np.exp(2j * np.pi * np.arange(7) / 7)
+    stack = delta(zetas, t)
+    assert stack.shape == (7, s, s)
+    for k, zeta in enumerate(zetas):
+        assert np.array_equal(stack[k], delta(complex(zeta), t))
+    zs = np.array([-3.0 + 2.0j, -0.5j, 1e3 + 4.0j, -40.0])
+    r, q = stability(zs, t)
+    assert r.shape == (4,) and q.shape == (4, s)
+    for k, z in enumerate(zs):
+        r1, q1 = stability(complex(z), t)
+        assert isinstance(r1, complex) and q1.shape == (s,)
+        assert r1 == r[k] and np.array_equal(q1, q[k])
+
+
+def test_array_delta_pole_at_one():
+    with pytest.raises(PoleError):
+        delta(np.array([0.5, 1.0, 0.5j]), radau_iia(2))
