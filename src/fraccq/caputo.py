@@ -165,21 +165,19 @@ class HalfOrderTrigTable:
             raise DomainError(f"time outside the declared range [0, {self._t_max}]")
         return t
 
-    def dhalf_sin(self, t):
-        """D^(1/2) of sin(pi .) at the times t (array)."""
-        return _half_derivatives(np.pi, self._checked(t))[0]
-
-    def dhalf_one_minus_cos(self, t):
-        """D^(1/2) of 1 - cos(pi .) at the times t (array)."""
-        return _half_derivatives(np.pi, self._checked(t))[1]
+    def factors(self, t):
+        """(f1(t), f2(t)) as an (m, 2) array, from one Fresnel evaluation:
+        f1 = D^(1/2) sin(pi .) + sin(pi t) and
+        f2 = D^(1/2) (1 - cos(pi .)) + 1 - cos(pi t)."""
+        t = self._checked(t)
+        d_sin, d_cos = _half_derivatives(np.pi, t)
+        return np.stack([d_sin + np.sin(np.pi * t), d_cos + 1.0 - np.cos(np.pi * t)], axis=-1)
 
     def f1(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.dhalf_sin(t) + np.sin(np.pi * t)
+        return self.factors(t)[..., 0]
 
     def f2(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.dhalf_one_minus_cos(t) + 1.0 - np.cos(np.pi * t)
+        return self.factors(t)[..., 1]
 
 
 def example2_fields(n_per_dim: int):
@@ -195,7 +193,7 @@ def example2_problem(n_per_dim: int, t_max: float = 130.0) -> ManufacturedProble
     """3D periodic subdiffusion with alpha = 1/2 on an n^3 compact-FD grid.
 
     The inhomogeneity separates into two fixed grid fields times the scalar
-    factors f1, f2, which are precomputed for every stage time; the grid
+    factors f1, f2, evaluated together for every stage time; the grid
     fields are stored in mass form, as consumed by the resolvent solves.
     """
     if n_per_dim < 8:
@@ -206,16 +204,13 @@ def example2_problem(n_per_dim: int, t_max: float = 130.0) -> ManufacturedProble
     )
     table = HalfOrderTrigTable(t_max)
 
-    def factors(ts):
-        return np.stack([table.f1(ts), table.f2(ts)], axis=-1)
-
     def u_exact(t):
         return h_minus * np.sin(np.pi * t) + h_plus * (1.0 - np.cos(np.pi * t))
 
     problem = Problem(
         family=family,
         alpha=0.5,
-        g=SeparableInhomogeneity(spatial, factors),
+        g=SeparableInhomogeneity(spatial, table.factors),
         u_exact=u_exact,
     )
     return ManufacturedProblem(

@@ -546,10 +546,16 @@ def selftest_checks():
             single = [fam.solve(n, y) for n, y in zip(nus, ys)]
             if not np.array_equal(fam.solve(nus, ys), single):
                 return False, f"{type(fam).__name__}: batched solve differs from per-node"
+            y = rng.standard_normal((fam.dim, 2)) + 0j
+            w = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            loop = sum(fam.solve(n, y @ wk) for n, wk in zip(nus, w))
+            if np.max(np.abs(fam.solve(nus, y, weights=w) - loop)) > 1e-12 * np.max(np.abs(loop)):
+                return False, f"{type(fam).__name__}: weighted sum differs from per-node"
         problem = caputo.example1_problem().problem
         cfg = dict(tableau=tableau_mod.radau_iia(3), h=0.05, N=60, K=20)
         u1, u2 = (fastcq.fast_solve(problem, fastcq.CQConfig(**cfg, workers=w))[0] for w in (1, 2))
-        return np.array_equal(u1, u2), "3 backends batched = per-node; workers 1, 2 same bits"
+        return np.array_equal(u1, u2), ("3 backends batched = per-node, weighted = "
+                                        "per-node sum; workers 1, 2 same bits")
 
     def check_tbc():
         fam = operators.schrodinger_tbc_1d(2.0, 61, 0.75)

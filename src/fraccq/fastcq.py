@@ -14,14 +14,17 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   resolvent solve per node: O(N) Runge-Kutta steps and
   O(log N * log(1/eps)) linear systems. The data are separable,
   g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
-  factors and each node's result is expanded once, as the right-hand
-  side of its resolvent solve.
+  factors.
 
-Both routes work on arrays of nodes: one stability call per level, one
-stacked eigen-split and one batched family.solve per slice of circle
-nodes, one batched solve per level. The worker pool takes one contiguous
-slice of circle nodes, or one level, per task; the marches run in the
-calling thread.
+The result needs only a weighted sum of resolvent solves,
+u = sum_k (nu_k M - A)^-1 S^T w_k with S the (r, dim) spatial factors, so
+both routes stay in the rank space of the data and hand each sum to one
+weighted family.solve: one for the circle nodes, one for the contour
+nodes of all levels. The stage-space work runs on arrays of nodes: one
+stability call per level, one stacked eigen-split of the circle nodes.
+The circle split is one task of parallel_map, so it runs in the
+calling thread like the marches and the solves: a worker count reaches
+no phase of a solve.
 """
 
 from __future__ import annotations
@@ -161,32 +164,37 @@ def _circle_decomp(zetas, tab, h, alpha):
             zetas[exc.indices] *= 1.0 + 1e-9
 
 
-def _circle_sum(fam, tab, h, alpha, rho, data, workers):
-    """sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j]_last over the J = len(data)
-    circle nodes, U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h.
+def _circle_weights(tab, h, alpha, rho, data, workers):
+    """Frequencies and rank-space weights of the circle rule over the
+    J = len(data) circle nodes, for data of shape (J, s, rank).
 
-    Each worker takes one contiguous slice of nodes: one stacked split and
-    one batched solve of its s * len(slice) systems. The node terms are
-    summed after all slices return, so the sum ignores the worker count.
+    With U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h, the circle sum
+    sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j S]_last equals
+    sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 data_j)[i],
+    one weighted family.solve. Returns nu (J*s,) and w (J*s, rank), in
+    (node, stage) order. All J nodes make one stacked split, as a single
+    task: a split is a few LAPACK calls over the stack, and on 2 CPUs the
+    160 nodes of the default first block took 1.9 ms inline and 2.2 ms
+    as two slices on two workers.
     """
-    J, s, dim = data.shape
+    J, s, rank = data.shape
     zetas = rho * np.exp(2j * np.pi * np.arange(J) / J)
 
-    def node_terms(sl):
-        dec, nus = _circle_decomp(zetas[sl], tab, h, alpha)
-        xs = fam.solve(nus.ravel(), (dec.U_inv @ data[sl]).reshape(-1, dim))
-        return dec.U[:, -1:] @ xs.reshape(-1, s, dim)
+    def node_weights(nodes):
+        dec, nus = _circle_decomp(nodes, tab, h, alpha)
+        return nus.ravel(), (dec.U[:, -1, :, None] * (dec.U_inv @ data)).reshape(J * s, rank)
 
-    slices = [slice(i[0], i[-1] + 1) for i in np.array_split(np.arange(J), min(workers, J))]
-    return np.concatenate(parallel_map(node_terms, slices, workers))[:, 0].sum(axis=0)
+    [(nus, weights)] = parallel_map(node_weights, [zetas], workers)
+    return nus, weights
 
 
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
     """Contribution of the first m_0 weights via the circle rule.
 
-    Builds the J right-hand sides as one DFT of the rho-scaled sample
-    sequence and solves the s decoupled systems of every circle node
-    (_circle_sum). Returns the length-dim vector and the solve count s*J.
+    Takes one DFT of the rho-scaled sequence of time factors and sums the
+    s decoupled systems of every circle node in one weighted solve
+    (_circle_weights). Returns the length-dim vector and the system count
+    s*J.
     """
     tab = config.tableau
     fam = problem.family
@@ -196,12 +204,12 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     J = config.J
     rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
 
-    blk = np.asarray(table.block(config.N - terms, config.N))  # G_{N-terms}..G_{N-1}
-    seq = np.zeros((J, tab.s, fam.dim), dtype=complex)
+    blk = table.block(config.N - terms, config.N)  # factors of G_{N-terms}..G_{N-1}
+    seq = np.zeros((J, tab.s, table.rank), dtype=complex)
     seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
     hat = smallmat.dft(seq, -1, axis=0)
-    del seq, blk  # only hat is read from here on
-    u0 = _circle_sum(fam, tab, config.h, problem.alpha, rho, hat, config.workers)
+    nus, weights = _circle_weights(tab, config.h, problem.alpha, rho, hat, config.workers)
+    u0 = fam.solve(nus, table.spatial.T, weights=weights)
     if config.real_input:
         u0 = u0.real.copy()
     return u0, tab.s * J
@@ -212,10 +220,10 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
 
     Every weight is taken from the trapezoidal circle rule at oracle-grade
     parameters J = max(4N, 256), rho^J = sqrt(eps). The default path
-    carries the J running history sums step by step and solves s*J systems
-    once at the end; with return_trajectory=True (small systems only) the
-    weights are assembled as explicit matrices and the whole trajectory
-    u_0..u_N is returned.
+    carries the J running history sums of the time factors step by step
+    and sums the s*J systems in one weighted solve at the end; with
+    return_trajectory=True (small systems only) the weights are assembled
+    as explicit matrices and the whole trajectory u_0..u_N is returned.
     """
     tab = config.tableau
     fam = problem.family
@@ -228,18 +236,20 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     if return_trajectory:
         w_rows = weight_rows_direct(fam, tab, problem.alpha, h, np.arange(N), J=J, rho=rho)
         traj = np.zeros((N + 1, dim), dtype=complex)
-        flat = np.asarray(table.block(0, N)).reshape(N, s * dim)
+        flat = (table.block(0, N) @ table.spatial).reshape(N, s * dim)
         for m in range(1, N + 1):
             traj[m] = h * np.einsum("nab,nb->a", w_rows[:m], flat[m - 1::-1])
         return traj.real if config.real_input else traj
 
     z = np.exp(-2j * np.pi * np.arange(J) / J) / rho
-    hist = np.zeros((J, s, dim), dtype=complex)
+    factors = table.block(0, N)
+    hist = np.zeros((J, s, table.rank), dtype=complex)
     for n in range(N):
         hist *= z[:, None, None]
-        hist += np.asarray(table.row(n))[None] / J
+        hist += factors[n] / J
 
-    u = _circle_sum(fam, tab, h, problem.alpha, rho, hist, config.workers)
+    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hist, config.workers)
+    u = fam.solve(nus, table.spatial.T, weights=weights)
     return u.real.copy() if config.real_input else u
 
 
@@ -303,8 +313,7 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
     y = np.zeros(table.dim, dtype=complex)
     ones = np.ones(tab.s)
     hA = h * tab.A
-    for n in range(from_step, to_step):
-        g = np.asarray(table.row(n))
+    for g in table.block(from_step, to_step) @ table.spatial:
         stages = stage_inv @ (np.outer(ones, y) + hA @ g)
         if tab.stiffly_accurate:
             y = stages[-1]
@@ -330,6 +339,7 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
     """
     nodes = len(r)
     s, rank = table.s, table.rank
+    factors = table.block(n0, n1)
     hist = np.zeros((nodes, s * rank), dtype=complex)
     for b0 in range(n0, n1, block):
         b1 = min(b0 + block, n1)
@@ -340,7 +350,7 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
             np.cumprod(np.broadcast_to(r[:, None], (nodes, w - 1)), axis=1,
                        out=desc[:, -2::-1])
         hist *= (desc[:, 0] * r)[:, None]
-        hist += desc @ table.time[b0:b1].reshape(w, s * rank)
+        hist += desc @ factors[b0 - n0:b1 - n0].reshape(w, s * rank)
     return h * np.einsum("ks,ksr->kr", q, hist.reshape(nodes, s, rank))
 
 
@@ -368,14 +378,13 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
 
     Phases: (1) scalar Runge-Kutta marches over each level window,
     vectorized over contour nodes and run on the rank-r time factors of
-    the separable data; (2) circle-rule block for the first m_0 weights;
-    (3) one batched resolvent solve per level, one system per node, whose
-    right-hand side expands the node's r march coefficients against the
-    spatial factors; (4) deterministic weighted combination. With real
-    data only the upper half k >= 0 of each contour is computed and the
-    conjugate pairs are folded in as doubled real parts. A caller solving
-    the same N, h and tableau repeatedly may pass the stage table of
-    problem.g.
+    the separable data; (2) combine: the weight of node k of level l is
+    omega_k r_k^(m_l) times its r march coefficients; (3) one weighted
+    resolvent solve sums the nodes of all levels; (4) circle-rule block
+    for the first m_0 weights. With real data only the upper half k >= 0 of
+    each contour is computed and the conjugate pairs are folded in as
+    doubled real parts. A caller solving the same N, h and tableau
+    repeatedly may pass the stage table of problem.g.
     """
     fam = problem.family
     alpha = problem.alpha
@@ -413,32 +422,32 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    # real data: first_block returns a real vector and the terms add real parts
-    u_total, stats.first_block_solves = first_block(problem, config, plan, table)
-    stats.wall_times["first_block"] = time.perf_counter() - t_phase
+    weights = []
+    for li, lev in enumerate(levels):
+        omegas = lev.omegas[K:] if config.real_input else lev.omegas
+        scale = omegas * stab[li][0] ** plan.m[li]
+        if config.real_input:  # node k > 0 stands for itself and its conjugate
+            scale *= np.where(np.arange(len(scale)) > 0, 2.0, 1.0)
+        weights.append(scale[:, None] * coeffs[li])
+    stats.wall_times["combine"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    # right-hand sides expanded here, not in the pool's threads, whose
-    # malloc arenas would keep the freed blocks resident
-    rhs = [c @ table.spatial for c in coeffs]
-
-    def resolve(li):
-        return fam.solve(smallmat.power_alpha(lam_used[li], alpha), rhs[li])
-
-    x_levels = parallel_map(resolve, range(plan.L), config.workers)
+    u_levels = 0.0
+    if levels:
+        nus = smallmat.power_alpha(np.concatenate(lam_used), alpha)
+        u_levels = fam.solve(nus, table.spatial.T, weights=np.concatenate(weights))
+        if config.real_input:  # the real part of the sum is the sum of the folded pairs
+            u_levels = u_levels.real
     stats.resolvent_solves = sum(len(lams) for lams in lam_used)
     stats.wall_times["resolvent_solves"] = time.perf_counter() - t_phase
 
+    # the first block runs after the level solve, not straight after the
+    # marches: its fixed work then meets the same cache state at every N
     t_phase = time.perf_counter()
-    for li, lev in enumerate(levels):
-        omegas = lev.omegas[K:] if config.real_input else lev.omegas
-        terms = (omegas * stab[li][0] ** plan.m[li])[:, None] * x_levels[li]
-        if config.real_input:  # node k > 0 stands for itself and its conjugate
-            terms = terms.real * np.where(np.arange(len(terms)) > 0, 2.0, 1.0)[:, None]
-        u_total += terms.sum(axis=0)
-    stats.wall_times["combine"] = time.perf_counter() - t_phase
+    u_first, stats.first_block_solves = first_block(problem, config, plan, table)
+    stats.wall_times["first_block"] = time.perf_counter() - t_phase
     stats.wall_times["total"] = time.perf_counter() - t_start
-    return u_total, stats
+    return u_first + u_levels, stats
 
 
 def transform_initial(problem: Problem):

@@ -1,7 +1,8 @@
 """Operator families (resolvent providers) and problem containers.
 
 A family answers solve(nu, y) for the system (nu*M - A) x = y at complex
-frequencies nu = lambda^alpha, one frequency or a batch of them. Three
+frequencies nu = lambda^alpha, one frequency or a batch of them, and
+solve(nu, y, weights=W) for a weighted sum of a batch of solves. Three
 backends: dense matrices, a 3D
 periodic compact-finite-difference Laplacian solved spectrally, and a 1D
 free-space Schroedinger operator closed with transparent boundary rows.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft
 from scipy.linalg import solve_banded
 
 from . import contour
@@ -33,25 +35,41 @@ class OperatorFamily(ABC):
     theta1_hint: float
     has_mass: bool
 
-    def solve(self, nu, y):
+    def solve(self, nu, y, weights=None):
         """Solve (nu*M - A) x = y; x has the shape of y.
 
         A scalar nu takes y of shape (dim,) or (dim, m). An array nu of
         shape (B,) solves B systems: y is (B, dim) or (B, dim, m), and
         x[k] solves the system at nu[k], bit for bit as solve(nu[k], y[k])
-        would. This default solves the nodes one after another.
+        would.
+
+        With weights W of shape (B, m), y is one (dim, m) block shared by
+        every node and the result is the weighted sum
+        sum_k (nu_k M - A)^-1 y W[k], of shape (dim,).
         """
         nu = np.asarray(nu, dtype=complex)
+        if weights is not None:
+            return self._weighted_sum(nu, np.asarray(y, dtype=complex),
+                                      np.asarray(weights, dtype=complex))
         if nu.ndim == 0:
             return self._solve_one(complex(nu), y)
+        return self._solve_batch(nu, y)
+
+    @abstractmethod
+    def _solve_one(self, nu, y):
+        """Solve (nu*M - A) x = y at one frequency; y is (dim,) or (dim, m)."""
+
+    def _solve_batch(self, nu, y):
+        """The systems at nu of shape (B,), one after another."""
         x = np.empty(np.shape(y), dtype=complex)
         for k, n in enumerate(nu.tolist()):
             x[k] = self._solve_one(n, y[k])
         return x
 
-    @abstractmethod
-    def _solve_one(self, nu, y):
-        """Solve (nu*M - A) x = y at one frequency; y is (dim,) or (dim, m)."""
+    def _weighted_sum(self, nu, y, weights):
+        """sum_k (nu_k M - A)^-1 y W[k]: the pre-weighted right-hand sides
+        W @ y.T solved as a batch and summed."""
+        return self._solve_batch(nu, weights @ y.T).sum(axis=0)
 
     def apply_op(self, y):
         """Apply the evolution operator A (mass form), used to shift
@@ -82,7 +100,7 @@ class DenseOperator(OperatorFamily):
         self.dim = n
         self.theta1_hint = float(theta1_hint)
 
-    def solve(self, nu, y):
+    def _solve_batch(self, nu, y):
         nu = np.asarray(nu, dtype=complex)
         y = np.asarray(y, dtype=complex)
         vector = y.ndim == nu.ndim + 1
@@ -93,7 +111,7 @@ class DenseOperator(OperatorFamily):
             raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
         return x[..., 0] if vector else x
 
-    _solve_one = solve  # a scalar nu is the one-frequency case of solve
+    _solve_one = _solve_batch  # a scalar nu is the one-frequency case
 
     def apply_op(self, y):
         return self.A @ np.asarray(y, dtype=complex)
@@ -125,6 +143,11 @@ class PeriodicCompactFD3D(OperatorFamily):
     Both are diagonalized by the 3D DFT, so a solve is three FFTs and a
     pointwise division by the symbol per frequency; a batch runs its
     frequencies one after another (a stacked 4-D FFT raised peak memory).
+    A weighted sum over a batch stays in Fourier space: the m columns of y
+    are transformed once, the weights are contracted with the reciprocal
+    symbols 1/(nu_k m - a) into one multiplier per column, and one inverse
+    FFT returns the sum. The reciprocals are taken over the distinct
+    (mass, op) symbol pairs only (254 of 4,096 on 16^3, 47 of 512 on 8^3).
     """
 
     has_mass = True
@@ -136,7 +159,7 @@ class PeriodicCompactFD3D(OperatorFamily):
         self.n = int(n_per_dim)
         self.eta = 2.0 * np.pi / self.n
         self.dim = self.n**3
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.n)
+        xi = 2.0 * np.pi * fft.fftfreq(self.n)
         a = (2.0 * np.cos(xi) - 2.0) / self.eta**2
         m = 5.0 / 6.0 + np.cos(xi) / 6.0
         self._mass_symbol = (
@@ -147,6 +170,10 @@ class PeriodicCompactFD3D(OperatorFamily):
             + m[:, None, None] * a[None, :, None] * m[None, None, :]
             + m[:, None, None] * m[None, :, None] * a[None, None, :]
         )
+        # distinct (mass, op) pairs; a complex key m + i a compares as the pair
+        pairs, self._pair_index = np.unique(
+            (self._mass_symbol + 1j * self._op_symbol).ravel(), return_inverse=True)
+        self._pair_mass, self._pair_op = pairs.real, pairs.imag
 
     def grid(self):
         """Flattened meshgrid coordinates (x, y, z), C order."""
@@ -154,13 +181,24 @@ class PeriodicCompactFD3D(OperatorFamily):
         x, y, z = np.meshgrid(x1, x1, x1, indexing="ij")
         return x.ravel(), y.ravel(), z.ravel()
 
+    def _weighted_sum(self, nu, y, weights):
+        denom = nu[:, None] * self._pair_mass - self._pair_op  # (B, distinct pairs)
+        if not np.all(denom):
+            bad = nu[np.argmin(np.all(denom, axis=1))]
+            raise SolverError(f"symbol vanishes at nu={bad}", frequency=bad)
+        mult = weights.T @ np.reciprocal(denom, out=denom)  # (m, distinct pairs)
+        cols = y.T.reshape(-1, self.n, self.n, self.n)
+        hat = fft.fftn(cols, axes=(1, 2, 3)).reshape(len(cols), self.dim)
+        total = (hat * np.take(mult, self._pair_index, axis=1)).sum(axis=0)
+        return fft.ifftn(total.reshape(self.n, self.n, self.n)).ravel()
+
     def _solve_one(self, nu, y):
         y = np.asarray(y, dtype=complex)
         denom = nu * self._mass_symbol - self._op_symbol
         if np.any(denom == 0.0):
             raise SolverError(f"symbol vanishes at nu={nu}", frequency=nu)
-        hat = np.fft.fftn(y.reshape(self.n, self.n, self.n, -1), axes=(0, 1, 2))
-        return np.fft.ifftn(hat / denom[..., None], axes=(0, 1, 2)).reshape(y.shape)
+        hat = fft.fftn(y.reshape(self.n, self.n, self.n, -1), axes=(0, 1, 2))
+        return fft.ifftn(hat / denom[..., None], axes=(0, 1, 2)).reshape(y.shape)
 
     def apply_op(self, y):
         u = np.asarray(y, dtype=complex).reshape(self.n, self.n, self.n)
@@ -301,8 +339,8 @@ class SeparableStageTable:
     """Stage samples G_n = sum_r time[n, :, r] * spatial[r, :], n = 0..N-1,
     each of shape (s, dim), kept in factored form.
 
-    The marches read the (N, s, rank) time factors directly; block and row
-    expand samples only where a caller needs them in full.
+    Every reader works in the rank space of the data: block returns time
+    factors, and a caller that needs full samples forms block @ spatial.
     """
 
     def __init__(self, time_factors, spatial):
@@ -312,11 +350,9 @@ class SeparableStageTable:
         self.dim = self.spatial.shape[1]
 
     def block(self, n0, n1):
-        """Samples for steps n0..n1-1 as an (n1-n0, s, dim) array."""
-        return np.tensordot(self.time[n0:n1], self.spatial, axes=([2], [0]))
-
-    def row(self, n):
-        return self.block(n, n + 1)[0]
+        """Time factors of steps n0..n1-1 as an (n1-n0, s, rank) view; the
+        samples are block(n0, n1) @ spatial."""
+        return self.time[n0:n1]
 
 
 class SeparableInhomogeneity:

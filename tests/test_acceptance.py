@@ -231,9 +231,21 @@ def test_criterion_4_scaling_shape():
 
     The marches run on the rank-2 time factors of the separable data. On
     a 2-CPU host they took about 0.4 ms at N = 1e3, 2.5 ms at 1e4 and
-    22 ms at 1e5, exponents of 0.81-0.90 over 19 fits: the N = 1e3 point
-    carries about 0.1-0.2 ms of fixed cost per solve, mostly processor
-    state left cold by the work before the march, which flattens the fit.
+    22 ms at 1e5, exponents of 0.84-0.94 over 10 consecutive fits: the
+    N = 1e3 point carries about 0.1-0.2 ms of fixed cost per solve, mostly
+    processor state left cold by the work before the march, which flattens
+    the fit.
+
+    The level solves and the first block are one weighted solve each, in
+    that order. On the same host the resolvent phase took about 0.5 ms at
+    N = 1e3 and 1 ms at 1e5 (63 and 126 contour nodes), and the first block
+    1-2 ms at every N (its 14 circle nodes are split in the calling
+    thread). Over those 10 runs the first-block ratio read 1.16-1.82 and
+    the resolvent growth 1.6-3.4x. Both legs time phases of a millisecond
+    or two, so a disturbed host can still push either past its gate; with
+    the first block timed straight after the marches, it carried their
+    cache eviction at N = 1e5 and read 2.08-7.07 in 3 of 35 full-suite
+    runs.
     """
     run = _subdiffusion_march_runner()
     run(1000, 2)  # warm caches before timing

@@ -134,6 +134,16 @@ def test_half_order_table_zero_start():
     assert table.f2(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-13)
 
 
+def test_half_order_factors_equal_the_two_columns():
+    """factors gives f1 and f2 bit for bit as its two columns, with the
+    same range check."""
+    table = HalfOrderTrigTable(130.0)
+    ts = np.linspace(0.0, 130.0, 1001)
+    assert np.array_equal(table.factors(ts), np.stack([table.f1(ts), table.f2(ts)], axis=-1))
+    with pytest.raises(DomainError):
+        table.factors(np.array([131.0]))
+
+
 def test_example2_exact_solution_starts_at_zero(example2_small):
     assert np.max(np.abs(example2_small.u_exact(0.0))) == 0.0
 

@@ -183,9 +183,10 @@ def test_first_block_matches_weight_assembly(example1):
     u0, _ = first_block(example1, cfg, plan, table)
 
     rows = fastcq.weight_rows_direct(example1.family, tab, 0.5, h, list(range(21)))
+    samples = table.block(0, n_steps) @ table.spatial
     acc = np.zeros(2, dtype=complex)
     for n in range(21):
-        acc += rows[n] @ table.row(n_steps - 1 - n).ravel()
+        acc += rows[n] @ samples[n_steps - 1 - n].ravel()
     acc *= h
     assert np.max(np.abs(u0 - acc.real)) <= 1e-7 * max(1.0, np.max(np.abs(u0)))
 
@@ -330,28 +331,28 @@ def test_fast_rejects_pending_initial_data():
 
 
 def test_worker_count_does_not_change_bits(example1):
-    """Two and three workers split the J = 160 circle nodes into slices of
-    80/80 and 54/53/53; every worker count gives the same bits."""
+    """fast_solve (J = 160 circle nodes) and direct_cq (J = 1200) give the
+    same bits at one, two and three workers."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=300, K=20, workers=1)
-    u1, _ = fast_solve(example1, cfg)
-    for workers in (2, 3):
-        u, _ = fast_solve(example1, dataclasses.replace(cfg, workers=workers))
-        assert np.array_equal(u1, u)
+    for solver in (lambda c: fast_solve(example1, c)[0], lambda c: direct_cq(example1, c)):
+        u1 = solver(cfg)
+        for workers in (2, 3):
+            assert np.array_equal(u1, solver(dataclasses.replace(cfg, workers=workers)))
 
 
 def test_worker_count_does_not_change_bits_on_a_grid():
-    """Separable subdiffusion data on 8^3 and on 10^3 (wider than a single
-    march block of columns used to be): three workers split the J = 14
-    circle nodes unevenly (5/5/4), and the solves give the same bits at any
+    """Separable subdiffusion data on 8^3 and on 10^3 (odd n): the weighted
+    spectral sums of fast_solve and direct_cq give the same bits at any
     worker count."""
     from fraccq import example2_problem
     cfg = CQConfig(tableau=radau_iia(3), h=0.05, N=600, K=20, kappa=12, J=14, workers=1)
     for grid in (8, 10):
         prob = example2_problem(grid).problem
-        u1, _ = fast_solve(prob, cfg)
-        for workers in (2, 3):
-            u, _ = fast_solve(prob, dataclasses.replace(cfg, workers=workers))
-            assert np.array_equal(u1, u), (grid, workers)
+        for solver in (lambda c: fast_solve(prob, c)[0], lambda c: direct_cq(prob, c)):
+            u1 = solver(cfg)
+            for workers in (2, 3):
+                u = solver(dataclasses.replace(cfg, workers=workers))
+                assert np.array_equal(u1, u), (grid, workers)
 
 
 def test_passed_table_gives_the_same_bits(monkeypatch):

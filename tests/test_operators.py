@@ -108,6 +108,16 @@ def test_zero_symbol_error():
         fam.solve(0.0, np.ones(4**3))
 
 
+def test_weighted_solve_rejects_a_vanishing_symbol_inside_the_batch():
+    """nu = 0 makes the symbol of the constant mode vanish; the weighted
+    sum names that frequency, not a neighbour in the batch."""
+    fam = periodic_compact_fd_3d(8)
+    nus = np.array([1.0 + 1.0j, 0.0, 2.0j])
+    with pytest.raises(SolverError) as info:
+        fam.solve(nus, np.ones((fam.dim, 1)), weights=np.ones((3, 1)))
+    assert info.value.frequency == 0.0
+
+
 # ---------------------------------------------------------------------------
 # transparent-boundary backend
 
@@ -237,8 +247,9 @@ def test_problem_validation():
 
 
 def test_stage_tables_agree_across_kinds(rng):
-    """Separable and constant data: table.block equals pointwise sample at
-    the stage times (n + c_k) h."""
+    """Separable and constant data: the time factors of table.block,
+    expanded against table.spatial, equal pointwise sample at the stage
+    times (n + c_k) h."""
     from fraccq.operators import SeparableInhomogeneity
 
     c = np.array([1 / 3, 1.0])
@@ -253,17 +264,22 @@ def test_stage_tables_agree_across_kinds(rng):
 
     sep = SeparableInhomogeneity(spatial, factors)
     t_sep = sep.table(7, h, c)
-    assert t_sep.block(0, 7).shape == (7, 2, 5)
-    assert np.max(np.abs(t_sep.block(0, 7) - pointwise(sep, 0, 7))) < 1e-12
-    assert np.max(np.abs(t_sep.block(2, 5) - pointwise(sep, 2, 5))) < 1e-12
-    assert np.max(np.abs(t_sep.row(4) - pointwise(sep, 4, 5)[0])) < 1e-12
+
+    def samples(table, n0, n1):
+        return table.block(n0, n1) @ table.spatial
+
+    assert t_sep.block(0, 7).shape == (7, 2, 2)
+    assert samples(t_sep, 0, 7).shape == (7, 2, 5)
+    assert np.max(np.abs(samples(t_sep, 0, 7) - pointwise(sep, 0, 7))) < 1e-12
+    assert np.max(np.abs(samples(t_sep, 2, 5) - pointwise(sep, 2, 5))) < 1e-12
+    assert np.max(np.abs(samples(t_sep, 4, 5)[0] - pointwise(sep, 4, 5)[0])) < 1e-12
     ref = np.sin(0.37) * spatial[0] + np.cos(0.37) * spatial[1]
     assert np.max(np.abs(sep.sample(0.37) - ref)) < 1e-12
     # constant data is the rank-1 separable case with a unit time factor
     const = ConstantInhomogeneity(spatial[0])
     t_const = const.table(7, h, c)
-    assert np.array_equal(t_const.block(0, 7), pointwise(const, 0, 7))
-    assert np.array_equal(t_const.block(2, 5), pointwise(const, 2, 5))
+    assert np.array_equal(samples(t_const, 0, 7), pointwise(const, 0, 7))
+    assert np.array_equal(samples(t_const, 2, 5), pointwise(const, 2, 5))
     assert np.array_equal(const.sample(0.37), spatial[0])
 
 
@@ -287,3 +303,24 @@ def test_batched_solve_equals_per_node_solves(backend, rng):
     assert xcols.shape == cols.shape
     for k in range(4):
         assert np.array_equal(xcols[k], fam.solve(nus[k], cols[k]))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-10", "tbc"])
+def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
+    """solve(nus, y, weights=W) is sum_k solve(nus[k], y @ W[k]) for complex
+    weights; the spectral sum in Fourier space also on an odd grid."""
+    if backend == "dense":
+        fam = dense_operator(np.eye(5) + 0.1 * rng.standard_normal((5, 5)),
+                             rng.standard_normal((5, 5)))
+    elif backend.startswith("spectral"):
+        fam = periodic_compact_fd_3d(int(backend.split("-")[1]))
+    else:
+        fam = schrodinger_tbc_1d(2.0, 41, 0.75)
+    nus = np.array([1.1 + 0.7j, 0.3 - 2.0j, 4.0 + 0.1j, 2.5j, -0.5 + 3.0j])
+    y = rng.standard_normal((fam.dim, m)) + 1j * rng.standard_normal((fam.dim, m))
+    w = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    got = fam.solve(nus, y, weights=w)
+    ref = sum(fam.solve(nu, y @ wk) for nu, wk in zip(nus, w))
+    assert got.shape == (fam.dim,)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
