@@ -9,13 +9,26 @@ a regular integrand for adaptive Gauss-Kronrod panels:
 
 The example factories do not call it. Their solutions are finite sums of
 sin(omega t) and 1 - cos(omega t), whose half-order derivatives are
-closed-form in the Fresnel integrals (S, C) = fresnel(sqrt(2 omega t / pi)):
+closed-form in the Fresnel integrals (S, C) at x = sqrt(2 omega t / pi):
 
     D^(1/2) sin(omega t)       = sqrt(2 omega) (cos(omega t) C + sin(omega t) S),
-    D^(1/2) (1 - cos(omega t)) = sqrt(2 omega) (sin(omega t) C - cos(omega t) S),
+    D^(1/2) (1 - cos(omega t)) = sqrt(2 omega) (sin(omega t) C - cos(omega t) S).
 
-so the inhomogeneities are evaluated in one vectorized call per stage
-table; the oracle is the independent check of that data.
+The Fresnel integrals are evaluated in numpy from the rational
+approximations of the Cephes library (S. L. Moshier's fresnl, which
+scipy.special.fresnel also evaluates): S and C themselves for x < 1.6,
+and for x >= 1.6 the auxiliary functions f, g with
+C = 1/2 + (f sin - g cos)/(pi x) and S = 1/2 - (f cos + g sin)/(pi x) at
+the angle pi x^2 / 2 = omega t. There the Fresnel sin and cos cancel
+exactly against those of omega t:
+
+    D^(1/2) sin(omega t)       = sqrt(2 omega) ((cos + sin)/2 - g/(pi x)),
+    D^(1/2) (1 - cos(omega t)) = sqrt(2 omega) ((sin - cos)/2 + f/(pi x)),
+
+so large arguments need no further trig calls and lose nothing to
+rounding of the angle. The inhomogeneities are evaluated in one
+vectorized call per stage table; the oracle is the independent check of
+that data. Only the oracle needs scipy, and imports it when called.
 """
 
 from __future__ import annotations
@@ -24,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.special import fresnel
 
 from .errors import AccuracyError, ConfigError, DomainError
 from .operators import (
@@ -52,6 +63,8 @@ def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if tol < 1e-12:
         raise DomainError(f"tolerances below 1e-12 are not supported, got {tol}")
+    from scipy.integrate import quad_vec  # most of a second to import; only the oracle needs it
+
     p = 1.0 / (1.0 - alpha)
     s_max = t ** (1.0 - alpha)
 
@@ -70,15 +83,89 @@ def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
     return value / math.gamma(2.0 - alpha)
 
 
-def _half_derivatives(omega, t):
-    """D^(1/2) of sin(omega .) and of 1 - cos(omega .) at times t >= 0, in
-    the broadcast shape of omega and t (Fresnel form: module docstring)."""
+# Cephes fresnl rationals, coefficients highest degree first: S(x) and C(x)
+# in t = x^4 for x < 1.6, and the auxiliary f(x), g(x) in u = (pi x^2)^-2
+# for x >= 1.6; the leading 1.0 of a denominator is the monic coefficient
+# that Cephes leaves implicit
+_FRESNEL_SN = (-2.99181919401019853726e3, 7.08840045257738576863e5, -6.29741486205862506537e7,
+               2.54890880573376359104e9, -4.42979518059697779103e10, 3.18016297876567817986e11)
+_FRESNEL_SD = (1.0, 2.81376268889994315696e2, 4.55847810806532581675e4, 5.17343888770096400730e6,
+               4.19320245898111231129e8, 2.24411795645340920940e10, 6.07366389490084639049e11)
+_FRESNEL_CN = (-4.98843114573573548651e-8, 9.50428062829859605134e-6, -6.45191435683965050962e-4,
+               1.88843319396703850064e-2, -2.05525900955013891793e-1, 9.99999999999999998822e-1)
+_FRESNEL_CD = (3.99982968972495980367e-12, 9.15439215774657478799e-10, 1.25001862479598821474e-7,
+               1.22262789024179030997e-5, 8.68029542941784300606e-4, 4.12142090722199792936e-2,
+               1.00000000000000000118e0)
+_FRESNEL_FN = (4.21543555043677546506e-1, 1.43407919780758885261e-1, 1.15220955073585758835e-2,
+               3.45017939782574027900e-4, 4.63613749287867322088e-6, 3.05568983790257605827e-8,
+               1.02304514164907233465e-10, 1.72010743268161828879e-13, 1.34283276233062758925e-16,
+               3.76329711269987889006e-20)
+_FRESNEL_FD = (1.0, 7.51586398353378947175e-1, 1.16888925859191382142e-1, 6.44051526508858611005e-3,
+               1.55934409164153020873e-4, 1.84627567348930545870e-6, 1.12699224763999035261e-8,
+               3.60140029589371370404e-11, 5.88754533621578410010e-14, 4.52001434074129701496e-17,
+               1.25443237090011264384e-20)
+_FRESNEL_GN = (5.04442073643383265887e-1, 1.97102833525523411709e-1, 1.87648584092575249293e-2,
+               6.84079380915393090172e-4, 1.15138826111884280931e-5, 9.82852443688422223854e-8,
+               4.45344415861750144738e-10, 1.08268041139020870318e-12, 1.37555460633261799868e-15,
+               8.36354435630677421531e-19, 1.86958710162783235106e-22)
+_FRESNEL_GD = (1.0, 1.47495759925128324529e0, 3.37748989120019970451e-1, 2.53603741420338795122e-2,
+               8.14679107184306179049e-4, 1.27545075667729118702e-5, 1.04314589657571990585e-7,
+               4.60680728146520428211e-10, 1.10273215066240270757e-12, 1.38796531259578871258e-15,
+               8.39158816283118707363e-19, 1.86958710162783236342e-22)
+_FRESNEL_EDGE = 1.28 * np.pi  # omega t at x = 1.6
+
+
+def _ratio(x, num, den):
+    """num(x) / den(x) by in-place Horner steps (coefficients highest first)."""
+    out, below = np.full_like(x, num[0]), np.full_like(x, den[0])
+    for poly, coefs in ((out, num), (below, den)):
+        for a in coefs[1:]:
+            poly *= x
+            poly += a
+    out /= below
+    return out
+
+
+def _half_derivatives(omega, t, sin=True):
+    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) at times t >= 0,
+    in the broadcast shape of omega and t (Fresnel form: module docstring).
+    With sin=False the first entry is None and is not computed."""
     omega = np.asarray(omega, dtype=float)
     wt = omega * np.asarray(t, dtype=float)
-    s, c = fresnel(np.sqrt(2.0 * wt / np.pi))
+    shape = wt.shape
+    wt = wt.ravel()
+    s, c = np.sin(wt), np.cos(wt)
+    # x >= 1.6, with inv = 1/(pi x^2) = 1/(2 omega t) and 1/(pi x) = sqrt(inv/pi);
+    # entries below the edge are clamped here and overwritten below
+    inv = 0.5 / np.maximum(wt, _FRESNEL_EDGE)
+    u = inv * inv
+    r = np.sqrt(inv / np.pi)
+    d_cos = _ratio(u, _FRESNEL_FN, _FRESNEL_FD)
+    d_cos *= u
+    d_cos -= 1.0
+    d_cos *= r
+    np.subtract(0.5 * (s - c), d_cos, out=d_cos)  # (sin - cos)/2 + f/(pi x)
+    d_sin = None
+    if sin:
+        d_sin = _ratio(u, _FRESNEL_GN, _FRESNEL_GD)
+        d_sin *= inv
+        d_sin *= r
+        np.subtract(0.5 * (s + c), d_sin, out=d_sin)  # (sin + cos)/2 - g/(pi x)
+    small = np.flatnonzero(wt < _FRESNEL_EDGE)
+    if len(small):
+        x = np.sqrt(wt[small] * (2.0 / np.pi))
+        x2 = x * x
+        quartic = x2 * x2
+        fs = _ratio(quartic, _FRESNEL_SN, _FRESNEL_SD)
+        fs *= x * x2  # S(x)
+        fc = _ratio(quartic, _FRESNEL_CN, _FRESNEL_CD)
+        fc *= x  # C(x)
+        s, c = s[small], c[small]
+        d_cos[small] = s * fc - c * fs
+        if sin:
+            d_sin[small] = c * fc + s * fs
     scale = np.sqrt(2.0 * omega)
-    sin, cos = np.sin(wt), np.cos(wt)
-    return scale * (cos * c + sin * s), scale * (sin * c - cos * s)
+    return tuple(None if col is None else col.reshape(shape) * scale for col in (d_sin, d_cos))
 
 
 @dataclass(frozen=True)
@@ -93,12 +180,12 @@ class ManufacturedProblem:
 # Example 1: dense 2x2 system, alpha = 1/2
 
 # u_i = sum_k b_k (1 - cos(omega_k t)): sin^6(2t) over omega = 4, 8, 12, and
-# ((1 - cos(sqrt5 t))/2)^6 = sin^12(sqrt5 t/2) over omega = sqrt5 * (1..6)
-_EXAMPLE1_COSINE_SUMS = (
-    (np.array([4.0, 8.0, 12.0]), np.array([15.0, -6.0, 1.0]) / 32.0),
-    (_SQRT5 * np.arange(1.0, 7.0),
-     np.array([1584.0, -990.0, 440.0, -132.0, 24.0, -2.0]) / 4096.0),
-)
+# ((1 - cos(sqrt5 t))/2)^6 = sin^12(sqrt5 t/2) over omega = sqrt5 * (1..6);
+# column i of the weights holds the b_k of component i
+_EXAMPLE1_OMEGAS = np.concatenate([[4.0, 8.0, 12.0], _SQRT5 * np.arange(1.0, 7.0)])
+_EXAMPLE1_WEIGHTS = np.zeros((9, 2))
+_EXAMPLE1_WEIGHTS[:3, 0] = np.array([15.0, -6.0, 1.0]) / 32.0
+_EXAMPLE1_WEIGHTS[3:, 1] = np.array([1584.0, -990.0, 440.0, -132.0, 24.0, -2.0]) / 4096.0
 
 
 def _example1_u(t):
@@ -123,8 +210,8 @@ EXAMPLE1_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 def _example1_factors(ts):
     """g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2) array."""
     ts = np.asarray(ts, dtype=float)
-    dhalf = [_half_derivatives(omega, ts[:, None])[1] @ b for omega, b in _EXAMPLE1_COSINE_SUMS]
-    return np.stack(dhalf, axis=-1) - _example1_u(ts).T @ EXAMPLE1_MATRIX.T
+    _, dhalf = _half_derivatives(_EXAMPLE1_OMEGAS, ts[:, None], sin=False)
+    return dhalf @ _EXAMPLE1_WEIGHTS - _example1_u(ts).T @ EXAMPLE1_MATRIX.T
 
 
 def example1_problem() -> ManufacturedProblem:

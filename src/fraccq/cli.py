@@ -521,6 +521,18 @@ def selftest_checks():
         ref = 8 / (3 * math.sqrt(math.pi))
         return abs(got - ref) < 1e-10, f"power rule err {abs(got - ref):.2e}"
 
+    def check_half_order_data():
+        # t = 1.28 puts omega t = 1.28 pi on the branch edge of the Fresnel evaluation
+        ts = np.array([0.3, 1.28, 5.0, 100.0])
+        got = caputo.HalfOrderTrigTable(100.0).factors(ts)
+        worst = 0.0
+        for t, (f1, f2) in zip(ts, got):
+            ref1 = caputo.caputo_oracle(lambda tau: np.pi * np.cos(np.pi * tau), 0.5, t)
+            ref2 = caputo.caputo_oracle(lambda tau: np.pi * np.sin(np.pi * tau), 0.5, t)
+            worst = max(worst, abs(f1 - ref1 - np.sin(np.pi * t)),
+                        abs(f2 - ref2 - 1.0 + np.cos(np.pi * t)))
+        return worst <= 1e-10, f"numpy Fresnel data vs oracle at t = 0.3, 1.28, 5, 100: {worst:.1e}"
+
     def check_plan():
         plan = fastcq.plan_levels(1000, 20, 5)
         return plan.m == (21, 105, 525, 1000), f"plan {plan.m}"
@@ -569,6 +581,7 @@ def selftest_checks():
         ("delta-identity", check_delta),
         ("dft-roundtrip", check_dft),
         ("caputo-power-rule", check_caputo),
+        ("half-order-data", check_half_order_data),
         ("level-plan", check_plan),
         ("fast-vs-direct", check_equivalence),
         ("batched-solve", check_batched),

@@ -18,6 +18,8 @@ from .errors import ConfigError, DomainError, ParameterRangeError
 _SCAN_POINTS = 2000
 _REFINE_TOL = 1e-6
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SIZED_K_MIN = 25
+_SIZED_K_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,26 @@ def select_parameters(K: int, Lambda: int, theta: float, machine_eps: float | No
         K=K,
         Lambda=Lambda,
     )
+
+
+def error_model(K: int, Lambda: int, theta: float) -> float:
+    """Relative hyperbola quadrature error predicted for 2K+1 nodes: the
+    objective eps * eps_K^(rho-1) + eps_K^rho that select_parameters
+    minimises, evaluated at its returned parameters."""
+    params = select_parameters(K, Lambda, theta)
+    eps = np.finfo(float).eps
+    eps_k = np.exp(-2.0 * np.pi * params.d * params.K / params.a_rho)
+    return float(eps * eps_k ** (params.rho_opt - 1.0) + eps_k**params.rho_opt)
+
+
+def sized_K(Lambda: int, theta: float) -> int:
+    """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 for the
+    pi/2 sectors of the dense and spectral families, 64 for the pi/6 sector
+    of the transparent-boundary family at alpha = 3/4."""
+    K = _SIZED_K_MIN
+    while error_model(K, Lambda, theta) > _SIZED_K_TOL:
+        K += 1
+    return K
 
 
 def mu_level(ell: int, K: int, h: float, kappa: int, params: ContourParams) -> float:

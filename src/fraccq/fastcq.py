@@ -48,16 +48,20 @@ _SPECTRUM_CLEARANCE = 1e-8
 class CQConfig:
     """Run parameters of one convolution-quadrature solve.
 
-    The default K = 25 is sized for the pi/2 sector of the dense and
-    spectral backends. The transparent-boundary Schroedinger family has a
-    pi/6 sector and needs K = 64 for the contour error model to reach 1e-7;
-    at K = 25 its fast solve differs from direct_cq by about 3e-4 relative.
+    K = None (the default) sizes the contours by the family's sector:
+    fast_solve takes the smallest K >= 25 at which the contour error model
+    (contour.error_model) predicts <= 1e-7 at resolved_theta, which is
+    K = 25 for the pi/2 sectors of the dense and spectral backends and
+    K = 64 for the pi/6 sector of the transparent-boundary Schroedinger
+    family (at K = 25 its fast solve differs from direct_cq by about 3e-4
+    relative). An explicit K runs as given; RunStats.K reports the K used.
+    direct_cq uses no contour and does not read K.
     """
 
     tableau: tableau_mod.Tableau
     h: float
     N: int
-    K: int = 25
+    K: int | None = None
     Lambda: int = 5
     kappa: int = 20
     J: int = 160
@@ -69,7 +73,7 @@ class CQConfig:
             raise ConfigError(f"step size must be positive, got h={self.h}")
         if self.N < 1:
             raise ConfigError(f"need at least one step, got N={self.N}")
-        if self.K < 2:
+        if self.K is not None and self.K < 2:
             raise ConfigError(f"need K >= 2, got K={self.K}")
         if self.Lambda < 2:
             raise ConfigError(f"need Lambda >= 2, got Lambda={self.Lambda}")
@@ -89,6 +93,12 @@ class CQConfig:
     def resolved_theta(self, family: OperatorFamily) -> float:
         """Contour angle budget, just inside the family's sector angle."""
         return family.theta1_hint * (1.0 - 1e-9)
+
+    def resolved_K(self, family: OperatorFamily) -> int:
+        """K as given, or sized by the family's sector when K is None."""
+        if self.K is not None:
+            return self.K
+        return contour.sized_K(self.Lambda, self.resolved_theta(family))
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,10 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
 
 @dataclass
 class RunStats:
-    """Operation counters and per-phase wall-clock times of one solve."""
+    """Operation counters, the contour size K used and per-phase
+    wall-clock times of one solve."""
 
+    K: int = 0
     rk_steps: int = 0
     resolvent_solves: int = 0
     first_block_solves: int = 0
@@ -391,10 +403,11 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     if problem.has_initial:
         raise ConfigError("problem carries nonzero initial data; apply transform_initial first")
     tab = config.tableau
-    N, h, K = config.N, config.h, config.K
-    stats = RunStats()
+    N, h = config.N, config.h
 
     t_start = time.perf_counter()
+    K = config.resolved_K(fam)
+    stats = RunStats(K=K)
     plan = plan_levels(N, config.kappa, config.Lambda)
     if table is None:
         table = problem.g.table(N, h, tab.c)

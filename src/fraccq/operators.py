@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft
-from scipy.linalg import solve_banded
+from numpy import fft
 
 from . import contour
 from .errors import ConfigError, DomainError, SolverError, SupportError
@@ -187,7 +186,8 @@ class PeriodicCompactFD3D(OperatorFamily):
             bad = nu[np.argmin(np.all(denom, axis=1))]
             raise SolverError(f"symbol vanishes at nu={bad}", frequency=bad)
         mult = weights.T @ np.reciprocal(denom, out=denom)  # (m, distinct pairs)
-        cols = y.T.reshape(-1, self.n, self.n, self.n)
+        # numpy's FFT keeps the strides of a y.T view and ran twice as slow on them
+        cols = np.ascontiguousarray(y.T).reshape(-1, self.n, self.n, self.n)
         hat = fft.fftn(cols, axes=(1, 2, 3)).reshape(len(cols), self.dim)
         total = (hat * np.take(mult, self._pair_index, axis=1)).sum(axis=0)
         return fft.ifftn(total.reshape(self.n, self.n, self.n)).ravel()
@@ -246,6 +246,10 @@ class SchrodingerTBC1D(OperatorFamily):
         self.eta = 2.0 * self.a_half / (self.n - 1)
         self.x = np.linspace(-self.a_half, self.a_half, self.n)
         self.theta1_hint = contour.theta1(alpha, 0.0)
+        # scipy is imported here, at set-up, and only by this backend
+        from scipy.linalg import solve_banded
+
+        self._solve_banded = solve_banded
 
     def roots(self, nu):
         """Both roots of phi z^2 + psi z + phi = 0, decaying one first.
@@ -283,7 +287,7 @@ class SchrodingerTBC1D(OperatorFamily):
         bands = np.array([np.full(self.n, phi), diag, np.full(self.n, phi)])
         y = np.asarray(y, dtype=complex)
         try:
-            return solve_banded((1, 1), bands, y, check_finite=False)
+            return self._solve_banded((1, 1), bands, y, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"closed tridiagonal singular at nu={nu}", frequency=nu) from exc
 

@@ -1,7 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fraccq
 
 from fraccq import caputo, caputo_oracle, example1_problem, example3_initial
 from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u, _example1_u_prime
@@ -142,6 +150,89 @@ def test_half_order_factors_equal_the_two_columns():
     assert np.array_equal(table.factors(ts), np.stack([table.f1(ts), table.f2(ts)], axis=-1))
     with pytest.raises(DomainError):
         table.factors(np.array([131.0]))
+
+
+def _scipy_half_derivatives(omega, t):
+    """Reference: the Fresnel form of the caputo docstring through
+    scipy.special.fresnel."""
+    from scipy.special import fresnel
+
+    omega = np.asarray(omega, dtype=float)
+    wt = omega * np.asarray(t, dtype=float)
+    s, c = fresnel(np.sqrt(2.0 * wt / np.pi))
+    scale = np.sqrt(2.0 * omega)
+    return scale * (np.cos(wt) * c + np.sin(wt) * s), scale * (np.sin(wt) * c - np.cos(wt) * s)
+
+
+def test_half_derivatives_match_scipy_fresnel():
+    """The numpy Cephes evaluation agrees with scipy's Fresnel integrals to
+    1e-13 sqrt(2 omega) for omega t in [0, 2000], on both sides of the
+    branch edge omega t = 1.28 pi, for scalar and broadcast (m, k) inputs
+    and the nine example-1 frequencies; omega t = 0 gives exact zeros."""
+    omegas = np.concatenate([[1.0, np.pi], caputo._EXAMPLE1_OMEGAS])
+    wt = np.concatenate([np.linspace(0.0, 10.0, 20_001), np.linspace(10.0, 2000.0, 100_001)])
+    for omega in omegas:
+        t = wt / omega
+        for got, ref in zip(caputo._half_derivatives(omega, t), _scipy_half_derivatives(omega, t)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.sqrt(2.0 * omega), omega
+
+    edge = 1.28 * np.pi
+    t_edge = edge + np.arange(-4, 5) * np.spacing(edge)  # omega = 1: omega t = t exactly
+    for got, ref in zip(caputo._half_derivatives(1.0, t_edge), _scipy_half_derivatives(1.0, t_edge)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.sqrt(2.0)
+
+    ts = np.linspace(0.0, 10.0, 301)
+    grid = caputo._half_derivatives(omegas, ts[:, None])
+    for got, ref in zip(grid, _scipy_half_derivatives(omegas, ts[:, None])):
+        assert got.shape == (301, len(omegas))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.sqrt(2.0 * omegas))
+    for k, omega in enumerate(omegas):
+        column = caputo._half_derivatives(omega, ts)
+        assert all(np.array_equal(g[:, k], c) for g, c in zip(grid, column))
+        point = caputo._half_derivatives(omega, ts[7])
+        assert np.ndim(point[0]) == 0
+        assert (point[0], point[1]) == (column[0][7], column[1][7])
+        assert caputo._half_derivatives(omega, 0.0) == (0.0, 0.0)
+
+    d_sin, d_cos = caputo._half_derivatives(omegas, ts[:, None], sin=False)
+    assert d_sin is None and np.array_equal(d_cos, grid[1])
+
+
+def test_example_paths_import_no_scipy():
+    """Importing fraccq, building examples 1 and 2 with their stage tables
+    and one fast solve of each load no scipy module; the oracle and the
+    TBC backend, which import scipy themselves, work afterwards."""
+    script = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        import fraccq
+
+        tab = fraccq.radau_iia(3)
+        for problem in (fraccq.example1_problem().problem, fraccq.example2_problem(8).problem):
+            cfg = fraccq.CQConfig(tableau=tab, h=0.02, N=50)
+            table = problem.g.table(cfg.N, cfg.h, tab.c)
+            u, _ = fraccq.fast_solve(problem, cfg, table)
+            assert np.all(np.isfinite(u))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        oracle = fraccq.caputo_oracle(lambda t: 2.0 * t, 0.5, 1.0)
+        family = fraccq.schrodinger_tbc_1d(2.0, 41, 0.75)
+        nu, y = 3.0 + 1.0j, np.linspace(0.0, 1.0, 41) + 0j
+        phi, diag = family.closed_rows(nu)
+        matrix = np.diag(diag) + phi * (np.eye(41, k=1) + np.eye(41, k=-1))
+        resid = np.max(np.abs(matrix @ family.solve(nu, y) - y))
+        print(json.dumps({"scipy": loaded, "oracle": oracle, "tbc_resid": resid}))
+    """)
+    src = str(Path(fraccq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["scipy"] == []
+    assert abs(out["oracle"] - 8.0 / (3.0 * math.sqrt(math.pi))) <= 1e-11
+    assert out["tbc_resid"] <= 1e-12
 
 
 def test_example2_exact_solution_starts_at_zero(example2_small):

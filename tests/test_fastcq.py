@@ -75,6 +75,25 @@ def test_runstats_counters(example1):
     assert stats.first_block_solves == 3 * 160
 
 
+def test_default_K_is_sized_by_the_sector(example1, tbc_problem_small):
+    """K = None runs the smallest K >= 25 at which the contour error model
+    predicts <= 1e-7: 25 on the pi/2 sector, 64 on the pi/6 sector of the
+    TBC family, with the bits of that K given explicitly, and the default
+    TBC solve meets direct_cq to 1e-6 relative (at K = 25 it is 1.6e-4
+    off). An explicit K runs as given; RunStats.K reports it."""
+    tab = radau_iia(3)
+    for prob, real, k_sized in ((example1, True, 25), (tbc_problem_small, False, 64)):
+        cfg = CQConfig(tableau=tab, h=0.002, N=200, real_input=real)
+        assert cfg.K is None
+        u, stats = fast_solve(prob, cfg)
+        assert stats.K == k_sized
+        u_given, stats_given = fast_solve(prob, dataclasses.replace(cfg, K=k_sized))
+        assert np.array_equal(u, u_given) and stats_given.K == k_sized
+        assert fast_solve(prob, dataclasses.replace(cfg, K=30))[1].K == 30
+        u_dir = direct_cq(prob, cfg)
+        assert np.max(np.abs(u - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
+
+
 # ---------------------------------------------------------------------------
 # direct oracle
 
