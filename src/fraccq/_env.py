@@ -1,9 +1,8 @@
 """Pin BLAS thread pools before numpy is first imported.
 
-Parallelism in this package lives in its own worker pool; nested BLAS
-threading would only fight it for the two memory channels and break
-run-to-run reproducibility of the timing experiments. Pre-set environment
-values are respected.
+Every phase of a solve runs in the calling thread on small LAPACK and FFT
+calls; one BLAS thread keeps the timing experiments reproducible from run
+to run. Pre-set environment values are respected.
 """
 
 import os

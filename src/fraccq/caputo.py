@@ -310,21 +310,19 @@ def example2_problem(n_per_dim: int, t_max: float = 130.0) -> ManufacturedProble
 
 
 def example3_initial(n_points: int, a_half: float) -> np.ndarray:
-    """Gaussian wave packet 10 exp(-(4x)^2 + 10 i x) sampled on the grid.
+    """The wave packet of example3_problem sampled on its grid.
 
     The packet must be numerically supported inside the domain: the two
     cells next to each boundary carry at most 1e-20 in modulus.
     """
     if a_half < 1.0:
         raise ConfigError(f"need a_half >= 1 for a contained packet, got {a_half}")
-    family = schrodinger_tbc_1d(a_half, n_points, 0.75)
-    u0 = 10.0 * np.exp(-((4.0 * family.x) ** 2) + 10j * family.x)
-    family.validate_initial(u0)
-    return u0
+    return example3_problem(n_points, a_half).u0
 
 
 def example3_problem(n_points: int, a_half: float, alpha: float = 0.75) -> Problem:
-    """Homogeneous fractional Schroedinger problem with nonzero initial data.
+    """Homogeneous fractional Schroedinger problem with nonzero initial data,
+    the Gaussian wave packet u0 = 10 exp(-(4x)^2 + 10 i x).
 
     Pass the result through fastcq.transform_initial to obtain the
     zero-initial-data form consumed by the solver.

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import caputo, contour, fastcq, operators, smallmat, tableau as tableau_mod
+from . import caputo, contour, fastcq, operators, tableau as tableau_mod
 from .errors import ConfigError, FracCQError
 
 SCHEMA_PREFIX = "fraccq"
@@ -70,7 +70,7 @@ class Flag(NamedTuple):
 
 
 # Every flag, stated once. Booleans are switches on the command line
-# (--real has the second spelling --complex) and true/false in a file.
+# and true/false in a file.
 _FLAGS = {
     "alpha": Flag(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "h": Flag(float, lambda v: v > 0.0, "be positive"),
@@ -83,7 +83,6 @@ _FLAGS = {
     "kappa": Flag(int, lambda v: v >= 1, "be >= 1"),
     "J": Flag(int),
     "workers": Flag(int, lambda v: v >= 1, "be >= 1"),
-    "real": Flag(boolean),
     "grid": Flag(int),
     "a_half": Flag(float),
     "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
@@ -100,18 +99,18 @@ _FLAGS = {
 _EXPERIMENTS = {
     "convergence": {
         "t_end": 10.0, "h": None, "steps": None, "method": None,
-        "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "workers": 1, "real": True,
+        "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "workers": 1,
         "out": None, "format": None,
     },
     "subdiffusion": {
         "grid": 16, "t_end": 123.45, "steps": (1000, 10000, 100000), "method": "radau5",
-        "K": 20, "Lambda": 5, "kappa": 12, "J": None, "workers": 1, "real": True,
+        "K": 20, "Lambda": 5, "kappa": 12, "J": None, "workers": 1,
         "repeats": 3, "bound": 0.05, "out": None, "format": None,
     },
     "schrodinger": {
         "grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
         "method": "radau5", "K": 50, "Lambda": 5, "kappa": 20, "J": 80, "workers": 1,
-        "real": False, "reference": False, "out": None, "format": None,
+        "reference": False, "out": None, "format": None,
     },
     "weights": {
         "alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5",
@@ -160,11 +159,7 @@ def build_parser():
     for name, defaults in _EXPERIMENTS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         for key in defaults:
-            if key == "real":
-                mode = p.add_mutually_exclusive_group()
-                mode.add_argument("--real", action="store_const", const=True)
-                mode.add_argument("--complex", dest="real", action="store_const", const=False)
-            elif _FLAGS[key].parse is boolean:
+            if _FLAGS[key].parse is boolean:
                 p.add_argument(f"--{key}", action="store_const", const=True)
             else:
                 p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FLAGS[key].parse)
@@ -259,7 +254,6 @@ def convergence_rows(spec, problem=None):
             cfg = fastcq.CQConfig(
                 tableau=tab, h=h, N=n, K=spec["K"], Lambda=spec["Lambda"],
                 kappa=spec["kappa"], J=spec["J"], workers=spec["workers"],
-                real_input=spec["real"],
             )
             u, _ = fastcq.fast_solve(problem, cfg)
             err = float(np.max(np.abs(u - problem.u_exact(t_end))))
@@ -300,7 +294,6 @@ def subdiffusion_report(spec, problem=None):
         cfg = fastcq.CQConfig(
             tableau=tab, h=t_end / n, N=n, K=K, Lambda=spec["Lambda"],
             kappa=kappa, J=J, workers=workers,
-            real_input=spec["real"],
         )
         if n not in tables:
             tables[n] = problem.g.table(n, cfg.h, tab.c)
@@ -397,7 +390,7 @@ def schrodinger_rows(spec):
         n = int(round(t / h))
         cfg = fastcq.CQConfig(
             tableau=tab, h=h, N=n, K=K, Lambda=spec["Lambda"], kappa=spec["kappa"],
-            J=J, workers=spec["workers"], real_input=spec["real"],
+            J=J, workers=spec["workers"],
         )
         u, _ = fastcq.fast_solve(problem, cfg)
         v = u + offset
@@ -406,7 +399,7 @@ def schrodinger_rows(spec):
             ref_problem, ref_offset, idx_ref, idx_run = reference
             cfg_ref = fastcq.CQConfig(
                 tableau=tab, h=h, N=n, K=110, Lambda=spec["Lambda"], kappa=60,
-                J=240, workers=spec["workers"], real_input=False,
+                J=240, workers=spec["workers"],
             )
             u_ref, _ = fastcq.fast_solve(ref_problem, cfg_ref)
             v_ref = u_ref + ref_offset
@@ -509,12 +502,6 @@ def selftest_checks():
                 return False, f"Delta identity residual {resid:.2e}"
         return True, "Delta(zeta) inverse identity"
 
-    def check_dft():
-        x = rng.standard_normal(160) + 1j * rng.standard_normal(160)
-        back = smallmat.dft(smallmat.dft(x, -1), 1) / 160
-        resid = np.max(np.abs(back - x))
-        return resid < 1e-12 * 160, f"roundtrip residual {resid:.2e}"
-
     def check_caputo():
         import math
         got = caputo.caputo_oracle(lambda t: 2 * t, 0.5, 1.0)
@@ -579,7 +566,6 @@ def selftest_checks():
     checks = [
         ("tableau-assumptions", check_tableaux),
         ("delta-identity", check_delta),
-        ("dft-roundtrip", check_dft),
         ("caputo-power-rule", check_caputo),
         ("half-order-data", check_half_order_data),
         ("level-plan", check_plan),

@@ -56,6 +56,10 @@ class CQConfig:
     family (at K = 25 its fast solve differs from direct_cq by about 3e-4
     relative). An explicit K runs as given; RunStats.K reports the K used.
     direct_cq uses no contour and does not read K.
+
+    workers reaches no phase of a solve: the marches, the circle split and
+    both weighted solves run in the calling thread. It stays only because
+    the benchmark (perfbench) sets it for its two-worker passes.
     """
 
     tableau: tableau_mod.Tableau
@@ -65,7 +69,6 @@ class CQConfig:
     Lambda: int = 5
     kappa: int = 20
     J: int = 160
-    real_input: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -205,8 +208,8 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
 
     Takes one DFT of the rho-scaled sequence of time factors and sums the
     s decoupled systems of every circle node in one weighted solve
-    (_circle_weights). Returns the length-dim vector and the system count
-    s*J.
+    (_circle_weights). Returns the length-dim vector, real when the
+    operator and the data are, and the system count s*J.
     """
     tab = config.tableau
     fam = problem.family
@@ -219,10 +222,10 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     blk = table.block(config.N - terms, config.N)  # factors of G_{N-terms}..G_{N-1}
     seq = np.zeros((J, tab.s, table.rank), dtype=complex)
     seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
-    hat = smallmat.dft(seq, -1, axis=0)
+    hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
     nus, weights = _circle_weights(tab, config.h, problem.alpha, rho, hat, config.workers)
     u0 = fam.solve(nus, table.spatial.T, weights=weights)
-    if config.real_input:
+    if fam.is_real and table.is_real:
         u0 = u0.real.copy()
     return u0, tab.s * J
 
@@ -236,6 +239,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     and sums the s*J systems in one weighted solve at the end; with
     return_trajectory=True (small systems only) the weights are assembled
     as explicit matrices and the whole trajectory u_0..u_N is returned.
+    The result is real when the operator and the data are.
     """
     tab = config.tableau
     fam = problem.family
@@ -244,6 +248,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
     J = max(4 * N, 256)
     rho = _EPS ** (1.0 / (2 * J))
     table = problem.g.table(N, h, tab.c)
+    real = fam.is_real and table.is_real
 
     if return_trajectory:
         w_rows = weight_rows_direct(fam, tab, problem.alpha, h, np.arange(N), J=J, rho=rho)
@@ -251,7 +256,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
         flat = (table.block(0, N) @ table.spatial).reshape(N, s * dim)
         for m in range(1, N + 1):
             traj[m] = h * np.einsum("nab,nb->a", w_rows[:m], flat[m - 1::-1])
-        return traj.real if config.real_input else traj
+        return traj.real if real else traj
 
     z = np.exp(-2j * np.pi * np.arange(J) / J) / rho
     factors = table.block(0, N)
@@ -262,7 +267,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
 
     nus, weights = _circle_weights(tab, h, problem.alpha, rho, hist, config.workers)
     u = fam.solve(nus, table.spatial.T, weights=weights)
-    return u.real.copy() if config.real_input else u
+    return u.real.copy() if real else u
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
@@ -393,10 +398,12 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     the separable data; (2) combine: the weight of node k of level l is
     omega_k r_k^(m_l) times its r march coefficients; (3) one weighted
     resolvent solve sums the nodes of all levels; (4) circle-rule block
-    for the first m_0 weights. With real data only the upper half k >= 0 of
-    each contour is computed and the conjugate pairs are folded in as
-    doubled real parts. A caller solving the same N, h and tableau
-    repeatedly may pass the stage table of problem.g.
+    for the first m_0 weights. When the operator and the data are both real
+    (family.is_real and table.is_real), the term of node -k is the
+    conjugate of that of node k, so only the upper half k >= 0 of each
+    contour is computed and the conjugate pairs are folded in as doubled
+    real parts; otherwise all 2K+1 nodes are. A caller solving the same N,
+    h and tableau repeatedly may pass the stage table of problem.g.
     """
     fam = problem.family
     alpha = problem.alpha
@@ -419,8 +426,9 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
             levels.append(contour.level_nodes(mu, params, ell))
         _check_spectrum_clearance(levels, tab, h)
 
-    # per-level nodes and their stability data (r, q); real data needs k = 0..K only
-    lam_used = [lev.lambdas[K:] if config.real_input else lev.lambdas for lev in levels]
+    # per-level nodes and their stability data (r, q); folding needs k = 0..K only
+    fold = fam.is_real and table.is_real
+    lam_used = [lev.lambdas[K:] if fold else lev.lambdas for lev in levels]
     stab = [tableau_mod.stability(h * lams, tab) for lams in lam_used]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
@@ -437,9 +445,9 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     t_phase = time.perf_counter()
     weights = []
     for li, lev in enumerate(levels):
-        omegas = lev.omegas[K:] if config.real_input else lev.omegas
+        omegas = lev.omegas[K:] if fold else lev.omegas
         scale = omegas * stab[li][0] ** plan.m[li]
-        if config.real_input:  # node k > 0 stands for itself and its conjugate
+        if fold:  # node k > 0 stands for itself and its conjugate
             scale *= np.where(np.arange(len(scale)) > 0, 2.0, 1.0)
         weights.append(scale[:, None] * coeffs[li])
     stats.wall_times["combine"] = time.perf_counter() - t_phase
@@ -449,7 +457,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     if levels:
         nus = smallmat.power_alpha(np.concatenate(lam_used), alpha)
         u_levels = fam.solve(nus, table.spatial.T, weights=np.concatenate(weights))
-        if config.real_input:  # the real part of the sum is the sum of the folded pairs
+        if fold:  # the real part of the sum is the sum of the folded pairs
             u_levels = u_levels.real
     stats.resolvent_solves = sum(len(lams) for lams in lam_used)
     stats.wall_times["resolvent_solves"] = time.perf_counter() - t_phase

@@ -2,8 +2,8 @@
 
 A family answers solve(nu, y) for the system (nu*M - A) x = y at complex
 frequencies nu = lambda^alpha, one frequency or a batch of them, and
-solve(nu, y, weights=W) for a weighted sum of a batch of solves. Three
-backends: dense matrices, a 3D
+solve(nu, y, weights=W) for a weighted sum of a batch of solves, and states
+whether A and M are real (is_real). Three backends: dense matrices, a 3D
 periodic compact-finite-difference Laplacian solved spectrally, and a 1D
 free-space Schroedinger operator closed with transparent boundary rows.
 """
@@ -27,12 +27,15 @@ class OperatorFamily(ABC):
     """Resolvent provider: solve (nu*M - A) x = y for complex nu.
 
     Implementations must be safe to call from several threads after
-    construction, so solve() keeps no state between calls.
+    construction, so solve() keeps no state between calls. is_real states
+    that A and M have no imaginary part, so that with real data the
+    resolvents at conjugate frequencies give conjugate solutions.
     """
 
     dim: int
     theta1_hint: float
     has_mass: bool
+    is_real: bool
 
     def solve(self, nu, y, weights=None):
         """Solve (nu*M - A) x = y; x has the shape of y.
@@ -98,6 +101,7 @@ class DenseOperator(OperatorFamily):
             raise ConfigError(f"M must match A, got shape {self.M.shape}")
         self.dim = n
         self.theta1_hint = float(theta1_hint)
+        self.is_real = not (np.any(self.A.imag) or np.any(self.M.imag))
 
     def _solve_batch(self, nu, y):
         nu = np.asarray(nu, dtype=complex)
@@ -150,6 +154,7 @@ class PeriodicCompactFD3D(OperatorFamily):
     """
 
     has_mass = True
+    is_real = True
     theta1_hint = np.pi / 2
 
     def __init__(self, n_per_dim: int):
@@ -233,6 +238,7 @@ class SchrodingerTBC1D(OperatorFamily):
     """
 
     has_mass = True
+    is_real = False
 
     def __init__(self, a_half: float, n_points: int, alpha: float):
         if n_points < 5:
@@ -345,11 +351,17 @@ class SeparableStageTable:
 
     Every reader works in the rank space of the data: block returns time
     factors, and a caller that needs full samples forms block @ spatial.
+    is_real states that the samples are real: the time factors were given
+    with a real dtype and the spatial factors have no imaginary part. The
+    time factors are judged by dtype because a scan of their values costs
+    time on every table: 0.18 ms for example 2 at N = 2e4 on a 2-vCPU host,
+    about 1 % of a solve.
     """
 
     def __init__(self, time_factors, spatial):
         self.time = np.ascontiguousarray(time_factors, dtype=complex)
         self.spatial = np.ascontiguousarray(spatial, dtype=complex)
+        self.is_real = not np.iscomplexobj(time_factors) and not np.any(self.spatial.imag)
         self.N, self.s, self.rank = self.time.shape
         self.dim = self.spatial.shape[1]
 
@@ -381,7 +393,7 @@ class SeparableInhomogeneity:
         """Stage samples at times (n + c_k) h, n = 0..N-1."""
         c = np.asarray(c, dtype=float)
         times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
-        fac = np.asarray(self._time_factors(times), dtype=complex)
+        fac = np.asarray(self._time_factors(times))
         return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial)
 
     def shifted(self, offset) -> "SeparableInhomogeneity":
@@ -393,7 +405,7 @@ class SeparableInhomogeneity:
         base = self._time_factors
 
         def factors(ts):
-            f = np.asarray(base(ts), dtype=complex)[:, keep]
+            f = np.asarray(base(ts))[:, keep]
             return np.hstack([f, np.ones((f.shape[0], 1))])
 
         return SeparableInhomogeneity(spatial, factors)

@@ -4,8 +4,7 @@ The s x s matrices Delta(zeta)/h of the Runge-Kutta schemes, one per circle
 node, are split as one stack by LAPACK (numpy.linalg.eig and inv) into
 U diag(d) U^-1, with every split checked for eigenvalue gaps and
 reconstruction residual.
-Also here: principal-branch fractional powers and the DFT helper of the
-first-weights block.
+Also here: principal-branch fractional powers.
 """
 
 from __future__ import annotations
@@ -87,18 +86,3 @@ def power_alpha(d, alpha):
         out = np.exp(alpha * np.log(arr))
     return out if np.ndim(d) else out[0]
 
-
-def dft(x, sign, axis=0):
-    """Discrete Fourier transform X_j = sum_n x_n exp(sign*2*pi*i*n*j/J).
-
-    sign=-1 is the analysis direction used by the first-weights block.
-    Backed by the FFT, which handles arbitrary lengths.
-    """
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-    x = np.asarray(x, dtype=complex)
-    if x.shape[axis] < 1:
-        raise DomainError("dft needs at least one sample")
-    if sign == -1:
-        return np.fft.fft(x, axis=axis)
-    return np.fft.ifft(x, axis=axis) * x.shape[axis]

@@ -130,13 +130,13 @@ def test_criterion_2_fast_direct_equivalence(example1, example2_small, tbc_probl
     """
     t_start = time.time()
     cases = [
-        ("dense-2x2", example1, radau_iia(3), 1.0, True),
-        ("subdiffusion-8^3", example2_small, radau_iia(3), 1.0, True),
-        ("tbc-101", tbc_problem_small, radau_iia(3), 0.5, False),
+        ("dense-2x2", example1, radau_iia(3), 1.0),
+        ("subdiffusion-8^3", example2_small, radau_iia(3), 1.0),
+        ("tbc-101", tbc_problem_small, radau_iia(3), 0.5),
     ]
     failures = []
-    for name, prob, tab, t_end, real in cases:
-        probe = CQConfig(tableau=tab, h=t_end, N=1, real_input=real)
+    for name, prob, tab, t_end in cases:
+        probe = CQConfig(tableau=tab, h=t_end, N=1)
         theta = probe.resolved_theta(prob.family)
         k_sized = sector_sized_k(probe.Lambda, theta)
         # (K, relative bound): the criterion at the sector-sized K, plus the
@@ -148,7 +148,7 @@ def test_criterion_2_fast_direct_equivalence(example1, example2_small, tbc_probl
         print(f"  {name}: theta={theta:.4f}, sector-sized K={k_sized}")
         for k_nodes, rel_bound in legs:
             for n in (50, 200, 500):
-                cfg = CQConfig(tableau=tab, h=t_end / n, N=n, K=k_nodes, real_input=real)
+                cfg = CQConfig(tableau=tab, h=t_end / n, N=n, K=k_nodes)
                 u_fast, _ = fast_solve(prob, cfg)
                 u_dir = direct_cq(prob, cfg)
                 diff = float(np.max(np.abs(u_fast - u_dir)))
@@ -183,7 +183,7 @@ def test_criterion_3_complexity_counters():
         if n <= kappa + 1:
             continue
         cfg = CQConfig(tableau=radau_iia(2), h=1e-3, N=n, K=k_nodes,
-                       Lambda=lam, kappa=kappa, J=4 * kappa, real_input=True)
+                       Lambda=lam, kappa=kappa, J=4 * kappa)
         _, stats = fast_solve(zero_g, cfg)
         # L = ceil(log_Lambda(N / (kappa+1))), evaluated in exact integers
         levels = 0
@@ -336,14 +336,13 @@ def test_criterion_6_contour_exponential_convergence():
     tab = radau_iia(3)
     problem, _ = transform_initial(fraccq.example3_problem(401, 2.0))
     h, n_steps = 0.00025, 2000  # t = 0.5
-    cfg_ref = CQConfig(tableau=tab, h=h, N=n_steps, K=110, kappa=110, J=440,
-                       real_input=False, workers=2)
+    cfg_ref = CQConfig(tableau=tab, h=h, N=n_steps, K=110, kappa=110, J=440, workers=2)
     u_ref, _ = fast_solve(problem, cfg_ref)
     ks = np.arange(15, 55, 5)
     errs = []
     for k_nodes in ks:
         cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=int(k_nodes), kappa=20,
-                       J=80, real_input=False, workers=2)
+                       J=80, workers=2)
         u, _ = fast_solve(problem, cfg)
         errs.append(float(np.max(np.abs(u - u_ref))))
     errs = np.array(errs)
@@ -381,11 +380,9 @@ def test_criterion_7_tbc_reference_agreement():
     for snap in range(1, 21):
         t = 0.05 * snap
         n = int(round(t / h))
-        cfg = CQConfig(tableau=tab, h=h, N=n, K=50, kappa=20, J=80,
-                       real_input=False, workers=2)
+        cfg = CQConfig(tableau=tab, h=h, N=n, K=50, kappa=20, J=80, workers=2)
         u, _ = fast_solve(run_problem, cfg)
-        cfg_ref = CQConfig(tableau=tab, h=h, N=n, K=110, kappa=60, J=240,
-                           real_input=False, workers=2)
+        cfg_ref = CQConfig(tableau=tab, h=h, N=n, K=110, kappa=60, J=240, workers=2)
         u_ref, _ = fast_solve(ref_problem, cfg_ref)
         err = float(np.max(np.abs((u + run_offset)[idx_run]
                                   - (u_ref + ref_offset)[idx_ref])))
@@ -399,8 +396,8 @@ def test_criterion_7_tbc_reference_agreement():
 def test_criterion_8_unit_property_suites():
     """The module invariant batteries (order conditions, Delta identity,
     eigendecomposition residuals, spectral-vs-dense, Vieta, Caputo power
-    rule, DFT roundtrip) all pass; the full detail lives in the unit
-    modules, this runs the condensed battery."""
+    rule) all pass; the full detail lives in the unit modules, this runs
+    the condensed battery."""
     results = list(selftest_checks())
     for name, ok, detail in results:
         print(f"  {name}: {'ok' if ok else 'FAIL'} ({detail})")

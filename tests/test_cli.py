@@ -73,11 +73,17 @@ def test_flags_and_keys_an_experiment_does_not_read_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text("alpha=0.3\n")
+    real_cfg = tmp_path / "real.cfg"
+    real_cfg.write_text("real=true\n")
+    # folding real data is derived from the problem, so no experiment reads real
+    no_real = [[name, *extra] for name in ("convergence", "subdiffusion", "schrodinger")
+               for extra in (["--real"], ["--complex"], ["--config", str(real_cfg)])]
     for args in (["convergence", "--alpha", "0.3"],
                  ["weights", "--J", "400"],
                  ["subdiffusion", "--h", "5"],
                  ["schrodinger", "--steps", "10"],
-                 ["convergence", "--config", str(cfg)]):
+                 ["convergence", "--config", str(cfg)],
+                 *no_real):
         assert run_cli(args + ["--out", str(out)]) == 2, args
         assert capsys.readouterr().out == "" and not out.exists(), args
     assert run_cli(["convergence", "--dump-config"]) == 0
@@ -167,10 +173,6 @@ def test_subdiffusion_bound_violation_exit_3(tmp_path):
         "--bound", "1e-30", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 3
-
-
-def test_real_complex_flags_conflict():
-    assert run_cli(["convergence", "--real", "--complex"]) == 2
 
 
 def test_weights_error_decreases_with_k(tmp_path):

@@ -13,7 +13,7 @@ from fraccq import (
     rk_march_scalar,
     transform_initial,
 )
-from fraccq import fastcq
+from fraccq import caputo, fastcq
 from fraccq.errors import ConfigError, PoleError
 from fraccq.operators import (
     ConstantInhomogeneity,
@@ -23,6 +23,13 @@ from fraccq.operators import (
 )
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.fixture(scope="module")
+def example1_complex(example1):
+    """Example 1 with its data scaled by 1 + i: complex data, real operator."""
+    return dataclasses.replace(example1, g=SeparableInhomogeneity(
+        (1 + 1j) * example1.g.spatial, caputo._example1_factors))
 
 
 def scalar_problem(value=1.0, a=-1.0, alpha=0.5):
@@ -75,15 +82,16 @@ def test_runstats_counters(example1):
     assert stats.first_block_solves == 3 * 160
 
 
-def test_default_K_is_sized_by_the_sector(example1, tbc_problem_small):
+def test_default_K_is_sized_by_the_sector(example1, example1_complex, tbc_problem_small):
     """K = None runs the smallest K >= 25 at which the contour error model
     predicts <= 1e-7: 25 on the pi/2 sector, 64 on the pi/6 sector of the
     TBC family, with the bits of that K given explicitly, and the default
-    TBC solve meets direct_cq to 1e-6 relative (at K = 25 it is 1.6e-4
+    solve meets direct_cq to 1e-6 relative on real data, on complex data
+    with a real operator and on the TBC problem (at K = 25 it is 1.6e-4
     off). An explicit K runs as given; RunStats.K reports it."""
     tab = radau_iia(3)
-    for prob, real, k_sized in ((example1, True, 25), (tbc_problem_small, False, 64)):
-        cfg = CQConfig(tableau=tab, h=0.002, N=200, real_input=real)
+    for prob, k_sized in ((example1, 25), (example1_complex, 25), (tbc_problem_small, 64)):
+        cfg = CQConfig(tableau=tab, h=0.002, N=200)
         assert cfg.K is None
         u, stats = fast_solve(prob, cfg)
         assert stats.K == k_sized
@@ -327,17 +335,24 @@ def test_fast_linearity(rng):
     assert resid <= 1e-10 * max(1.0, np.max(np.abs(outs[2])))
 
 
-def test_real_reduction_consistency(example1):
-    cfg_r = CQConfig(tableau=radau_iia(2), h=0.02, N=200, K=25, real_input=True)
-    cfg_c = CQConfig(tableau=radau_iia(2), h=0.02, N=200, K=25, real_input=False)
-    u_r, st_r = fast_solve(example1, cfg_r)
-    u_c, st_c = fast_solve(example1, cfg_c)
+def test_folding_follows_the_operator_and_the_data(example1, example1_complex,
+                                                   tbc_problem_small):
+    """The L (K+1) upper-half nodes are solved and folded exactly when the
+    operator and the data are both real; complex data on a real operator
+    and real data on the complex TBC operator solve all L (2K+1). The
+    folded solve of example 1 times 1 + i is the solve of its data times
+    1 + i."""
+    cfg = CQConfig(tableau=radau_iia(2), h=0.02, N=200, K=25)
     levels = plan_levels(200, 20, 5).L
-    assert st_r.resolvent_solves == levels * 26
+    u_r, st_r = fast_solve(example1, cfg)
+    assert np.isrealobj(u_r) and st_r.resolvent_solves == levels * 26
+    u_c, st_c = fast_solve(example1_complex, cfg)
     assert st_c.resolvent_solves == levels * 51
-    assert np.max(np.abs(u_c.imag)) <= 1e-10 * max(1.0, np.max(np.abs(u_c)))
-    assert np.isrealobj(u_r)
-    assert np.max(np.abs(u_r - u_c.real)) <= 1e-9 * max(1.0, np.max(np.abs(u_r)))
+    assert np.max(np.abs(u_c - (1 + 1j) * u_r)) <= 1e-9 * max(1.0, np.max(np.abs(u_r)))
+    real_data = ConstantInhomogeneity(np.abs(tbc_problem_small.g.spatial[0]))
+    for prob in (tbc_problem_small, dataclasses.replace(tbc_problem_small, g=real_data)):
+        u, stats = fast_solve(prob, dataclasses.replace(cfg, h=0.002))
+        assert np.iscomplexobj(u) and stats.resolvent_solves == levels * 51
 
 
 def test_fast_rejects_pending_initial_data():
@@ -397,14 +412,14 @@ def test_oracle_equivalence_scaled_by_contour_accuracy(example1, example2_small,
     circle-rule floor of the first block (measured as the J -> 4J
     difference), each with a factor-10 allowance."""
     cases = [
-        (example1, radau_iia(2), 0.01, 120, True),
-        (example2_small, radau_iia(3), 0.01, 120, True),
-        (tbc_problem_small, radau_iia(3), 0.002, 120, False),
+        (example1, radau_iia(2), 0.01, 120),
+        (example2_small, radau_iia(3), 0.01, 120),
+        (tbc_problem_small, radau_iia(3), 0.002, 120),
     ]
-    for prob, tab, h, n_steps, real in cases:
-        cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=20, real_input=real)
-        cfg_hi_k = CQConfig(tableau=tab, h=h, N=n_steps, K=30, real_input=real)
-        cfg_hi_j = CQConfig(tableau=tab, h=h, N=n_steps, K=20, J=640, real_input=real)
+    for prob, tab, h, n_steps in cases:
+        cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=20)
+        cfg_hi_k = CQConfig(tableau=tab, h=h, N=n_steps, K=30)
+        cfg_hi_j = CQConfig(tableau=tab, h=h, N=n_steps, K=20, J=640)
         u, _ = fast_solve(prob, cfg)
         u_hi_k, _ = fast_solve(prob, cfg_hi_k)
         u_hi_j, _ = fast_solve(prob, cfg_hi_j)

@@ -246,6 +246,38 @@ def test_problem_validation():
         Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(3)))
 
 
+def test_families_and_tables_state_whether_they_are_real():
+    """A family is real when A and M have no imaginary part; a stage table
+    when its time factors have a real dtype and its spatial factors no
+    imaginary part. Shifting real data by a real offset keeps it real."""
+    from fraccq.operators import SeparableInhomogeneity
+
+    assert dense_operator(None, A22).is_real
+    assert dense_operator(np.eye(2) + 0j, A22 + 0j).is_real
+    assert not dense_operator(None, A22 + 1e-3j).is_real
+    assert not dense_operator(np.eye(2) * (1 + 1e-3j), A22).is_real
+    assert periodic_compact_fd_3d(4).is_real
+    assert not schrodinger_tbc_1d(2.0, 61, 0.75).is_real
+
+    def real_factors(ts):
+        return np.stack([np.sin(ts), np.cos(ts)], axis=-1)
+
+    c = np.array([1 / 3, 1.0])
+    spatial = np.array([[1.0, 2.0], [0.5, -1.0]])
+    cases = [
+        (SeparableInhomogeneity(spatial, real_factors), True),
+        (SeparableInhomogeneity(spatial + 0j, real_factors), True),
+        (SeparableInhomogeneity(spatial + 1e-3j, real_factors), False),
+        (SeparableInhomogeneity(spatial, lambda ts: real_factors(ts) + 0j), False),
+        (ConstantInhomogeneity(np.array([1.0, 2.0])), True),
+        (ConstantInhomogeneity(np.array([1.0, 2.0j])), False),
+        (SeparableInhomogeneity(spatial, real_factors).shifted(np.array([3.0, 0.0])), True),
+        (SeparableInhomogeneity(spatial, real_factors).shifted(np.array([3.0, 1j])), False),
+    ]
+    for k, (g, real) in enumerate(cases):
+        assert g.table(5, 0.1, c).is_real is real, k
+
+
 def test_stage_tables_agree_across_kinds(rng):
     """Separable and constant data: the time factors of table.block,
     expanded against table.spatial, equal pointwise sample at the stage

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fraccq import radau_iia
 from fraccq.errors import BranchCutError, DecompositionError, DomainError
-from fraccq.smallmat import dft, eig_small, power_alpha
+from fraccq.smallmat import eig_small, power_alpha
 from fraccq.tableau import delta
 
 
@@ -94,27 +93,6 @@ def test_matrix_power_against_contour_oracle():
         oracle = acc / 512
         assert np.max(np.abs(via_eig - oracle)) <= 1e-8
         done += 1
-
-
-def test_dft_delta_and_pair():
-    assert dft(np.array([1.0, 0, 0, 0]), -1) == pytest.approx([1, 1, 1, 1])
-    assert dft(np.array([1.0, 1.0]), -1) == pytest.approx([2.0, 0.0])
-
-
-def test_dft_parseval():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    X = dft(x, -1)
-    assert np.sum(np.abs(X) ** 2) / 16 == pytest.approx(np.sum(np.abs(x) ** 2), abs=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
-def test_dft_roundtrip_property(J, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(J) + 1j * rng.standard_normal(J)
-    back = dft(dft(x, -1), 1) / J
-    assert np.max(np.abs(back - x)) <= 1e-12 * J
 
 
 def test_eig_condition_flag():
