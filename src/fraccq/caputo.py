@@ -126,10 +126,11 @@ def _ratio(x, num, den):
     return out
 
 
-def _half_derivatives(omega, t, sin=True):
+def _half_derivatives(omega, t, sin=True, trig=False):
     """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) at times t >= 0,
     in the broadcast shape of omega and t (Fresnel form: module docstring).
-    With sin=False the first entry is None and is not computed."""
+    With sin=False the first entry is None and is not computed; with
+    trig=True sin(omega t) and cos(omega t), evaluated on the way, follow."""
     omega = np.asarray(omega, dtype=float)
     wt = omega * np.asarray(t, dtype=float)
     shape = wt.shape
@@ -160,12 +161,13 @@ def _half_derivatives(omega, t, sin=True):
         fs *= x * x2  # S(x)
         fc = _ratio(quartic, _FRESNEL_CN, _FRESNEL_CD)
         fc *= x  # C(x)
-        s, c = s[small], c[small]
-        d_cos[small] = s * fc - c * fs
+        s_small, c_small = s[small], c[small]
+        d_cos[small] = s_small * fc - c_small * fs
         if sin:
-            d_sin[small] = c * fc + s * fs
+            d_sin[small] = c_small * fc + s_small * fs
     scale = np.sqrt(2.0 * omega)
-    return tuple(None if col is None else col.reshape(shape) * scale for col in (d_sin, d_cos))
+    out = tuple(None if col is None else col.reshape(shape) * scale for col in (d_sin, d_cos))
+    return out + (s.reshape(shape), c.reshape(shape)) if trig else out
 
 
 @dataclass(frozen=True)
@@ -256,9 +258,8 @@ class HalfOrderTrigTable:
         """(f1(t), f2(t)) as an (m, 2) array, from one Fresnel evaluation:
         f1 = D^(1/2) sin(pi .) + sin(pi t) and
         f2 = D^(1/2) (1 - cos(pi .)) + 1 - cos(pi t)."""
-        t = self._checked(t)
-        d_sin, d_cos = _half_derivatives(np.pi, t)
-        return np.stack([d_sin + np.sin(np.pi * t), d_cos + 1.0 - np.cos(np.pi * t)], axis=-1)
+        d_sin, d_cos, s, c = _half_derivatives(np.pi, self._checked(t), trig=True)
+        return np.stack([d_sin + s, d_cos + 1.0 - c], axis=-1)
 
     def f1(self, t):
         return self.factors(t)[..., 0]

@@ -2,8 +2,8 @@
 Schroedinger snapshots, weight diagnostics, and a selftest battery.
 
 Emits machine-readable CSV/JSON only; plotting is out of scope. Numeric
-experiment output is bitwise reproducible for a fixed spec and worker
-count; wall-clock fields in the timing report naturally are not.
+experiment output is bitwise reproducible for a fixed spec; wall-clock
+fields in the timing report naturally are not.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ _FLAGS = {
     "Lambda": Flag(int, lambda v: v >= 2, "be >= 2"),
     "kappa": Flag(int, lambda v: v >= 1, "be >= 1"),
     "J": Flag(int),
-    "workers": Flag(int, lambda v: v >= 1, "be >= 1"),
     "grid": Flag(int),
     "a_half": Flag(float),
     "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
@@ -99,17 +98,17 @@ _FLAGS = {
 _EXPERIMENTS = {
     "convergence": {
         "t_end": 10.0, "h": None, "steps": None, "method": None,
-        "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "workers": 1,
+        "K": 25, "Lambda": 5, "kappa": 20, "J": 160,
         "out": None, "format": None,
     },
     "subdiffusion": {
         "grid": 16, "t_end": 123.45, "steps": (1000, 10000, 100000), "method": "radau5",
-        "K": 20, "Lambda": 5, "kappa": 12, "J": None, "workers": 1,
+        "K": 20, "Lambda": 5, "kappa": 12, "J": None,
         "repeats": 3, "bound": 0.05, "out": None, "format": None,
     },
     "schrodinger": {
         "grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
-        "method": "radau5", "K": 50, "Lambda": 5, "kappa": 20, "J": 80, "workers": 1,
+        "method": "radau5", "K": 50, "Lambda": 5, "kappa": 20, "J": 80,
         "reference": False, "out": None, "format": None,
     },
     "weights": {
@@ -253,7 +252,7 @@ def convergence_rows(spec, problem=None):
             h = t_end / n
             cfg = fastcq.CQConfig(
                 tableau=tab, h=h, N=n, K=spec["K"], Lambda=spec["Lambda"],
-                kappa=spec["kappa"], J=spec["J"], workers=spec["workers"],
+                kappa=spec["kappa"], J=spec["J"],
             )
             u, _ = fastcq.fast_solve(problem, cfg)
             err = float(np.max(np.abs(u - problem.u_exact(t_end))))
@@ -288,16 +287,13 @@ def subdiffusion_report(spec, problem=None):
     if problem is None:
         problem = caputo.example2_problem(grid, t_max=t_end * 1.01).problem
     tab = tableau_mod.by_name(spec["method"])
-    tables = {}  # one stage table per N, shared by its repeats and worker counts
 
-    def timed_run(n, workers):
+    def timed_run(n):
         cfg = fastcq.CQConfig(
-            tableau=tab, h=t_end / n, N=n, K=K, Lambda=spec["Lambda"],
-            kappa=kappa, J=J, workers=workers,
+            tableau=tab, h=t_end / n, N=n, K=K, Lambda=spec["Lambda"], kappa=kappa, J=J,
         )
-        if n not in tables:
-            tables[n] = problem.g.table(n, cfg.h, tab.c)
-        runs = [fastcq.fast_solve(problem, cfg, tables[n]) for _ in range(repeats)]
+        table = problem.g.table(n, cfg.h, tab.c)  # shared by the repeats
+        runs = [fastcq.fast_solve(problem, cfg, table) for _ in range(repeats)]
         u, stats = runs[-1]
         med = {key: float(np.median([st.wall_times[key] for _, st in runs]))
                for key in ("first_block", "rk_marches", "resolvent_solves")}
@@ -308,7 +304,6 @@ def subdiffusion_report(spec, problem=None):
         err = float(np.max(np.abs(u - problem.u_exact(t_end))))
         return {
             "N": n,
-            "workers": workers,
             "phases": med,
             "rk_steps": stats.rk_steps,
             "resolvent_solves": stats.resolvent_solves,
@@ -317,15 +312,12 @@ def subdiffusion_report(spec, problem=None):
             "timing_flagged": flagged,
         }
 
-    ladder = [timed_run(n, spec["workers"]) for n in steps]
+    ladder = [timed_run(n) for n in steps]
     for rung in ladder:
         if rung["error_inf"] > spec["bound"]:
             raise FracCQError(
                 f"error {rung['error_inf']:.3e} at N={rung['N']} exceeds bound {spec['bound']}"
             )
-    worker_counts = sorted({w for w in (1, 2, 4, spec["workers"]) if w >= 1})
-    n_fixed = steps[len(steps) // 2]
-    worker_ladder = [timed_run(n_fixed, w) for w in worker_counts]
     return {
         "grid": grid,
         "t_end": t_end,
@@ -335,7 +327,6 @@ def subdiffusion_report(spec, problem=None):
         "J": J,
         "repeats": repeats,
         "n_ladder": ladder,
-        "worker_ladder": worker_ladder,
     }
 
 
@@ -389,8 +380,7 @@ def schrodinger_rows(spec):
     for t in snap_times:
         n = int(round(t / h))
         cfg = fastcq.CQConfig(
-            tableau=tab, h=h, N=n, K=K, Lambda=spec["Lambda"], kappa=spec["kappa"],
-            J=J, workers=spec["workers"],
+            tableau=tab, h=h, N=n, K=K, Lambda=spec["Lambda"], kappa=spec["kappa"], J=J,
         )
         u, _ = fastcq.fast_solve(problem, cfg)
         v = u + offset
@@ -398,8 +388,7 @@ def schrodinger_rows(spec):
         if reference is not None:
             ref_problem, ref_offset, idx_ref, idx_run = reference
             cfg_ref = fastcq.CQConfig(
-                tableau=tab, h=h, N=n, K=110, Lambda=spec["Lambda"], kappa=60,
-                J=240, workers=spec["workers"],
+                tableau=tab, h=h, N=n, K=110, Lambda=spec["Lambda"], kappa=60, J=240,
             )
             u_ref, _ = fastcq.fast_solve(ref_problem, cfg_ref)
             v_ref = u_ref + ref_offset
@@ -443,13 +432,8 @@ def weights_rows(spec):
         w_direct = dict(zip(inside, blocks))
     rows = []
     for K in k_values:
-        params = contour.select_parameters(K, spec["Lambda"], np.pi / 2 * (1 - 1e-9))
-        levels = {
-            ell: contour.level_nodes(
-                contour.mu_level(ell, K, h, kappa, params), params, ell
-            )
-            for ell in range(1, plan.L + 1)
-        }
+        levels = contour.level_contours(plan.L, K, spec["Lambda"],
+                                        fastcq.CQConfig.resolved_theta(family), h, kappa)
         for n in n_list:
             if n >= plan.m[-1]:
                 rows.append((n, K, "", "", "beyond-plan"))
@@ -464,7 +448,7 @@ def weights_rows(spec):
             else:
                 while plan.m[ell] <= n:
                     ell += 1
-            w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, levels[ell])
+            w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, levels[ell - 1])
             err = float(np.max(np.abs(w_c - w_direct[n])))
             rows.append((n, K, ell, err, note))
     return rows
@@ -550,11 +534,7 @@ def selftest_checks():
             loop = sum(fam.solve(n, y @ wk) for n, wk in zip(nus, w))
             if np.max(np.abs(fam.solve(nus, y, weights=w) - loop)) > 1e-12 * np.max(np.abs(loop)):
                 return False, f"{type(fam).__name__}: weighted sum differs from per-node"
-        problem = caputo.example1_problem().problem
-        cfg = dict(tableau=tableau_mod.radau_iia(3), h=0.05, N=60, K=20)
-        u1, u2 = (fastcq.fast_solve(problem, fastcq.CQConfig(**cfg, workers=w))[0] for w in (1, 2))
-        return np.array_equal(u1, u2), ("3 backends batched = per-node, weighted = "
-                                        "per-node sum; workers 1, 2 same bits")
+        return True, "3 backends batched = per-node, weighted = per-node sum"
 
     def check_tbc():
         fam = operators.schrodinger_tbc_1d(2.0, 61, 0.75)

@@ -181,3 +181,12 @@ def level_nodes(mu: float, params: ContourParams, ell: int = 0) -> ContourLevel:
     lam = mu * (1.0 - np.sin(params.phi) * ch) + 1j * (mu * np.cos(params.phi)) * sh
     om = (params.tau * mu / (2.0 * np.pi)) * (np.cos(params.phi) * ch + 1j * np.sin(params.phi) * sh)
     return ContourLevel(ell=ell, mu=mu, lambdas=lam, omegas=om, K=K)
+
+
+def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int) -> list:
+    """The hyperbolas of levels 1..L: one parameter choice for all of them,
+    each scaled by its mu_level. No level (L = 0) selects no parameters."""
+    if L == 0:
+        return []
+    params = select_parameters(K, Lambda, theta)
+    return [level_nodes(mu_level(ell, K, h, kappa, params), params, ell) for ell in range(1, L + 1)]

@@ -22,15 +22,13 @@ both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels. The stage-space work runs on arrays of nodes: one
 stability call per level, one stacked eigen-split of the circle nodes.
-The circle split is one task of parallel_map, so it runs in the
-calling thread like the marches and the solves: a worker count reaches
-no phase of a solve.
+The paper's independent marches and solves are these stacked numpy and
+LAPACK calls, and every phase of a solve runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +54,6 @@ class CQConfig:
     family (at K = 25 its fast solve differs from direct_cq by about 3e-4
     relative). An explicit K runs as given; RunStats.K reports the K used.
     direct_cq uses no contour and does not read K.
-
-    workers reaches no phase of a solve: the marches, the circle split and
-    both weighted solves run in the calling thread. It stays only because
-    the benchmark (perfbench) sets it for its two-worker passes.
     """
 
     tableau: tableau_mod.Tableau
@@ -69,7 +63,7 @@ class CQConfig:
     Lambda: int = 5
     kappa: int = 20
     J: int = 160
-    workers: int = 1
+    workers: int = 1  # reaches no phase of a solve; kept only because perfbench sets it
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -93,7 +87,8 @@ class CQConfig:
                 f"invertible matrix, right-half-plane spectrum): {report}"
             )
 
-    def resolved_theta(self, family: OperatorFamily) -> float:
+    @staticmethod
+    def resolved_theta(family: OperatorFamily) -> float:
         """Contour angle budget, just inside the family's sector angle."""
         return family.theta1_hint * (1.0 - 1e-9)
 
@@ -110,8 +105,6 @@ class LevelPlan:
 
     L: int
     m: tuple
-    kappa: int
-    Lambda: int
 
     def window(self, ell: int):
         """Weight-index window [m_{ell-1}, m_ell) of level ell >= 1."""
@@ -124,14 +117,14 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
     if N < 1:
         raise ConfigError(f"need N >= 1, got {N}")
     if N <= kappa + 1:
-        return LevelPlan(L=0, m=(N,), kappa=kappa, Lambda=Lambda)
+        return LevelPlan(L=0, m=(N,))
     L = 0
     cap = kappa + 1
     while N > cap:
         cap *= Lambda
         L += 1
     m = tuple((kappa + 1) * Lambda**ell for ell in range(L)) + (N,)
-    return LevelPlan(L=L, m=m, kappa=kappa, Lambda=Lambda)
+    return LevelPlan(L=L, m=m)
 
 
 @dataclass
@@ -146,14 +139,9 @@ class RunStats:
     wall_times: dict = field(default_factory=dict)
 
 
-def parallel_map(fn, tasks, workers: int):
-    """Map fn over tasks on a shared-queue worker pool; results keep task
-    order, so reductions over them are deterministic."""
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks))
+def parallel_map(fn, tasks, workers):
+    """fn over tasks, in order; kept only as the span perfbench traces."""
+    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +167,7 @@ def _circle_decomp(zetas, tab, h, alpha):
             zetas[exc.indices] *= 1.0 + 1e-9
 
 
-def _circle_weights(tab, h, alpha, rho, data, workers):
+def _circle_weights(tab, h, alpha, rho, data):
     """Frequencies and rank-space weights of the circle rule over the
     J = len(data) circle nodes, for data of shape (J, s, rank).
 
@@ -187,10 +175,8 @@ def _circle_weights(tab, h, alpha, rho, data, workers):
     sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j S]_last equals
     sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 data_j)[i],
     one weighted family.solve. Returns nu (J*s,) and w (J*s, rank), in
-    (node, stage) order. All J nodes make one stacked split, as a single
-    task: a split is a few LAPACK calls over the stack, and on 2 CPUs the
-    160 nodes of the default first block took 1.9 ms inline and 2.2 ms
-    as two slices on two workers.
+    (node, stage) order. All J nodes make one stacked split: a few LAPACK
+    calls over the stack.
     """
     J, s, rank = data.shape
     zetas = rho * np.exp(2j * np.pi * np.arange(J) / J)
@@ -199,7 +185,7 @@ def _circle_weights(tab, h, alpha, rho, data, workers):
         dec, nus = _circle_decomp(nodes, tab, h, alpha)
         return nus.ravel(), (dec.U[:, -1, :, None] * (dec.U_inv @ data)).reshape(J * s, rank)
 
-    [(nus, weights)] = parallel_map(node_weights, [zetas], workers)
+    [(nus, weights)] = parallel_map(node_weights, [zetas], 1)
     return nus, weights
 
 
@@ -223,7 +209,7 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     seq = np.zeros((J, tab.s, table.rank), dtype=complex)
     seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
     hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
-    nus, weights = _circle_weights(tab, config.h, problem.alpha, rho, hat, config.workers)
+    nus, weights = _circle_weights(tab, config.h, problem.alpha, rho, hat)
     u0 = fam.solve(nus, table.spatial.T, weights=weights)
     if fam.is_real and table.is_real:
         u0 = u0.real.copy()
@@ -265,7 +251,7 @@ def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = Fals
         hist *= z[:, None, None]
         hist += factors[n] / J
 
-    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hist, config.workers)
+    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hist)
     u = fam.solve(nus, table.spatial.T, weights=weights)
     return u.real.copy() if real else u
 
@@ -350,9 +336,7 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
     a block of w steps collapses into y <- r^w y + h sum_j r^(w-1-j) q.G;
     the inner sum is one matrix product of the descending power matrix
     (a cumprod written in reverse) against the time-factor block. The
-    scaling by r^w commutes with q, so q is applied once at the end. The
-    block boundaries are fixed, so the result does not depend on the
-    worker count.
+    scaling by r^w commutes with q, so q is applied once at the end.
     """
     nodes = len(r)
     s, rank = table.s, table.rank
@@ -418,13 +402,9 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     plan = plan_levels(N, config.kappa, config.Lambda)
     if table is None:
         table = problem.g.table(N, h, tab.c)
-    levels = []
-    if plan.L > 0:
-        params = contour.select_parameters(K, config.Lambda, config.resolved_theta(fam))
-        for ell in range(1, plan.L + 1):
-            mu = contour.mu_level(ell, K, h, config.kappa, params)
-            levels.append(contour.level_nodes(mu, params, ell))
-        _check_spectrum_clearance(levels, tab, h)
+    levels = contour.level_contours(plan.L, K, config.Lambda, config.resolved_theta(fam),
+                                    h, config.kappa)
+    _check_spectrum_clearance(levels, tab, h)
 
     # per-level nodes and their stability data (r, q); folding needs k = 0..K only
     fold = fam.is_real and table.is_real
@@ -432,8 +412,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     stab = [tableau_mod.stability(h * lams, tab) for lams in lam_used]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
-    # the marches run first, while the table is warm in cache; a level's
-    # march is a few small products, cheaper inline than as a pool task
+    # the marches run first, while the table is warm in cache
     t_phase = time.perf_counter()
     coeffs = []
     for li in range(plan.L):
@@ -480,10 +459,10 @@ def transform_initial(problem: Problem):
     """
     dim = problem.family.dim
     if not problem.has_initial:
-        return problem, np.zeros(dim, dtype=complex)
+        return problem, np.zeros(dim)
     fam = problem.family
     fam.validate_initial(problem.u0)
-    u0 = np.asarray(problem.u0, dtype=complex)
+    u0 = np.asarray(problem.u0, dtype=np.result_type(problem.u0, float))
     shift = fam.apply_op(u0)
     u_exact = problem.u_exact
     shifted_exact = None

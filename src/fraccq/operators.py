@@ -26,15 +26,13 @@ _SUPPORT_ABS = 1e-20
 class OperatorFamily(ABC):
     """Resolvent provider: solve (nu*M - A) x = y for complex nu.
 
-    Implementations must be safe to call from several threads after
-    construction, so solve() keeps no state between calls. is_real states
-    that A and M have no imaginary part, so that with real data the
-    resolvents at conjugate frequencies give conjugate solutions.
+    solve() keeps no state between calls. is_real states that A and M have
+    no imaginary part, so that with real data the resolvents at conjugate
+    frequencies give conjugate solutions.
     """
 
     dim: int
     theta1_hint: float
-    has_mass: bool
     is_real: bool
 
     def solve(self, nu, y, weights=None):
@@ -79,7 +77,7 @@ class OperatorFamily(ABC):
         raise NotImplementedError(f"{type(self).__name__} does not expose A")
 
     def apply_mass(self, y):
-        """Apply the mass operator M (identity when has_mass is False)."""
+        """Apply the mass operator M (the identity unless overridden)."""
         return np.asarray(y)
 
     def validate_initial(self, u0):
@@ -153,7 +151,6 @@ class PeriodicCompactFD3D(OperatorFamily):
     (mass, op) symbol pairs only (254 of 4,096 on 16^3, 47 of 512 on 8^3).
     """
 
-    has_mass = True
     is_real = True
     theta1_hint = np.pi / 2
 
@@ -185,15 +182,22 @@ class PeriodicCompactFD3D(OperatorFamily):
         x, y, z = np.meshgrid(x1, x1, x1, indexing="ij")
         return x.ravel(), y.ravel(), z.ravel()
 
+    def _column_transforms(self, y):
+        """3D DFTs of the columns of y, (dim,) or (dim, m), as (m, n, n, n).
+
+        The columns are copied to contiguous memory first: numpy's FFT keeps
+        the strides of a column view and ran about twice as slow on them.
+        """
+        cols = np.ascontiguousarray(np.reshape(y, (self.dim, -1)).T)
+        return fft.fftn(cols.reshape(-1, self.n, self.n, self.n), axes=(1, 2, 3))
+
     def _weighted_sum(self, nu, y, weights):
         denom = nu[:, None] * self._pair_mass - self._pair_op  # (B, distinct pairs)
         if not np.all(denom):
             bad = nu[np.argmin(np.all(denom, axis=1))]
             raise SolverError(f"symbol vanishes at nu={bad}", frequency=bad)
         mult = weights.T @ np.reciprocal(denom, out=denom)  # (m, distinct pairs)
-        # numpy's FFT keeps the strides of a y.T view and ran twice as slow on them
-        cols = np.ascontiguousarray(y.T).reshape(-1, self.n, self.n, self.n)
-        hat = fft.fftn(cols, axes=(1, 2, 3)).reshape(len(cols), self.dim)
+        hat = self._column_transforms(y).reshape(-1, self.dim)
         total = (hat * np.take(mult, self._pair_index, axis=1)).sum(axis=0)
         return fft.ifftn(total.reshape(self.n, self.n, self.n)).ravel()
 
@@ -202,8 +206,8 @@ class PeriodicCompactFD3D(OperatorFamily):
         denom = nu * self._mass_symbol - self._op_symbol
         if np.any(denom == 0.0):
             raise SolverError(f"symbol vanishes at nu={nu}", frequency=nu)
-        hat = fft.fftn(y.reshape(self.n, self.n, self.n, -1), axes=(0, 1, 2))
-        return fft.ifftn(hat / denom[..., None], axes=(0, 1, 2)).reshape(y.shape)
+        x = fft.ifftn(self._column_transforms(y) / denom, axes=(1, 2, 3))
+        return x.reshape(-1, self.dim).T.reshape(y.shape)
 
     def apply_op(self, y):
         u = np.asarray(y, dtype=complex).reshape(self.n, self.n, self.n)
@@ -237,7 +241,6 @@ class SchrodingerTBC1D(OperatorFamily):
     is one LAPACK tridiagonal solve of those closed rows per frequency.
     """
 
-    has_mass = True
     is_real = False
 
     def __init__(self, a_half: float, n_points: int, alpha: float):

@@ -144,10 +144,14 @@ def test_half_order_table_zero_start():
 
 def test_half_order_factors_equal_the_two_columns():
     """factors gives f1 and f2 bit for bit as its two columns, with the
-    same range check."""
+    same range check; the sin(pi t) and cos(pi t) it reuses from the
+    Fresnel evaluation are bit for bit a fresh evaluation of their own."""
     table = HalfOrderTrigTable(130.0)
     ts = np.linspace(0.0, 130.0, 1001)
     assert np.array_equal(table.factors(ts), np.stack([table.f1(ts), table.f2(ts)], axis=-1))
+    d_sin, d_cos = caputo._half_derivatives(np.pi, ts)
+    fresh = np.stack([d_sin + np.sin(np.pi * ts), d_cos + 1.0 - np.cos(np.pi * ts)], axis=-1)
+    assert np.array_equal(table.factors(ts), fresh)
     with pytest.raises(DomainError):
         table.factors(np.array([131.0]))
 
@@ -214,6 +218,7 @@ def test_example_paths_import_no_scipy():
             u, _ = fraccq.fast_solve(problem, cfg, table)
             assert np.all(np.isfinite(u))
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        pools = sorted(m for m in sys.modules if m.startswith("concurrent"))
 
         oracle = fraccq.caputo_oracle(lambda t: 2.0 * t, 0.5, 1.0)
         family = fraccq.schrodinger_tbc_1d(2.0, 41, 0.75)
@@ -221,7 +226,8 @@ def test_example_paths_import_no_scipy():
         phi, diag = family.closed_rows(nu)
         matrix = np.diag(diag) + phi * (np.eye(41, k=1) + np.eye(41, k=-1))
         resid = np.max(np.abs(matrix @ family.solve(nu, y) - y))
-        print(json.dumps({"scipy": loaded, "oracle": oracle, "tbc_resid": resid}))
+        print(json.dumps({"scipy": loaded, "concurrent": pools, "oracle": oracle,
+                          "tbc_resid": resid}))
     """)
     src = str(Path(fraccq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -231,6 +237,7 @@ def test_example_paths_import_no_scipy():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["scipy"] == []
+    assert out["concurrent"] == []  # every phase of a solve runs in the calling thread
     assert abs(out["oracle"] - 8.0 / (3.0 * math.sqrt(math.pi))) <= 1e-11
     assert out["tbc_resid"] <= 1e-12
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraccq import fastcq, operators
-from fraccq.contour import ContourParams, level_nodes, mu_level, select_parameters, theta1
+from fraccq.contour import (
+    ContourParams, level_contours, level_nodes, mu_level, select_parameters, theta1,
+)
 from fraccq.errors import ConfigError, DomainError, ParameterRangeError
 from fraccq.tableau import radau_iia
 
@@ -164,16 +166,16 @@ def test_scalar_weight_sum_matches_direct_oracle():
     tab = radau_iia(3)
     fam = operators.dense_operator(None, np.array([[-1.0]]))
     h, kappa, K = 0.01, 20, 25
-    p = select_parameters(K, 5, HALF_PI)
     plan = fastcq.plan_levels(525, kappa, 5)
+    levels = level_contours(plan.L, K, 5, HALF_PI, h, kappa)
     ns = [21, 50, 104, 105, 200, 524]
     for alpha in (0.5, 0.75):
         blocks = fastcq.weight_rows_direct(fam, tab, alpha, h, ns)
         direct = dict(zip(ns, blocks))
-        for ell in (1, 2):
-            lev = level_nodes(mu_level(ell, K, h, kappa, p), p, ell)
+        for ell, lev in enumerate(levels, 1):
             for n in ns:
                 if plan.m[ell - 1] <= n < plan.m[ell]:
                     wc = fastcq.weight_rows_contour(fam, tab, alpha, h, n, lev)
                     err = np.max(np.abs(wc - direct[n]))
                     assert err <= 1e-9 * (n * h) ** (alpha - 1)
+

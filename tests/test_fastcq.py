@@ -484,6 +484,8 @@ def test_transform_initial_reconstruction_consistency():
     from scipy.linalg import expm
     v_exact = expm(A22 * 1.0) @ u0
     assert np.max(np.abs((u + offset) - v_exact)) <= 1e-6
+    # real operator and data: the offset is real like the folded solve
+    assert u.dtype == offset.dtype == (u + offset).dtype == np.float64
 
 
 def test_config_rejects_nonconforming_tableau():
