@@ -93,7 +93,8 @@ _FLAGS = {
 
 # Every experiment's flags with their defaults: an experiment accepts
 # exactly these. convergence method = None runs all three methods;
-# subdiffusion J = None resolves to kappa + 2; weights K = None runs the
+# subdiffusion J = None resolves to kappa + 2; schrodinger K = None runs
+# the K that fast_solve sizes by the sector (64); weights K = None runs the
 # K ladder (10, 15, 20, 25).
 _EXPERIMENTS = {
     "convergence": {
@@ -108,7 +109,7 @@ _EXPERIMENTS = {
     },
     "schrodinger": {
         "grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
-        "method": "radau5", "K": 50, "Lambda": 5, "kappa": 20, "J": 80,
+        "method": "radau5", "K": None, "Lambda": 5, "kappa": 20, "J": 80,
         "reference": False, "out": None, "format": None,
     },
     "weights": {

@@ -67,7 +67,7 @@ def _a_of_rho(rho, Lambda, phi):
     return np.arccosh(Lambda / ((1.0 - rho) * np.sin(phi)))
 
 
-def select_parameters(K: int, Lambda: int, theta: float, machine_eps: float | None = None) -> ContourParams:
+def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     """Pick phi, d, rho_opt and tau for 2K+1 nodes and growth factor Lambda.
 
     phi = d = theta/2. rho_opt minimizes
@@ -82,7 +82,7 @@ def select_parameters(K: int, Lambda: int, theta: float, machine_eps: float | No
         raise ConfigError(f"need an integer growth factor Lambda >= 2, got {Lambda}")
     if not 0.0 < theta < np.pi:
         raise ConfigError(f"contour angle budget must lie in (0, pi), got {theta}")
-    eps = np.finfo(float).eps if machine_eps is None else float(machine_eps)
+    eps = np.finfo(float).eps
     phi = theta / 2.0
 
     def objective(rho):

@@ -4,9 +4,9 @@ The approximation at t = N h is u_N = h * (e_s x Id) sum_n W_n G_{N-1-n},
 with weights W_n generated by the rational symbol Delta(zeta)/h of the
 Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
 
-* direct_cq: every weight through trapezoidal quadrature of the circle
-  integral of the generating function (oracle grade, O(N) resolvent-type
-  solves). Small scale only.
+* direct_cq: the first block over all N weights, the trapezoidal circle
+  rule for the integral of the generating function at the oracle-grade
+  J = max(4N, 256) nodes.
 * fast_solve: the first kappa+1 weights through the circle rule, the rest
   through hyperbola contours, one per geometrically growing history
   window. Per window, the weighted history sum collapses into scalar
@@ -189,84 +189,60 @@ def _circle_weights(tab, h, alpha, rho, data):
     return nus, weights
 
 
-def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
-    """Contribution of the first m_0 weights via the circle rule.
+def _circle_sum(problem: Problem, tab, h, table, terms, J):
+    """h sum_(n < terms) (e_s x Id) W_n G_(N-1-n) over the table's last
+    `terms` samples, by the circle rule at J nodes with rho^J = sqrt(eps).
 
     Takes one DFT of the rho-scaled sequence of time factors and sums the
     s decoupled systems of every circle node in one weighted solve
-    (_circle_weights). Returns the length-dim vector, real when the
-    operator and the data are, and the system count s*J.
+    (_circle_weights). The result is real when the operator and the data are.
     """
-    tab = config.tableau
     fam = problem.family
-    if table is None:
-        table = problem.g.table(config.N, config.h, tab.c)
-    terms = plan.m[0]
-    J = config.J
     rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
-
-    blk = table.block(config.N - terms, config.N)  # factors of G_{N-terms}..G_{N-1}
+    blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
     seq = np.zeros((J, tab.s, table.rank), dtype=complex)
     seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
     hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
-    nus, weights = _circle_weights(tab, config.h, problem.alpha, rho, hat)
-    u0 = fam.solve(nus, table.spatial.T, weights=weights)
-    if fam.is_real and table.is_real:
-        u0 = u0.real.copy()
-    return u0, tab.s * J
+    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hat)
+    u = fam.solve(nus, table.spatial.T, weights=weights)
+    return u.real.copy() if fam.is_real and table.is_real else u
 
 
-def direct_cq(problem: Problem, config: CQConfig, return_trajectory: bool = False):
-    """Oracle evaluation of the convolution quadrature at t = N h.
-
-    Every weight is taken from the trapezoidal circle rule at oracle-grade
-    parameters J = max(4N, 256), rho^J = sqrt(eps). The default path
-    carries the J running history sums of the time factors step by step
-    and sums the s*J systems in one weighted solve at the end; with
-    return_trajectory=True (small systems only) the weights are assembled
-    as explicit matrices and the whole trajectory u_0..u_N is returned.
-    The result is real when the operator and the data are.
+def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
+    """Contribution of the first m_0 weights via the circle rule at config.J
+    nodes (_circle_sum). Returns the length-dim vector, real when the
+    operator and the data are, and the system count s*J.
     """
     tab = config.tableau
-    fam = problem.family
-    N, h = config.N, config.h
-    s, dim = tab.s, fam.dim
-    J = max(4 * N, 256)
-    rho = _EPS ** (1.0 / (2 * J))
-    table = problem.g.table(N, h, tab.c)
-    real = fam.is_real and table.is_real
-
-    if return_trajectory:
-        w_rows = weight_rows_direct(fam, tab, problem.alpha, h, np.arange(N), J=J, rho=rho)
-        traj = np.zeros((N + 1, dim), dtype=complex)
-        flat = (table.block(0, N) @ table.spatial).reshape(N, s * dim)
-        for m in range(1, N + 1):
-            traj[m] = h * np.einsum("nab,nb->a", w_rows[:m], flat[m - 1::-1])
-        return traj.real if real else traj
-
-    z = np.exp(-2j * np.pi * np.arange(J) / J) / rho
-    factors = table.block(0, N)
-    hist = np.zeros((J, s, table.rank), dtype=complex)
-    for n in range(N):
-        hist *= z[:, None, None]
-        hist += factors[n] / J
-
-    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hist)
-    u = fam.solve(nus, table.spatial.T, weights=weights)
-    return u.real.copy() if real else u
+    if table is None:
+        table = problem.g.table(config.N, config.h, tab.c)
+    return _circle_sum(problem, tab, config.h, table, plan.m[0], config.J), tab.s * config.J
 
 
-def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
-    """Full weight operators W_n as explicit matrices from the circle rule."""
+def direct_cq(problem: Problem, config: CQConfig):
+    """Oracle evaluation of the convolution quadrature at t = N h.
+
+    The first block over all N weights (_circle_sum) at the oracle-grade
+    J = max(4N, 256): no contour, level plan or march, and config.K,
+    Lambda, kappa and J are not read. The result is real when the operator
+    and the data are.
+    """
+    tab = config.tableau
+    table = problem.g.table(config.N, config.h, tab.c)
+    return _circle_sum(problem, tab, config.h, table, config.N, max(4 * config.N, 256))
+
+
+def weight_matrices_direct(family, tab, alpha, h, n_list):
+    """Full weight operators W_n as explicit (s*dim, s*dim) matrices from
+    the circle rule at direct_cq's J = max(4 (max n + 1), 256) nodes,
+    rho^J = sqrt(eps); an oracle tool for s*dim <= 96."""
     n_list = np.asarray(n_list, dtype=int)
     s, dim = tab.s, family.dim
     sd = s * dim
     if sd > 96:
         raise ConfigError(f"explicit weights are an oracle tool; s*dim={sd} too large")
-    if J is None:
-        J = max(4 * (int(n_list.max()) + 1), 256)
-    if rho is None:
-        rho = _EPS ** (1.0 / (2 * J))
+    J = max(4 * (int(n_list.max()) + 1), 256)
+    rho = _EPS ** (1.0 / (2 * J))
     eye = np.eye(dim)
     dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * np.arange(J) / J), tab, h, alpha)
     xs = family.solve(nus.ravel(), np.kron(dec.U_inv, eye).reshape(J * s, dim, sd))
@@ -277,9 +253,9 @@ def weight_matrices_direct(family, tab, alpha, h, n_list, J=None, rho=None):
     return (phases @ kernels.reshape(J, sd * sd)).reshape(len(n_list), sd, sd) / h
 
 
-def weight_rows_direct(family, tab, alpha, h, n_list, J=None, rho=None):
+def weight_rows_direct(family, tab, alpha, h, n_list):
     """Last-row weight blocks w_n = (e_s x Id) W_n as (dim, s*dim) matrices."""
-    w_full = weight_matrices_direct(family, tab, alpha, h, n_list, J, rho)
+    w_full = weight_matrices_direct(family, tab, alpha, h, n_list)
     return w_full[:, (tab.s - 1) * family.dim:, :]
 
 

@@ -11,8 +11,9 @@ Two legs depend on facts outside the solver, and each test states its own:
   transparent boundaries (TBC) needs far more nodes than the pi/2 sector
   of the dense and subdiffusion families for the same accuracy
   (Lopez-Fernandez, Palencia & Schaedle, SIAM J. Numer. Anal. 44, 2006).
-  Each leg runs at the smallest K >= 25 at which the contour error model
-  minimised by `contour.select_parameters` predicts <= 1e-7.
+  Each leg runs at `contour.sized_K`: the smallest K >= 25 at which the
+  contour error model minimised by `contour.select_parameters` predicts
+  <= 1e-7.
 * The 1 -> 4 worker march speedup needs four usable CPUs; on fewer the
   2x gate exceeds the ideal ceiling, so that leg is skipped there. The
   marches now run in the calling thread whatever the worker count, so
@@ -89,30 +90,6 @@ def test_criterion_1_convergence_orders(example1):
     assert elapsed <= 300
 
 
-EQUIVALENCE_K_MIN = 25
-EQUIVALENCE_MODEL_TARGET = 1e-7
-
-
-def contour_error_model(K, Lambda, theta):
-    """Relative hyperbola quadrature error predicted for 2K+1 nodes: the
-    objective eps * eps_K^(rho-1) + eps_K^rho that
-    `contour.select_parameters` minimises, evaluated at its returned
-    parameters, with eps_K = exp(-2 pi d K / a(rho))."""
-    params = contour.select_parameters(K, Lambda, theta)
-    eps = np.finfo(float).eps
-    eps_k = np.exp(-2.0 * np.pi * params.d * params.K / params.a_rho)
-    return float(eps * eps_k ** (params.rho_opt - 1.0) + eps_k**params.rho_opt)
-
-
-def sector_sized_k(Lambda, theta):
-    """Smallest K >= EQUIVALENCE_K_MIN at which the contour error model
-    predicts <= EQUIVALENCE_MODEL_TARGET."""
-    k_nodes = EQUIVALENCE_K_MIN
-    while contour_error_model(k_nodes, Lambda, theta) > EQUIVALENCE_MODEL_TARGET:
-        k_nodes += 1
-    return k_nodes
-
-
 def test_criterion_2_fast_direct_equivalence(example1, example2_small, tbc_problem_small):
     """|fast - direct| <= 1e-6 * max(1, |u|) for all three backends and
     N in {50, 200, 500}, each backend at its sector-sized K. Budget 10
@@ -138,13 +115,12 @@ def test_criterion_2_fast_direct_equivalence(example1, example2_small, tbc_probl
     for name, prob, tab, t_end in cases:
         probe = CQConfig(tableau=tab, h=t_end, N=1)
         theta = probe.resolved_theta(prob.family)
-        k_sized = sector_sized_k(probe.Lambda, theta)
+        k_sized = contour.sized_K(probe.Lambda, theta)
         # (K, relative bound): the criterion at the sector-sized K, plus the
         # model-bounded K=25 run where the sector forces a larger K
         legs = [(k_sized, 1e-6)]
-        if k_sized > EQUIVALENCE_K_MIN:
-            legs.append((EQUIVALENCE_K_MIN,
-                         contour_error_model(EQUIVALENCE_K_MIN, probe.Lambda, theta)))
+        if k_sized > 25:
+            legs.append((25, contour.error_model(25, probe.Lambda, theta)))
         print(f"  {name}: theta={theta:.4f}, sector-sized K={k_sized}")
         for k_nodes, rel_bound in legs:
             for n in (50, 200, 500):

@@ -43,10 +43,12 @@ def test_convergence_invalid_ladder_exit_2(tmp_path):
 
 
 def test_dump_config(capsys):
-    assert run_cli(["convergence", "--K", "30", "--dump-config"]) == 0
-    out = capsys.readouterr().out
-    assert "K=30" in out
-    assert "experiment=convergence" in out
+    for args, expected in ((["convergence", "--K", "30"], ("K=30", "experiment=convergence")),
+                           (["schrodinger"], ("K=None", "experiment=schrodinger"))):
+        assert run_cli([*args, "--dump-config"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line in expected:
+            assert line in out
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -163,17 +163,19 @@ def test_direct_scalar_series_oracle():
     assert abs(u[0] - b.sum()) <= 1e-8
 
 
-def test_direct_trajectory_consistency(example1):
-    cfg = CQConfig(tableau=radau_iia(2), h=0.1, N=30)
-    traj = direct_cq(example1, cfg, return_trajectory=True)
-    final = direct_cq(example1, cfg)
-    assert traj.shape == (31, 2)
-    assert np.max(np.abs(traj[0])) == 0.0
-    assert np.max(np.abs(traj[-1] - final)) <= 1e-9
-    # intermediate value equals a shorter run
-    cfg10 = CQConfig(tableau=radau_iia(2), h=0.1, N=10)
-    final10 = direct_cq(example1, cfg10)
-    assert np.max(np.abs(traj[10] - final10)) <= 1e-9
+def test_direct_matches_weight_assembly(example1, example1_complex):
+    """direct_cq equals h sum_n w_n G_(N-1-n) assembled from the rows of the
+    explicit-matrix circle rule, folded (example 1) and not (complex data)."""
+    tab, h = radau_iia(2), 0.1
+    for prob, folded in ((example1, True), (example1_complex, False)):
+        for n_steps in (30, 10):
+            u = direct_cq(prob, CQConfig(tableau=tab, h=h, N=n_steps))
+            rows = fastcq.weight_rows_direct(prob.family, tab, prob.alpha, h, np.arange(n_steps))
+            table = prob.g.table(n_steps, h, tab.c)
+            samples = (table.block(0, n_steps) @ table.spatial).reshape(n_steps, -1)
+            acc = h * np.einsum("nab,nb->a", rows, samples[::-1])
+            assert np.isrealobj(u) == folded
+            assert np.max(np.abs(u - acc)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
