@@ -8,6 +8,7 @@ discretization and truncation errors against machine precision.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -136,10 +137,12 @@ def error_model(K: int, Lambda: int, theta: float) -> float:
     return float(eps * eps_k ** (params.rho_opt - 1.0) + eps_k**params.rho_opt)
 
 
+@functools.lru_cache(maxsize=64)
 def sized_K(Lambda: int, theta: float) -> int:
     """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 for the
     pi/2 sectors of the dense and spectral families, 64 for the pi/6 sector
-    of the transparent-boundary family at alpha = 3/4."""
+    of the transparent-boundary family at alpha = 3/4. Cached, since every
+    K = None solve asks and the search takes about 5 ms at K = 64."""
     K = _SIZED_K_MIN
     while error_model(K, Lambda, theta) > _SIZED_K_TOL:
         K += 1

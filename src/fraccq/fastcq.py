@@ -22,6 +22,9 @@ both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels. The stage-space work runs on arrays of nodes: one
 stability call per level, one stacked eigen-split of the circle nodes.
+When the operator and the data are both real, both routes solve only the
+upper half of each node set (contour nodes k >= 0, circle nodes
+j = 0..J//2) and fold the conjugate halves in as doubled real parts.
 The paper's independent marches and solves are these stacked numpy and
 LAPACK calls, and every phase of a solve runs in the calling thread.
 """
@@ -167,23 +170,24 @@ def _circle_decomp(zetas, tab, h, alpha):
             zetas[exc.indices] *= 1.0 + 1e-9
 
 
-def _circle_weights(tab, h, alpha, rho, data):
-    """Frequencies and rank-space weights of the circle rule over the
-    J = len(data) circle nodes, for data of shape (J, s, rank).
+def _circle_weights(tab, h, alpha, rho, data, J):
+    """Frequencies and rank-space weights of the circle rule over the first
+    n = len(data) of the J circle nodes zeta_j = rho exp(2 pi i j / J), for
+    data of shape (n, s, rank).
 
     With U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h, the circle sum
     sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j S]_last equals
     sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 data_j)[i],
-    one weighted family.solve. Returns nu (J*s,) and w (J*s, rank), in
-    (node, stage) order. All J nodes make one stacked split: a few LAPACK
+    one weighted family.solve. Returns nu (n*s,) and w (n*s, rank), in
+    (node, stage) order. The n nodes make one stacked split: a few LAPACK
     calls over the stack.
     """
-    J, s, rank = data.shape
-    zetas = rho * np.exp(2j * np.pi * np.arange(J) / J)
+    n, s, rank = data.shape
+    zetas = rho * np.exp(2j * np.pi * np.arange(n) / J)
 
     def node_weights(nodes):
         dec, nus = _circle_decomp(nodes, tab, h, alpha)
-        return nus.ravel(), (dec.U[:, -1, :, None] * (dec.U_inv @ data)).reshape(J * s, rank)
+        return nus.ravel(), (dec.U[:, -1, :, None] * (dec.U_inv @ data)).reshape(n * s, rank)
 
     [(nus, weights)] = parallel_map(node_weights, [zetas], 1)
     return nus, weights
@@ -195,28 +199,40 @@ def _circle_sum(problem: Problem, tab, h, table, terms, J):
 
     Takes one DFT of the rho-scaled sequence of time factors and sums the
     s decoupled systems of every circle node in one weighted solve
-    (_circle_weights). The result is real when the operator and the data are.
+    (_circle_weights). When the operator and the data are both real, the
+    sequence is real, so node J-j is the conjugate of node j in its DFT
+    value, its split and its solve: only nodes j = 0..J//2 are computed
+    (one rfft), j = 1..(J-1)//2 with doubled weight, and the real part of
+    the sum is returned. Returns the sum and the system count, s times the
+    nodes solved.
     """
     fam = problem.family
+    fold = fam.is_real and table.is_real
     rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
     blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
-    seq = np.zeros((J, tab.s, table.rank), dtype=complex)
-    seq[:terms] = blk[::-1] * (rho ** -np.arange(terms))[:, None, None] / J
-    hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
-    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hat)
+    rev = blk[::-1].real if fold else blk[::-1]
+    seq = np.zeros((J, tab.s, table.rank), dtype=rev.dtype)
+    seq[:terms] = rev * (rho ** -np.arange(terms))[:, None, None] / J
+    if fold:
+        hat = np.fft.rfft(seq, axis=0)  # hat_j for j = 0..J//2 only
+        hat[1:(J + 1) // 2] *= 2.0  # node j stands for itself and node J-j
+    else:
+        hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
+    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hat, J)
     u = fam.solve(nus, table.spatial.T, weights=weights)
-    return u.real.copy() if fam.is_real and table.is_real else u
+    return (u.real.copy() if fold else u), tab.s * len(hat)
 
 
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
     """Contribution of the first m_0 weights via the circle rule at config.J
     nodes (_circle_sum). Returns the length-dim vector, real when the
-    operator and the data are, and the system count s*J.
+    operator and the data are, and the system count: s*(J//2+1) when
+    _circle_sum folds the conjugate nodes, s*J otherwise.
     """
     tab = config.tableau
     if table is None:
         table = problem.g.table(config.N, config.h, tab.c)
-    return _circle_sum(problem, tab, config.h, table, plan.m[0], config.J), tab.s * config.J
+    return _circle_sum(problem, tab, config.h, table, plan.m[0], config.J)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
@@ -224,12 +240,13 @@ def direct_cq(problem: Problem, config: CQConfig):
 
     The first block over all N weights (_circle_sum) at the oracle-grade
     J = max(4N, 256): no contour, level plan or march, and config.K,
-    Lambda, kappa and J are not read. The result is real when the operator
-    and the data are.
+    Lambda, kappa and J are not read. When the operator and the data are
+    both real, only the J//2+1 nodes of the upper half circle are solved and
+    the result is real.
     """
     tab = config.tableau
     table = problem.g.table(config.N, config.h, tab.c)
-    return _circle_sum(problem, tab, config.h, table, config.N, max(4 * config.N, 256))
+    return _circle_sum(problem, tab, config.h, table, config.N, max(4 * config.N, 256))[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraccq import fastcq, operators
+from fraccq import contour, fastcq, operators
 from fraccq.contour import (
     ContourParams, level_contours, level_nodes, mu_level, select_parameters, theta1,
 )
@@ -179,3 +179,23 @@ def test_scalar_weight_sum_matches_direct_oracle():
                     err = np.max(np.abs(wc - direct[n]))
                     assert err <= 1e-9 * (n * h) ** (alpha - 1)
 
+
+
+def test_sized_K_is_cached_with_a_bound(monkeypatch):
+    """A second sized_K call with the same arguments runs no error_model
+    search, and the cache keeps a finite number of answers."""
+    calls = []
+    original = contour.error_model
+
+    def counting_error_model(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(contour, "error_model", counting_error_model)
+    contour.sized_K.cache_clear()
+    theta = np.pi / 6 * (1 - 1e-9)
+    assert contour.sized_K(5, theta) == 64
+    assert len(calls) == 64 - 25 + 1
+    assert contour.sized_K(5, theta) == 64
+    assert len(calls) == 64 - 25 + 1
+    assert contour.sized_K.cache_info().maxsize is not None

@@ -74,11 +74,17 @@ def test_config_validation():
         CQConfig(tableau=tab, h=-0.1, N=10)
 
 
-def test_runstats_counters(example1):
+def test_runstats_counters(example1, example1_complex):
+    """Real problems count the folded nodes (K+1 per level, J//2+1 circle
+    nodes); complex data count all 2K+1 and all J."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=1000, K=25)
     _, stats = fast_solve(example1, cfg)
     assert stats.resolvent_solves == 3 * 26
     assert stats.rk_steps == 26 * (1000 - 21)
+    assert stats.first_block_solves == 3 * 81
+    _, stats = fast_solve(example1_complex, cfg)
+    assert stats.resolvent_solves == 3 * 51
+    assert stats.rk_steps == 51 * (1000 - 21)
     assert stats.first_block_solves == 3 * 160
 
 
@@ -189,7 +195,46 @@ def test_first_block_zero_samples():
     plan = plan_levels(40, cfg.kappa, cfg.Lambda)
     u0, solves = first_block(prob, cfg, plan)
     assert np.max(np.abs(u0)) == 0.0
-    assert solves == 3 * 160
+    assert solves == 3 * 81
+
+
+@pytest.mark.parametrize("J", [160, 161])
+def test_circle_fold_equals_the_unfolded_rule(example1, example1_complex, monkeypatch, J):
+    """On a real problem the circle rule splits and solves only nodes
+    j = 0..J//2 (odd J has no self-conjugate node J/2), and the folded
+    first block equals the unfolded one on the data times 1 + i, divided
+    by 1 + i, within 1e-12 relative."""
+    from fraccq import smallmat
+    tab, h, n_steps = radau_iia(3), 0.05, 40
+    cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=25, J=J)
+    plan = plan_levels(n_steps, cfg.kappa, cfg.Lambda)
+    original = smallmat.eig_small
+    stacks = []
+
+    def recording_eig_small(stack):
+        stacks.append(len(stack))
+        return original(stack)
+
+    monkeypatch.setattr(smallmat, "eig_small", recording_eig_small)
+    u_real, solves_real = first_block(example1, cfg, plan)
+    assert stacks == [J // 2 + 1] and solves_real == 3 * (J // 2 + 1)
+    u_cplx, solves_cplx = first_block(example1_complex, cfg, plan)
+    assert stacks == [J // 2 + 1, J] and solves_cplx == 3 * J
+    assert np.isrealobj(u_real) and np.iscomplexobj(u_cplx)
+    ref = u_cplx / (1 + 1j)
+    assert np.max(np.abs(u_real - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_direct_fold_equals_the_unfolded_rule(example1, example1_complex):
+    """direct_cq on example 1 (folded, J = 256 and 800 circle nodes) equals
+    direct_cq on the data times 1 + i, divided by 1 + i, within 1e-12
+    relative."""
+    for n_steps in (40, 200):
+        cfg = CQConfig(tableau=radau_iia(3), h=0.05, N=n_steps)
+        u_real = direct_cq(example1, cfg)
+        ref = direct_cq(example1_complex, cfg) / (1 + 1j)
+        assert np.isrealobj(u_real)
+        assert np.max(np.abs(u_real - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_single_weight_edge_matches_direct(example1):
