@@ -68,6 +68,7 @@ def _a_of_rho(rho, Lambda, phi):
     return np.arccosh(Lambda / ((1.0 - rho) * np.sin(phi)))
 
 
+@functools.lru_cache(maxsize=64)
 def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     """Pick phi, d, rho_opt and tau for 2K+1 nodes and growth factor Lambda.
 
@@ -76,6 +77,10 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     with eps_K(rho) = exp(-2*pi*d*K / a(rho)) and
     a(rho) = arccosh(Lambda / ((1-rho) sin(phi))), located by a dense scan
     over (0,1) followed by golden-section refinement.
+
+    Cached, since every solve with a level asks and the scan takes about
+    0.14 ms; callers share the frozen ContourParams, and the warning for an
+    objective monotone over (0,1) comes from the first call per arguments.
     """
     if K < 2:
         raise ConfigError(f"need K >= 2 quadrature points, got K={K}")

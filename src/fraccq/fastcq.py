@@ -22,6 +22,9 @@ both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels. The stage-space work runs on arrays of nodes: one
 stability call per level, one stacked eigen-split of the circle nodes.
+It is a split of Delta(zeta_j), which depends on the tableau and J but
+not on h or N, so solves at one tableau and J split their circle nodes
+once per process (smallmat.eig_small keeps the last split).
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -152,18 +155,21 @@ def parallel_map(fn, tasks, workers):
 
 
 def _circle_decomp(zetas, tab, h, alpha):
-    """One stacked eigen-split of Delta(zeta_j)/h over an array of nodes,
-    with powered eigenvalues.
+    """One stacked eigen-split Delta(zeta_j) = U_j diag(d_j) U_j^-1 over an
+    array of nodes, with the powered eigenvalues (d_j/h)^alpha of
+    Delta(zeta_j)/h.
 
-    Nodes whose split is defective or has an eigenvalue on the branch cut
+    The split does not depend on h, so solves at one tableau and J share it
+    (the kept split of smallmat.eig_small); its checks are relative and do
+    not change under the scale 1/h. Nodes whose split is defective or has an eigenvalue on the branch cut
     are moved radially by a part in 1e9, once, and the stack is split
     again; LAPACK splits each matrix on its own, so the others keep their bits.
     """
     zetas = np.array(zetas, dtype=complex)
     for retry in (True, False):
         try:
-            dec = smallmat.eig_small(tableau_mod.delta(zetas, tab) / h)
-            return dec, smallmat.power_alpha(dec.d, alpha)
+            dec = smallmat.eig_small(tableau_mod.delta(zetas, tab))
+            return dec, smallmat.power_alpha(dec.d / h, alpha)
         except (DecompositionError, BranchCutError) as exc:
             if not retry:
                 raise
@@ -180,7 +186,7 @@ def _circle_weights(tab, h, alpha, rho, data, J):
     sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 data_j)[i],
     one weighted family.solve. Returns nu (n*s,) and w (n*s, rank), in
     (node, stage) order. The n nodes make one stacked split: a few LAPACK
-    calls over the stack.
+    calls over the stack, or none when these nodes were split last.
     """
     n, s, rank = data.shape
     zetas = rho * np.exp(2j * np.pi * np.arange(n) / J)
@@ -227,7 +233,8 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     """Contribution of the first m_0 weights via the circle rule at config.J
     nodes (_circle_sum). Returns the length-dim vector, real when the
     operator and the data are, and the system count: s*(J//2+1) when
-    _circle_sum folds the conjugate nodes, s*J otherwise.
+    _circle_sum folds the conjugate nodes, s*J otherwise. Calls at one
+    tableau and J, at any h and N, reuse one circle split.
     """
     tab = config.tableau
     if table is None:

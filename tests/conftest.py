@@ -7,6 +7,16 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import fraccq  # noqa: E402
+from fraccq import contour, smallmat  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Each test starts without a kept circle split or cached contour
+    parameters, so no result depends on which test ran before it."""
+    smallmat._kept = None
+    contour.select_parameters.cache_clear()
+    contour.sized_K.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +35,20 @@ def tbc_problem_small():
     problem0 = fraccq.example3_problem(101, 2.0)
     problem, offset = fraccq.transform_initial(problem0)
     return problem
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes of the stacks handed to np.linalg.eig during the test."""
+    calls = []
+    original = np.linalg.eig
+
+    def counting_eig(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return calls
 
 
 @pytest.fixture

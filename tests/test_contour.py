@@ -199,3 +199,12 @@ def test_sized_K_is_cached_with_a_bound(monkeypatch):
     assert contour.sized_K(5, theta) == 64
     assert len(calls) == 64 - 25 + 1
     assert contour.sized_K.cache_info().maxsize is not None
+
+
+def test_select_parameters_is_cached_with_a_bound():
+    """A second call with the same arguments returns the identical
+    ContourParams, and the cache keeps a finite number of answers."""
+    first = select_parameters(25, 5, HALF_PI)
+    assert select_parameters(25, 5, HALF_PI) is first
+    assert select_parameters(26, 5, HALF_PI) is not first
+    assert contour.select_parameters.cache_info().maxsize is not None

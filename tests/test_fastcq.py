@@ -13,7 +13,7 @@ from fraccq import (
     rk_march_scalar,
     transform_initial,
 )
-from fraccq import caputo, fastcq
+from fraccq import caputo, fastcq, smallmat
 from fraccq.errors import ConfigError, PoleError
 from fraccq.operators import (
     ConstantInhomogeneity,
@@ -588,3 +588,40 @@ def test_circle_decomp_gives_up_after_one_perturbation(monkeypatch):
     monkeypatch.setattr(smallmat, "eig_small", always_fail)
     with pytest.raises(DecompositionError):
         fastcq._circle_decomp(np.array([0.5, 0.5j]), radau_iia(2), 0.1, 0.5)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_circle_split_does_not_depend_on_h(s):
+    """At every h the split of Delta(zeta) gives the eigenvalues of
+    Delta(zeta)/h, powered, within 1e-13 relative per node, and
+    U diag(d/h) U^-1 rebuilds Delta(zeta)/h within 1e-12 relative."""
+    from fraccq.tableau import delta
+    tab, alpha, J = radau_iia(s), 0.5, 160
+    zetas = fastcq._EPS ** (1.0 / (2 * J)) * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
+    def by_imag(x):
+        return np.take_along_axis(x, np.argsort(x.imag, axis=-1), axis=-1)
+
+    for h in (0.1, 1e-3):
+        dec, nus = fastcq._circle_decomp(zetas, tab, h, alpha)
+        mats = delta(zetas, tab) / h
+        got = by_imag(nus)
+        want = by_imag(smallmat.power_alpha(np.linalg.eigvals(mats), alpha))
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
+        recon = (dec.U * (dec.d / h)[:, None, :]) @ dec.U_inv
+        mag = np.max(np.abs(mats), axis=(-2, -1))
+        assert np.max(np.max(np.abs(recon - mats), axis=(-2, -1)) / mag) <= 1e-12
+
+
+def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
+    """fast_solve at N = 40, 80, 160 with one J splits the circle stack once;
+    at J = 160, 161, 160 three times, since only the last split is kept."""
+    tab = radau_iia(3)
+    for n_steps in (40, 80, 160):
+        fast_solve(example1, CQConfig(tableau=tab, h=1.0 / n_steps, N=n_steps, K=25))
+    assert eig_calls == [(81, 3, 3)]
+    smallmat._kept = None
+    eig_calls.clear()
+    for J in (160, 161, 160):
+        fast_solve(example1, CQConfig(tableau=tab, h=0.025, N=40, K=25, J=J))
+    assert eig_calls == [(81, 3, 3)] * 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraccq import radau_iia
+from fraccq import radau_iia, smallmat
 from fraccq.errors import BranchCutError, DecompositionError, DomainError
 from fraccq.smallmat import eig_small, power_alpha
 from fraccq.tableau import delta
@@ -131,3 +131,32 @@ def test_power_alpha_names_the_rows_on_the_cut():
     with pytest.raises(BranchCutError) as info:
         power_alpha(d, 0.5)
     assert info.value.indices.tolist() == [1, 2]
+
+
+def test_kept_split_is_bit_identical_and_read_only(eig_calls):
+    """A repeated stack returns the kept split without a LAPACK call; it
+    equals a fresh split bit for bit, its arrays are read-only, and a stack
+    changed in place after the call is split again."""
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+    kept = eig_small(stack)
+    assert eig_small(stack.copy()) is kept and len(eig_calls) == 1
+    smallmat._kept = None
+    fresh = eig_small(stack)
+    assert len(eig_calls) == 2
+    for name in ("U", "d", "U_inv"):
+        assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(kept, name)[0] = 0.0
+    stack[4, 0, 0] += 1.0
+    assert eig_small(stack) is not fresh and len(eig_calls) == 3
+    assert eig_small(stack[:5]) is not fresh and len(eig_calls) == 4
+
+
+def test_failed_split_is_not_kept(eig_calls):
+    """A stack that fails its checks is split, and fails, on every call."""
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for calls in (1, 2):
+        with pytest.raises(DecompositionError):
+            eig_small(jordan)
+        assert len(eig_calls) == calls
