@@ -69,12 +69,14 @@ class Flag(NamedTuple):
     rule: str = ""
 
 
+_POSITIVE = Flag(float, lambda v: 0.0 < v < np.inf, "be finite and positive")
+
 # Every flag, stated once. Booleans are switches on the command line
 # and true/false in a file.
 _FLAGS = {
     "alpha": Flag(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "h": Flag(float, lambda v: v > 0.0, "be positive"),
-    "t_end": Flag(float),
+    "h": _POSITIVE,
+    "t_end": _POSITIVE,
     "steps": Flag(step_list),
     "method": Flag(str, lambda v: v in _DEFAULT_LADDERS,
                    f"be one of {', '.join(_DEFAULT_LADDERS)}"),
@@ -83,7 +85,7 @@ _FLAGS = {
     "kappa": Flag(int, lambda v: v >= 1, "be >= 1"),
     "J": Flag(int),
     "grid": Flag(int),
-    "a_half": Flag(float),
+    "a_half": _POSITIVE,
     "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
     "bound": Flag(float),
     "reference": Flag(boolean),
@@ -91,35 +93,24 @@ _FLAGS = {
     "format": Flag(str, lambda v: v in ("csv", "json"), "be csv or json"),
 }
 
-# Every experiment's flags with their defaults: an experiment accepts
-# exactly these. convergence method = None runs all three methods;
-# subdiffusion J = None resolves to kappa + 2; schrodinger K = None runs
-# the K that fast_solve sizes by the sector (64); weights K = None runs the
-# K ladder (10, 15, 20, 25).
-_EXPERIMENTS = {
-    "convergence": {
-        "t_end": 10.0, "h": None, "steps": None, "method": None,
-        "K": 25, "Lambda": 5, "kappa": 20, "J": 160,
-        "out": None, "format": None,
-    },
-    "subdiffusion": {
-        "grid": 16, "t_end": 123.45, "steps": (1000, 10000, 100000), "method": "radau5",
-        "K": 20, "Lambda": 5, "kappa": 12, "J": None,
-        "repeats": 3, "bound": 0.05, "out": None, "format": None,
-    },
-    "schrodinger": {
-        "grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
-        "method": "radau5", "K": None, "Lambda": 5, "kappa": 20, "J": 80,
-        "reference": False, "out": None, "format": None,
-    },
-    "weights": {
-        "alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5",
-        "steps": (0, 1, 2, 4, 8, 12, 16, 20, 21, 25, 30, 40, 60, 90, 130, 200, 300,
-                  450, 700, 1000),
-        "K": None, "Lambda": 5, "kappa": 20, "out": None, "format": None,
-    },
-    "selftest": {},
-}
+
+class Experiment(NamedTuple):
+    """One experiment, stated once.
+
+    flags maps each flag the experiment reads to its default; compute
+    takes the resolved spec. output is the CSV header of the rows compute
+    returns, "json" for a nested report written as JSON only, or None when
+    compute prints its own lines and returns the exit code. rules are
+    (key, valid, rule) checks the experiment adds to the flags' own.
+    """
+
+    flags: dict
+    compute: Callable[[dict], object]
+    output: tuple | str | None
+    rules: tuple = ()
+
+
+_STEP_COUNTS = ("steps", lambda v: min(v) >= 1, "hold step counts N >= 1")
 
 
 def read_config_file(path, keys=_FLAGS):
@@ -156,9 +147,9 @@ def build_parser():
         description="Experiments for the fast Runge-Kutta convolution quadrature solver.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, defaults in _EXPERIMENTS.items():
+    for name, experiment in _EXPERIMENTS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for key in defaults:
+        for key in experiment.flags:
             if _FLAGS[key].parse is boolean:
                 p.add_argument(f"--{key}", action="store_const", const=True)
             else:
@@ -171,7 +162,8 @@ def build_parser():
 
 def resolve_spec(args):
     """experiment defaults < config file < explicitly passed flags."""
-    defaults = _EXPERIMENTS[args.experiment]
+    experiment = _EXPERIMENTS[args.experiment]
+    defaults = experiment.flags
     spec = dict(defaults)
     if args.config:
         spec.update(read_config_file(args.config, defaults))
@@ -181,19 +173,23 @@ def resolve_spec(args):
             spec[key] = value
     if "J" in spec and spec["J"] is None:
         spec["J"] = spec["kappa"] + 2
-    _validate(spec)
+    _validate(spec, experiment)
     spec["experiment"] = args.experiment
     return spec
 
 
-def _validate(spec):
-    """Reject invalid values before any computation starts."""
-    for key, value in spec.items():
-        flag = _FLAGS[key]
-        if value is not None and flag.valid is not None and not flag.valid(value):
-            raise ConfigError(f"{key} must {flag.rule}, got {value}")
+def _validate(spec, experiment):
+    """Reject invalid values before any computation starts: each flag's
+    own check, then the experiment's rules."""
+    checks = [(key, _FLAGS[key].valid, _FLAGS[key].rule) for key in spec]
+    for key, valid, rule in checks + list(experiment.rules):
+        value = spec[key]
+        if value is not None and valid is not None and not valid(value):
+            raise ConfigError(f"{key} must {rule}, got {value}")
     if "J" in spec and spec["J"] < spec["kappa"] + 1:
         raise ConfigError(f"J must be >= kappa+1, got J={spec['J']} kappa={spec['kappa']}")
+    if experiment.output == "json" and spec["format"] == "csv":
+        raise ConfigError("the report is nested; only json is supported")
 
 
 def _write_csv(path, schema, header, rows):
@@ -228,8 +224,15 @@ def _emit_rows(spec, schema, header, rows):
                     {"header": list(header), "rows": [list(r) for r in rows]})
 
 
+def _cq_config(spec, tab, N, h, **fixed):
+    """The CQConfig of one solve: N steps of size h with the spec's K,
+    Lambda, kappa and J, each unless fixed here."""
+    params = {key: spec[key] for key in ("K", "Lambda", "kappa", "J")} | fixed
+    return fastcq.CQConfig(tableau=tab, h=h, N=N, **params)
+
+
 # ---------------------------------------------------------------------------
-# convergence
+# experiments
 
 
 def convergence_rows(spec, problem=None):
@@ -241,21 +244,10 @@ def convergence_rows(spec, problem=None):
     rows = []
     for method in methods:
         tab = tableau_mod.by_name(method)
-        steps = spec["steps"] or _DEFAULT_LADDERS[method]
-        if spec["h"] is not None:
-            for n in steps:
-                if abs(n * spec["h"] - t_end) > 1e-9 * max(1.0, t_end):
-                    raise ConfigError(
-                        f"ladder entry N={n} with h={spec['h']} misses t_end={t_end}"
-                    )
         log_h, log_e = [], []
-        for n in steps:
+        for n in spec["steps"] or _DEFAULT_LADDERS[method]:
             h = t_end / n
-            cfg = fastcq.CQConfig(
-                tableau=tab, h=h, N=n, K=spec["K"], Lambda=spec["Lambda"],
-                kappa=spec["kappa"], J=spec["J"],
-            )
-            u, _ = fastcq.fast_solve(problem, cfg)
+            u, _ = fastcq.fast_solve(problem, _cq_config(spec, tab, n, h))
             err = float(np.max(np.abs(u - problem.u_exact(t_end))))
             note = "direct-only" if n <= spec["kappa"] + 1 else ""
             log_h.append(np.log(h))
@@ -267,32 +259,14 @@ def convergence_rows(spec, problem=None):
     return rows
 
 
-def run_convergence(spec):
-    rows = convergence_rows(spec)
-    _emit_rows(
-        spec, "convergence",
-        ("method", "s", "h", "N", "K", "error_inf", "fitted_slope_so_far", "note"),
-        rows,
-    )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# subdiffusion timing
-
-
 def subdiffusion_report(spec, problem=None):
-    grid, t_end, steps = spec["grid"], spec["t_end"], spec["steps"]
-    K, kappa, J = spec["K"], spec["kappa"], spec["J"]
-    repeats = spec["repeats"]
+    grid, t_end, repeats = spec["grid"], spec["t_end"], spec["repeats"]
     if problem is None:
         problem = caputo.example2_problem(grid, t_max=t_end * 1.01).problem
     tab = tableau_mod.by_name(spec["method"])
 
     def timed_run(n):
-        cfg = fastcq.CQConfig(
-            tableau=tab, h=t_end / n, N=n, K=K, Lambda=spec["Lambda"], kappa=kappa, J=J,
-        )
+        cfg = _cq_config(spec, tab, n, t_end / n)
         table = problem.g.table(n, cfg.h, tab.c)  # shared by the repeats
         runs = [fastcq.fast_solve(problem, cfg, table) for _ in range(repeats)]
         u, stats = runs[-1]
@@ -313,7 +287,7 @@ def subdiffusion_report(spec, problem=None):
             "timing_flagged": flagged,
         }
 
-    ladder = [timed_run(n) for n in steps]
+    ladder = [timed_run(n) for n in spec["steps"]]
     for rung in ladder:
         if rung["error_inf"] > spec["bound"]:
             raise FracCQError(
@@ -323,28 +297,14 @@ def subdiffusion_report(spec, problem=None):
         "grid": grid,
         "t_end": t_end,
         "method": tab.name,
-        "K": K,
-        "kappa": kappa,
-        "J": J,
-        "repeats": repeats,
+        **{key: spec[key] for key in ("K", "kappa", "J", "repeats")},
         "n_ladder": ladder,
     }
 
 
-def run_subdiffusion(spec):
-    if spec["format"] == "csv":
-        raise ConfigError("the subdiffusion report is nested; only json is supported")
-    _write_json(spec["out"], "subdiffusion", subdiffusion_report(spec))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# schrodinger snapshots
-
-
 def schrodinger_rows(spec):
     n_points, a_half, alpha = spec["grid"], spec["a_half"], spec["alpha"]
-    h, t_end, K, J = spec["h"], spec["t_end"], spec["K"], spec["J"]
+    h, t_end = spec["h"], spec["t_end"]
     snap_times = [t_end * (i + 1) / 20 for i in range(20)]
     for t in snap_times:
         n = t / h
@@ -355,7 +315,7 @@ def schrodinger_rows(spec):
     problem, offset = fastcq.transform_initial(problem0)
     grid_x = problem.family.x
 
-    reference = None
+    tab = tableau_mod.by_name(spec["method"])
     if spec["reference"]:
         ref_points = 2 * (n_points - 1) + 1
         ref0 = caputo.example3_problem(ref_points, 4.0 * a_half, alpha)
@@ -366,48 +326,26 @@ def schrodinger_rows(spec):
         idx_run = np.flatnonzero(np.abs(ref_x[nearest] - grid_x) < 1e-9)
         if not idx_run.size:
             raise ConfigError("reference grid does not align with the run grid")
-        reference = (ref_problem, ref_offset, nearest[idx_run], idx_run)
+        idx_ref = nearest[idx_run]
+
+    def snapshot(prob, off, n, **fixed):
+        """v = u + u0 at t = n h; the transformed unknown u vanishes at t = 0,
+        so there |v| = |u0| exactly."""
+        if n == 0:
+            return off
+        return fastcq.fast_solve(prob, _cq_config(spec, tab, n, h, **fixed))[0] + off
 
     rows = []
-    tab = tableau_mod.by_name(spec["method"])
-    # t = 0 snapshot: the transformed unknown vanishes, so |v| = |u0| exactly
-    zero_err = [""] * n_points
-    if reference is not None:
-        ref_problem, ref_offset, idx_ref, idx_run = reference
-        for i_run, i_ref in zip(idx_run, idx_ref):
-            zero_err[i_run] = float(abs(offset[i_run] - ref_offset[i_ref]))
-    for i, x in enumerate(grid_x):
-        rows.append((0.0, float(x), float(abs(offset[i])), zero_err[i]))
-    for t in snap_times:
+    for t in [0.0, *snap_times]:
         n = int(round(t / h))
-        cfg = fastcq.CQConfig(
-            tableau=tab, h=h, N=n, K=K, Lambda=spec["Lambda"], kappa=spec["kappa"], J=J,
-        )
-        u, _ = fastcq.fast_solve(problem, cfg)
-        v = u + offset
+        v = snapshot(problem, offset, n)
         err_col = [""] * n_points
-        if reference is not None:
-            ref_problem, ref_offset, idx_ref, idx_run = reference
-            cfg_ref = fastcq.CQConfig(
-                tableau=tab, h=h, N=n, K=110, Lambda=spec["Lambda"], kappa=60, J=240,
-            )
-            u_ref, _ = fastcq.fast_solve(ref_problem, cfg_ref)
-            v_ref = u_ref + ref_offset
+        if spec["reference"]:
+            v_ref = snapshot(ref_problem, ref_offset, n, K=110, kappa=60, J=240)
             for i_run, i_ref in zip(idx_run, idx_ref):
                 err_col[i_run] = float(abs(v[i_run] - v_ref[i_ref]))
-        for i, x in enumerate(grid_x):
-            rows.append((t, float(x), float(abs(v[i])), err_col[i]))
+        rows.extend((t, float(x), float(abs(v[i])), err_col[i]) for i, x in enumerate(grid_x))
     return rows
-
-
-def run_schrodinger(spec):
-    rows = schrodinger_rows(spec)
-    _emit_rows(spec, "schrodinger", ("t", "x", "abs_u", "abs_err"), rows)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# weight diagnostics
 
 
 def weights_rows(spec):
@@ -453,16 +391,6 @@ def weights_rows(spec):
             err = float(np.max(np.abs(w_c - w_direct[n])))
             rows.append((n, K, ell, err, note))
     return rows
-
-
-def run_weights(spec):
-    rows = weights_rows(spec)
-    _emit_rows(spec, "weights", ("n", "K", "level", "err_inf", "note"), rows)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# selftest
 
 
 def selftest_checks():
@@ -577,36 +505,78 @@ def run_selftest(spec):
 
 # ---------------------------------------------------------------------------
 
+# Every experiment: its flags with their defaults (it accepts exactly
+# these), its function and its output. convergence method = None runs all
+# three methods; subdiffusion J = None resolves to kappa + 2; schrodinger
+# K = None runs the K that fast_solve sizes by the sector (64); weights
+# K = None runs the K ladder (10, 15, 20, 25). weights --steps are weight
+# indices n, so index 0 (W_0) is valid; the transparent boundary of
+# schrodinger needs alpha < 1.
+_EXPERIMENTS = {
+    "convergence": Experiment(
+        {"t_end": 10.0, "steps": None, "method": None,
+         "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "out": None, "format": None},
+        convergence_rows,
+        ("method", "s", "h", "N", "K", "error_inf", "fitted_slope_so_far", "note"),
+        rules=(_STEP_COUNTS,),
+    ),
+    "subdiffusion": Experiment(
+        {"grid": 16, "t_end": 123.45, "steps": (1000, 10000, 100000), "method": "radau5",
+         "K": 20, "Lambda": 5, "kappa": 12, "J": None,
+         "repeats": 3, "bound": 0.05, "out": None, "format": None},
+        subdiffusion_report,
+        "json",
+        rules=(_STEP_COUNTS,),
+    ),
+    "schrodinger": Experiment(
+        {"grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
+         "method": "radau5", "K": None, "Lambda": 5, "kappa": 20, "J": 80,
+         "reference": False, "out": None, "format": None},
+        schrodinger_rows,
+        ("t", "x", "abs_u", "abs_err"),
+        rules=(("alpha", lambda v: v < 1.0, "lie in (0, 1)"),),
+    ),
+    "weights": Experiment(
+        {"alpha": 0.5, "h": 0.01, "t_end": 10.0, "method": "radau5",
+         "steps": (0, 1, 2, 4, 8, 12, 16, 20, 21, 25, 30, 40, 60, 90, 130, 200, 300,
+                   450, 700, 1000),
+         "K": None, "Lambda": 5, "kappa": 20, "out": None, "format": None},
+        weights_rows,
+        ("n", "K", "level", "err_inf", "note"),
+    ),
+    "selftest": Experiment({}, run_selftest, None),
+}
+
 
 def main(argv=None):
+    """Parse, resolve and validate the spec, compute, and write the result
+    in the experiment's output form."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (2)
         return exc.code
+    name = args.experiment
+    experiment = _EXPERIMENTS[name]
     try:
         spec = resolve_spec(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.dump_config:
-        for key in sorted(spec):
-            print(f"{key}={spec[key]}")
-        return 0
-    runners = {
-        "convergence": run_convergence,
-        "subdiffusion": run_subdiffusion,
-        "schrodinger": run_schrodinger,
-        "weights": run_weights,
-        "selftest": run_selftest,
-    }
-    try:
-        return runners[spec["experiment"]](spec)
+        if args.dump_config:
+            for key in sorted(spec):
+                print(f"{key}={spec[key]}")
+            return 0
+        result = experiment.compute(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FracCQError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    if experiment.output is None:
+        return result
+    if experiment.output == "json":
+        _write_json(spec["out"], name, result)
+    else:
+        _emit_rows(spec, name, experiment.output, result)
+    return 0
 
 
 if __name__ == "__main__":

@@ -72,10 +72,10 @@ class CQConfig:
     workers: int = 1  # reaches no phase of a solve; kept only because perfbench sets it
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ConfigError(f"step size must be positive, got h={self.h}")
-        if self.N < 1:
-            raise ConfigError(f"need at least one step, got N={self.N}")
+        if not 0.0 < self.h < np.inf:
+            raise ConfigError(f"step size must be finite and positive, got h={self.h}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ConfigError(f"need an integer number of steps N >= 1, got N={self.N}")
         if self.K is not None and self.K < 2:
             raise ConfigError(f"need K >= 2, got K={self.K}")
         if self.Lambda < 2:
@@ -229,17 +229,36 @@ def _circle_sum(problem: Problem, tab, h, table, terms, J):
     return (u.real.copy() if fold else u), tab.s * len(hat)
 
 
+def _stage_table(problem: Problem, config: CQConfig, table=None):
+    """The stage table a solve reads: problem.g's at the solve's N, h and
+    stage nodes c, or the caller's one, which must have been sampled there.
+
+    The table carries no initial data, so a problem with nonzero u0 is
+    refused; transform_initial moves u0 into the data.
+    """
+    if problem.has_initial:
+        raise ConfigError("problem carries nonzero initial data; apply transform_initial first")
+    tab = config.tableau
+    if table is None:
+        return problem.g.table(config.N, config.h, tab.c)
+    if (table.N, table.h) != (config.N, config.h) or not np.array_equal(table.c, tab.c):
+        raise ConfigError(
+            f"stage table sampled at N={table.N}, h={table.h}, c={table.c}; "
+            f"the solve runs N={config.N}, h={config.h}, c={tab.c}"
+        )
+    return table
+
+
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
     """Contribution of the first m_0 weights via the circle rule at config.J
     nodes (_circle_sum). Returns the length-dim vector, real when the
     operator and the data are, and the system count: s*(J//2+1) when
     _circle_sum folds the conjugate nodes, s*J otherwise. Calls at one
-    tableau and J, at any h and N, reuse one circle split.
+    tableau and J, at any h and N, reuse one circle split. A passed table
+    must match the solve (_stage_table).
     """
-    tab = config.tableau
-    if table is None:
-        table = problem.g.table(config.N, config.h, tab.c)
-    return _circle_sum(problem, tab, config.h, table, plan.m[0], config.J)
+    table = _stage_table(problem, config, table)
+    return _circle_sum(problem, config.tableau, config.h, table, plan.m[0], config.J)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
@@ -249,11 +268,11 @@ def direct_cq(problem: Problem, config: CQConfig):
     J = max(4N, 256): no contour, level plan or march, and config.K,
     Lambda, kappa and J are not read. When the operator and the data are
     both real, only the J//2+1 nodes of the upper half circle are solved and
-    the result is real.
+    the result is real. Nonzero initial data are refused, as in fast_solve.
     """
-    tab = config.tableau
-    table = problem.g.table(config.N, config.h, tab.c)
-    return _circle_sum(problem, tab, config.h, table, config.N, max(4 * config.N, 256))[0]
+    table = _stage_table(problem, config)
+    return _circle_sum(problem, config.tableau, config.h, table, config.N,
+                       max(4 * config.N, 256))[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
@@ -387,12 +406,11 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     conjugate of that of node k, so only the upper half k >= 0 of each
     contour is computed and the conjugate pairs are folded in as doubled
     real parts; otherwise all 2K+1 nodes are. A caller solving the same N,
-    h and tableau repeatedly may pass the stage table of problem.g.
+    h and tableau repeatedly may pass the stage table of problem.g; one
+    sampled at another N, h or set of stage nodes raises ConfigError.
     """
     fam = problem.family
     alpha = problem.alpha
-    if problem.has_initial:
-        raise ConfigError("problem carries nonzero initial data; apply transform_initial first")
     tab = config.tableau
     N, h = config.N, config.h
 
@@ -400,8 +418,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     K = config.resolved_K(fam)
     stats = RunStats(K=K)
     plan = plan_levels(N, config.kappa, config.Lambda)
-    if table is None:
-        table = problem.g.table(N, h, tab.c)
+    table = _stage_table(problem, config, table)
     levels = contour.level_contours(plan.L, K, config.Lambda, config.resolved_theta(fam),
                                     h, config.kappa)
     _check_spectrum_clearance(levels, tab, h)

@@ -28,12 +28,14 @@ class OperatorFamily(ABC):
 
     solve() keeps no state between calls. is_real states that A and M have
     no imaginary part, so that with real data the resolvents at conjugate
-    frequencies give conjugate solutions.
+    frequencies give conjugate solutions. alpha is the fractional order the
+    family was built for, or None when it serves every order.
     """
 
     dim: int
     theta1_hint: float
     is_real: bool
+    alpha: float | None = None
 
     def solve(self, nu, y, weights=None):
         """Solve (nu*M - A) x = y; x has the shape of y.
@@ -350,7 +352,8 @@ def sector_probe(family: OperatorFamily, samples, trials: int = 4, seed: int = 0
 
 class SeparableStageTable:
     """Stage samples G_n = sum_r time[n, :, r] * spatial[r, :], n = 0..N-1,
-    each of shape (s, dim), kept in factored form.
+    each of shape (s, dim), kept in factored form, taken at the times
+    (n + c_k) h of step size h and stage nodes c.
 
     Every reader works in the rank space of the data: block returns time
     factors, and a caller that needs full samples forms block @ spatial.
@@ -361,7 +364,9 @@ class SeparableStageTable:
     about 1 % of a solve.
     """
 
-    def __init__(self, time_factors, spatial):
+    def __init__(self, time_factors, spatial, h, c):
+        self.h = h
+        self.c = np.asarray(c, dtype=float)
         self.time = np.ascontiguousarray(time_factors, dtype=complex)
         self.spatial = np.ascontiguousarray(spatial, dtype=complex)
         self.is_real = not np.iscomplexobj(time_factors) and not np.any(self.spatial.imag)
@@ -397,7 +402,7 @@ class SeparableInhomogeneity:
         c = np.asarray(c, dtype=float)
         times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
         fac = np.asarray(self._time_factors(times))
-        return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial)
+        return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial, h, c)
 
     def shifted(self, offset) -> "SeparableInhomogeneity":
         """The sampler for g(t) + offset: one more rank with a unit time
@@ -436,6 +441,11 @@ class Problem:
         if self.g.dim != self.family.dim:
             raise ConfigError(
                 f"inhomogeneity dim {self.g.dim} != operator dim {self.family.dim}"
+            )
+        if self.family.alpha not in (None, self.alpha):
+            raise ConfigError(
+                f"operator family built for alpha={self.family.alpha}, "
+                f"problem has alpha={self.alpha}"
             )
 
     def g_stage(self, n: int, c, h: float):

@@ -36,7 +36,7 @@ from fraccq import (
 )
 from fraccq import contour, fastcq
 from fraccq.caputo import EXAMPLE1_MATRIX
-from fraccq.cli import selftest_checks
+from fraccq.cli import _EXPERIMENTS, schrodinger_rows, selftest_checks
 from fraccq.operators import ConstantInhomogeneity, Problem, dense_operator
 
 
@@ -342,30 +342,15 @@ def test_criterion_6_contour_exponential_convergence():
 
 
 def test_criterion_7_tbc_reference_agreement():
-    """[-2,2] n=801 K=50 vs [-8,8] n=1601 K=110 within 1e-4 in max norm on
-    the aligned grid points, at every snapshot t = 0.05..1."""
+    """`fraccq schrodinger --K 50 --reference` at its defaults: [-2,2] n=801
+    K=50 vs [-8,8] n=1601 K=110 within 1e-4 in max norm on the aligned grid
+    points (every other run point), at every snapshot t = 0.05..1."""
     t_start = time.time()
-    tab = radau_iia(3)
-    run_problem, run_offset = transform_initial(fraccq.example3_problem(801, 2.0))
-    ref_problem, ref_offset = transform_initial(fraccq.example3_problem(1601, 8.0))
-    run_x = run_problem.family.x
-    ref_x = ref_problem.family.x
-    idx_run = np.arange(0, 801, 2)
-    idx_ref = np.array([int(round((x + 8.0) / 0.01)) for x in run_x[idx_run]])
-    assert float(np.max(np.abs(ref_x[idx_ref] - run_x[idx_run]))) < 1e-9
-
-    h = 0.00025
-    worst = 0.0
-    for snap in range(1, 21):
-        t = 0.05 * snap
-        n = int(round(t / h))
-        cfg = CQConfig(tableau=tab, h=h, N=n, K=50, kappa=20, J=80, workers=2)
-        u, _ = fast_solve(run_problem, cfg)
-        cfg_ref = CQConfig(tableau=tab, h=h, N=n, K=110, kappa=60, J=240, workers=2)
-        u_ref, _ = fast_solve(ref_problem, cfg_ref)
-        err = float(np.max(np.abs((u + run_offset)[idx_run]
-                                  - (u_ref + ref_offset)[idx_ref])))
-        worst = max(worst, err)
+    spec = dict(_EXPERIMENTS["schrodinger"].flags, K=50, reference=True)
+    rows = schrodinger_rows(spec)
+    errs = [err for t, _, _, err in rows if t > 0 and err != ""]
+    assert len(errs) == 20 * 401
+    worst = max(errs)
     elapsed = time.time() - t_start
     ok = worst <= 1e-4
     report("tbc-correctness", ok, f"worst snapshot error {worst:.2e}, {elapsed:.0f}s")

@@ -36,12 +36,6 @@ def test_convergence_schema_and_determinism(tmp_path):
     assert float(row40[5]) < float(row20[5])  # error drops with h
 
 
-def test_convergence_invalid_ladder_exit_2(tmp_path):
-    code = run_cli(["convergence", "--method", "radau5", "--steps", "20,40",
-                    "--h", "0.3", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-
-
 def test_dump_config(capsys):
     for args, expected in ((["convergence", "--K", "30"], ("K=30", "experiment=convergence")),
                            (["schrodinger"], ("K=None", "experiment=schrodinger"))):
@@ -78,12 +72,17 @@ def test_flags_and_keys_an_experiment_does_not_read_exit_2(tmp_path, capsys):
     real_cfg.write_text("real=true\n")
     workers_cfg = tmp_path / "workers.cfg"
     workers_cfg.write_text("workers=2\n")
+    h_cfg = tmp_path / "h.cfg"
+    h_cfg.write_text("h=0.25\n")
     # folding real data is derived from the problem, and every phase of a
     # solve runs in the calling thread, so no experiment reads real or workers
     gone = [[name, *extra] for name in ("convergence", "subdiffusion", "schrodinger")
             for extra in (["--real"], ["--complex"], ["--config", str(real_cfg)],
                           ["--workers", "2"], ["--config", str(workers_cfg)])]
+    # convergence derives h = t_end / N for each N of its ladder
     for args in (["convergence", "--alpha", "0.3"],
+                 ["convergence", "--h", "0.25"],
+                 ["convergence", "--config", str(h_cfg)],
                  ["weights", "--J", "400"],
                  ["subdiffusion", "--h", "5"],
                  ["schrodinger", "--steps", "10"],
@@ -209,11 +208,33 @@ def test_subdiffusion_rejects_csv(tmp_path):
                     "--format", "csv", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_numeric_validation_before_compute():
-    assert run_cli(["convergence", "--K", "1"]) == 2
-    assert run_cli(["convergence", "--kappa", "0"]) == 2
-    assert run_cli(["convergence", "--alpha", "1.5"]) == 2
-    assert run_cli(["weights", "--alpha", "1.5"]) == 2
+def test_numeric_validation_before_compute(monkeypatch, capsys):
+    from fraccq import cli
+
+    def never(spec):
+        raise AssertionError("an invalid spec reached its experiment")
+
+    for name, experiment in cli._EXPERIMENTS.items():
+        monkeypatch.setitem(cli._EXPERIMENTS, name, experiment._replace(compute=never))
+    for args in (["convergence", "--K", "1"],
+                 ["convergence", "--kappa", "0"],
+                 ["convergence", "--alpha", "1.5"],
+                 ["weights", "--alpha", "1.5"],
+                 # step counts N >= 1; weights --steps are indices, and W_0 exists
+                 ["convergence", "--steps", "0"],
+                 ["subdiffusion", "--steps", "0"],
+                 ["convergence", "--t-end", "nan"],
+                 ["weights", "--t-end", "inf"],
+                 ["weights", "--t-end", "nan"],
+                 ["schrodinger", "--t-end", "inf"],
+                 ["weights", "--h", "inf"],
+                 # the transparent boundary needs alpha < 1; a_half > 0 orders the grid
+                 ["schrodinger", "--alpha", "1"],
+                 ["schrodinger", "--a-half", "-2"]):
+        assert run_cli(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, args
+    assert run_cli(["weights", "--steps", "0", "--dump-config"]) == 0
 
 
 def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path, capsys):
@@ -253,6 +274,6 @@ def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, total
         return problem.u_exact(cfg.N * cfg.h), RunStats(wall_times=times)
 
     monkeypatch.setattr(cli.fastcq, "fast_solve", stub_solve)
-    spec = dict(cli._EXPERIMENTS["subdiffusion"], grid=8, t_end=1.0, steps=(40,), J=14)
+    spec = dict(cli._EXPERIMENTS["subdiffusion"].flags, grid=8, t_end=1.0, steps=(40,), J=14)
     report = cli.subdiffusion_report(spec, problem)
     assert report["n_ladder"][0]["timing_flagged"] is flagged

@@ -72,6 +72,10 @@ def test_config_validation():
         CQConfig(tableau=tab, h=0.1, N=10, kappa=10, J=5)
     with pytest.raises(ConfigError):
         CQConfig(tableau=tab, h=-0.1, N=10)
+    for h, N in ((np.nan, 10), (np.inf, 10), (0.1, 10.5)):
+        with pytest.raises(ConfigError):
+            CQConfig(tableau=tab, h=h, N=N)
+    assert CQConfig(tableau=tab, h=0.1, N=np.int64(10)).N == 10
 
 
 def test_runstats_counters(example1, example1_complex):
@@ -407,8 +411,10 @@ def test_fast_rejects_pending_initial_data():
     prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(2)),
                    u0=np.array([1.0, 0.0]))
     cfg = CQConfig(tableau=radau_iia(2), h=0.1, N=10)
-    with pytest.raises(ConfigError):
-        fast_solve(prob, cfg)
+    for solve in (fast_solve, direct_cq,
+                  lambda p, config: first_block(p, config, plan_levels(10, 20, 5))):
+        with pytest.raises(ConfigError):
+            solve(prob, cfg)
 
 
 def test_worker_count_does_not_change_bits(example1):
@@ -437,13 +443,21 @@ def test_worker_count_does_not_change_bits_on_a_grid():
 
 
 def test_passed_table_gives_the_same_bits(monkeypatch):
-    """A caller-built stage table is used as given: g.table is not called."""
+    """A caller-built stage table is used as given: g.table is not called.
+    A table sampled at another N, h or set of stage nodes is refused."""
     from fraccq import example1_problem
     prob = example1_problem().problem
     tab = radau_iia(3)
     cfg = CQConfig(tableau=tab, h=0.01, N=300, K=20)
     table = prob.g.table(cfg.N, cfg.h, tab.c)
     u_own, _ = fast_solve(prob, cfg)
+    plan = plan_levels(cfg.N, cfg.kappa, cfg.Lambda)
+    for N, h, c in ((600, cfg.h, tab.c), (300, cfg.h / 2, tab.c), (200, cfg.h, tab.c),
+                    (300, cfg.h, radau_iia(2).c), (300, cfg.h, tab.c[::-1])):
+        other = prob.g.table(N, h, c)
+        for solve in (fast_solve, lambda p, config, t: first_block(p, config, plan, t)):
+            with pytest.raises(ConfigError):
+                solve(prob, cfg, other)
 
     def no_table(*args):
         raise AssertionError("fast_solve rebuilt the stage table")

@@ -244,6 +244,12 @@ def test_problem_validation():
         Problem(family=fam, alpha=1.5, g=ConstantInhomogeneity(np.zeros(2)))
     with pytest.raises(ConfigError):
         Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(3)))
+    # the transparent boundary rows and the contour angle depend on alpha
+    tbc = schrodinger_tbc_1d(2.0, 31, 0.75)
+    assert (fam.alpha, tbc.alpha) == (None, 0.75)
+    Problem(family=tbc, alpha=0.75, g=ConstantInhomogeneity(np.zeros(31)))
+    with pytest.raises(ConfigError):
+        Problem(family=tbc, alpha=0.9, g=ConstantInhomogeneity(np.zeros(31)))
 
 
 def test_families_and_tables_state_whether_they_are_real():
