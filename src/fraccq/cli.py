@@ -87,7 +87,7 @@ _FLAGS = {
     "grid": Flag(int),
     "a_half": _POSITIVE,
     "repeats": Flag(int, lambda v: v >= 1, "be >= 1"),
-    "bound": Flag(float),
+    "bound": _POSITIVE,
     "reference": Flag(boolean),
     "out": Flag(str, writable_file, "name a file in an existing, writable directory"),
     "format": Flag(str, lambda v: v in ("csv", "json"), "be csv or json"),
@@ -172,7 +172,7 @@ def resolve_spec(args):
         if value is not None:
             spec[key] = value
     if "J" in spec and spec["J"] is None:
-        spec["J"] = spec["kappa"] + 2
+        spec["J"] = fastcq.default_J(spec["kappa"])
     _validate(spec, experiment)
     spec["experiment"] = args.experiment
     return spec
@@ -507,7 +507,8 @@ def run_selftest(spec):
 
 # Every experiment: its flags with their defaults (it accepts exactly
 # these), its function and its output. convergence method = None runs all
-# three methods; subdiffusion J = None resolves to kappa + 2; schrodinger
+# three methods; J = None resolves to fastcq.default_J(kappa) = 2 kappa
+# (40 for convergence and schrodinger, 24 for subdiffusion); schrodinger
 # K = None runs the K that fast_solve sizes by the sector (64); weights
 # K = None runs the K ladder (10, 15, 20, 25). weights --steps are weight
 # indices n, so index 0 (W_0) is valid; the transparent boundary of
@@ -515,7 +516,7 @@ def run_selftest(spec):
 _EXPERIMENTS = {
     "convergence": Experiment(
         {"t_end": 10.0, "steps": None, "method": None,
-         "K": 25, "Lambda": 5, "kappa": 20, "J": 160, "out": None, "format": None},
+         "K": 25, "Lambda": 5, "kappa": 20, "J": None, "out": None, "format": None},
         convergence_rows,
         ("method", "s", "h", "N", "K", "error_inf", "fitted_slope_so_far", "note"),
         rules=(_STEP_COUNTS,),
@@ -530,7 +531,7 @@ _EXPERIMENTS = {
     ),
     "schrodinger": Experiment(
         {"grid": 801, "a_half": 2.0, "alpha": 0.75, "h": 0.00025, "t_end": 1.0,
-         "method": "radau5", "K": None, "Lambda": 5, "kappa": 20, "J": 80,
+         "method": "radau5", "K": None, "Lambda": 5, "kappa": 20, "J": None,
          "reference": False, "out": None, "format": None},
         schrodinger_rows,
         ("t", "x", "abs_u", "abs_err"),

@@ -7,7 +7,8 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
 * direct_cq: the first block over all N weights, the trapezoidal circle
   rule for the integral of the generating function at the oracle-grade
   J = max(4N, 256) nodes.
-* fast_solve: the first kappa+1 weights through the circle rule, the rest
+* fast_solve: the first kappa+1 weights through the circle rule, at
+  J = 2 kappa nodes unless CQConfig.J says otherwise, the rest
   through hyperbola contours, one per geometrically growing history
   window. Per window, the weighted history sum collapses into scalar
   linear ODE marches (one per contour node) followed by a single
@@ -16,15 +17,20 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
   factors.
 
+The circle radius balances the rule's aliasing error rho^J against the
+rounding that its rho^-n scaling amplifies, at rho^(J+terms-1) = eps for
+a sum of `terms` weights (circle_radius): kappa+1 terms for the first
+block at every N, N for direct_cq.
+
 The result needs only a weighted sum of resolvent solves,
 u = sum_k (nu_k M - A)^-1 S^T w_k with S the (r, dim) spatial factors, so
 both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels. The stage-space work runs on arrays of nodes: one
 stability call per level, one stacked eigen-split of the circle nodes.
-It is a split of Delta(zeta_j), which depends on the tableau and J but
-not on h or N, so solves at one tableau and J split their circle nodes
-once per process (smallmat.eig_small keeps the last split).
+It is a split of Delta(zeta_j), which depends on the tableau, J and kappa
+but not on h or N, so solves at one tableau, J and kappa split their
+circle nodes once per process (smallmat.eig_small keeps the last split).
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -48,6 +54,27 @@ _MARCH_BLOCK = 1024
 _SPECTRUM_CLEARANCE = 1e-8
 
 
+def circle_radius(J: int, terms: int) -> float:
+    """Radius rho of the J-node circle rule for a sum of `terms` weights.
+
+    The rule's error is about rho^J |W_(n+J)| from aliasing plus
+    eps rho^-(terms-1) |W| from the rho^-n scaling; rho^(J+terms-1) = eps
+    balances the two at eps^(J/(J+terms-1)) (Lubich, Numer. Math. 52,
+    1988, gives rho^J = sqrt(eps), the balance at J = terms).
+    """
+    return _EPS ** (1.0 / (J + terms - 1))
+
+
+def default_J(kappa: int) -> int:
+    """Circle nodes of the first block when CQConfig.J is None: J = 2 kappa.
+
+    The first block sums kappa+1 weights, so the balanced circle rule
+    (circle_radius) errs by about eps^(2 kappa/(3 kappa)) = eps^(2/3),
+    some 4e-11 relative, below the contours' 1e-7 design accuracy.
+    """
+    return 2 * kappa
+
+
 @dataclass
 class CQConfig:
     """Run parameters of one convolution-quadrature solve.
@@ -59,7 +86,11 @@ class CQConfig:
     K = 64 for the pi/6 sector of the transparent-boundary Schroedinger
     family (at K = 25 its fast solve differs from direct_cq by about 3e-4
     relative). An explicit K runs as given; RunStats.K reports the K used.
-    direct_cq uses no contour and does not read K.
+    J = None (the default) takes default_J(kappa) = 2 kappa circle nodes for
+    the first block; an explicit J >= kappa+1 runs as given, and RunStats.J
+    reports the J used. direct_cq uses no contour and its own J, and reads
+    neither K nor J. The tableau's structural checks run once per tableau
+    (Tableau.assumptions).
     """
 
     tableau: tableau_mod.Tableau
@@ -68,25 +99,23 @@ class CQConfig:
     K: int | None = None
     Lambda: int = 5
     kappa: int = 20
-    J: int = 160
+    J: int | None = None
     workers: int = 1  # reaches no phase of a solve; kept only because perfbench sets it
 
     def __post_init__(self):
         if not 0.0 < self.h < np.inf:
             raise ConfigError(f"step size must be finite and positive, got h={self.h}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ConfigError(f"need an integer number of steps N >= 1, got N={self.N}")
-        if self.K is not None and self.K < 2:
-            raise ConfigError(f"need K >= 2, got K={self.K}")
-        if self.Lambda < 2:
-            raise ConfigError(f"need Lambda >= 2, got Lambda={self.Lambda}")
-        if self.kappa < 1:
-            raise ConfigError(f"need kappa >= 1, got kappa={self.kappa}")
-        if self.J < self.kappa + 1:
+        for name, least in (("N", 1), ("K", 2), ("Lambda", 2), ("kappa", 1), ("J", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("K", "J"):
+                continue
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"need an integer {name} >= {least}, got {name}={value}")
+        if self.resolved_J() < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
         if self.workers < 1:
             raise ConfigError(f"need workers >= 1, got {self.workers}")
-        report = tableau_mod.check_assumptions(self.tableau)
+        report = self.tableau.assumptions
         if not report.all_pass:
             raise ConfigError(
                 "tableau violates the structural assumptions (stiffly accurate, "
@@ -103,6 +132,10 @@ class CQConfig:
         if self.K is not None:
             return self.K
         return contour.sized_K(self.Lambda, self.resolved_theta(family))
+
+    def resolved_J(self) -> int:
+        """J as given, or default_J(kappa) when J is None."""
+        return default_J(self.kappa) if self.J is None else self.J
 
 
 @dataclass(frozen=True)
@@ -135,10 +168,11 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
 
 @dataclass
 class RunStats:
-    """Operation counters, the contour size K used and per-phase
-    wall-clock times of one solve."""
+    """Operation counters, the contour size K and circle size J used and
+    per-phase wall-clock times of one solve."""
 
     K: int = 0
+    J: int = 0
     rk_steps: int = 0
     resolvent_solves: int = 0
     first_block_solves: int = 0
@@ -159,11 +193,12 @@ def _circle_decomp(zetas, tab, h, alpha):
     array of nodes, with the powered eigenvalues (d_j/h)^alpha of
     Delta(zeta_j)/h.
 
-    The split does not depend on h, so solves at one tableau and J share it
-    (the kept split of smallmat.eig_small); its checks are relative and do
-    not change under the scale 1/h. Nodes whose split is defective or has an eigenvalue on the branch cut
-    are moved radially by a part in 1e9, once, and the stack is split
-    again; LAPACK splits each matrix on its own, so the others keep their bits.
+    The split does not depend on h, so solves at one tableau and set of
+    circle nodes share it (the kept split of smallmat.eig_small); its
+    checks are relative and do not change under the scale 1/h. Nodes whose
+    split is defective or has an eigenvalue on the branch cut are moved
+    radially by a part in 1e9, once, and the stack is split again; LAPACK
+    splits each matrix on its own, so the others keep their bits.
     """
     zetas = np.array(zetas, dtype=complex)
     for retry in (True, False):
@@ -199,9 +234,11 @@ def _circle_weights(tab, h, alpha, rho, data, J):
     return nus, weights
 
 
-def _circle_sum(problem: Problem, tab, h, table, terms, J):
+def _circle_sum(problem: Problem, tab, h, table, terms, J, budget):
     """h sum_(n < terms) (e_s x Id) W_n G_(N-1-n) over the table's last
-    `terms` samples, by the circle rule at J nodes with rho^J = sqrt(eps).
+    `terms` samples, by the circle rule at J nodes whose radius
+    circle_radius(J, budget) is balanced for a sum of budget >= terms
+    weights.
 
     Takes one DFT of the rho-scaled sequence of time factors and sums the
     s decoupled systems of every circle node in one weighted solve
@@ -214,7 +251,7 @@ def _circle_sum(problem: Problem, tab, h, table, terms, J):
     """
     fam = problem.family
     fold = fam.is_real and table.is_real
-    rho = _EPS ** (1.0 / (2 * J))  # rho^J = sqrt(machine eps)
+    rho = circle_radius(J, budget)
     blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
     rev = blk[::-1].real if fold else blk[::-1]
     seq = np.zeros((J, tab.s, table.rank), dtype=rev.dtype)
@@ -250,42 +287,48 @@ def _stage_table(problem: Problem, config: CQConfig, table=None):
 
 
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
-    """Contribution of the first m_0 weights via the circle rule at config.J
-    nodes (_circle_sum). Returns the length-dim vector, real when the
-    operator and the data are, and the system count: s*(J//2+1) when
-    _circle_sum folds the conjugate nodes, s*J otherwise. Calls at one
-    tableau and J, at any h and N, reuse one circle split. A passed table
+    """Contribution of the first m_0 weights via the circle rule at
+    config.resolved_J() nodes (_circle_sum), its radius balanced for the
+    term budget kappa+1 rather than m_0, so that the circle nodes, and with
+    them the kept split, are the same at every h and N, L = 0 solves
+    (m_0 = N <= kappa+1) included. Returns the length-dim vector, real when
+    the operator and the data are, and the system count: s*(J//2+1) when
+    _circle_sum folds the conjugate nodes, s*J otherwise. A passed table
     must match the solve (_stage_table).
     """
     table = _stage_table(problem, config, table)
-    return _circle_sum(problem, config.tableau, config.h, table, plan.m[0], config.J)
+    return _circle_sum(problem, config.tableau, config.h, table, plan.m[0],
+                       config.resolved_J(), config.kappa + 1)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
     """Oracle evaluation of the convolution quadrature at t = N h.
 
     The first block over all N weights (_circle_sum) at the oracle-grade
-    J = max(4N, 256): no contour, level plan or march, and config.K,
-    Lambda, kappa and J are not read. When the operator and the data are
-    both real, only the J//2+1 nodes of the upper half circle are solved and
-    the result is real. Nonzero initial data are refused, as in fast_solve.
+    J = max(4N, 256), its radius balanced for N terms: no contour, level
+    plan or march, and config.K, Lambda, kappa and J are not read. When the
+    operator and the data are both real, only the J//2+1 nodes of the upper
+    half circle are solved and the result is real. Nonzero initial data are
+    refused, as in fast_solve.
     """
     table = _stage_table(problem, config)
-    return _circle_sum(problem, config.tableau, config.h, table, config.N,
-                       max(4 * config.N, 256))[0]
+    J = max(4 * config.N, 256)
+    return _circle_sum(problem, config.tableau, config.h, table, config.N, J, config.N)[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
     """Full weight operators W_n as explicit (s*dim, s*dim) matrices from
-    the circle rule at direct_cq's J = max(4 (max n + 1), 256) nodes,
-    rho^J = sqrt(eps); an oracle tool for s*dim <= 96."""
+    the circle rule at direct_cq's J = max(4 (max n + 1), 256) nodes, its
+    radius balanced for max n + 1 terms (circle_radius); an oracle tool for
+    s*dim <= 96."""
     n_list = np.asarray(n_list, dtype=int)
     s, dim = tab.s, family.dim
     sd = s * dim
     if sd > 96:
         raise ConfigError(f"explicit weights are an oracle tool; s*dim={sd} too large")
-    J = max(4 * (int(n_list.max()) + 1), 256)
-    rho = _EPS ** (1.0 / (2 * J))
+    terms = int(n_list.max()) + 1
+    J = max(4 * terms, 256)
+    rho = circle_radius(J, terms)
     eye = np.eye(dim)
     dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * np.arange(J) / J), tab, h, alpha)
     xs = family.solve(nus.ravel(), np.kron(dec.U_inv, eye).reshape(J * s, dim, sd))
@@ -379,7 +422,7 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
 
 
 def _check_spectrum_clearance(levels, tab, h):
-    poles = 1.0 / np.linalg.eigvals(tab.A)
+    poles = 1.0 / tab.assumptions.eigenvalues
     for lev in levels:
         z = h * lev.lambdas
         dist = np.min(np.abs(z[:, None] - poles[None, :]), axis=1)
@@ -416,7 +459,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
 
     t_start = time.perf_counter()
     K = config.resolved_K(fam)
-    stats = RunStats(K=K)
+    stats = RunStats(K=K, J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
     table = _stage_table(problem, config, table)
     levels = contour.level_contours(plan.L, K, config.Lambda, config.resolved_theta(fam),

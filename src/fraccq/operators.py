@@ -99,6 +99,8 @@ class DenseOperator(OperatorFamily):
         self.M = np.eye(n, dtype=complex) if M is None else np.asarray(M, dtype=complex)
         if self.M.shape != (n, n):
             raise ConfigError(f"M must match A, got shape {self.M.shape}")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.M))):
+            raise ConfigError("A and M must have finite entries")
         self.dim = n
         self.theta1_hint = float(theta1_hint)
         self.is_real = not (np.any(self.A.imag) or np.any(self.M.imag))
@@ -250,6 +252,8 @@ class SchrodingerTBC1D(OperatorFamily):
             raise ConfigError(f"need at least 5 grid points, got {n_points}")
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        if not 0.0 < a_half < np.inf:
+            raise ConfigError(f"half-width a_half must be finite and positive, got {a_half}")
         self.a_half = float(a_half)
         self.n = int(n_points)
         self.dim = self.n

@@ -9,6 +9,7 @@ that; check_assumptions re-verifies it for any user-supplied tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,9 @@ class Tableau:
     """Butcher data of an s-stage implicit Runge-Kutta scheme.
 
     A is the s x s Runge-Kutta matrix, b the weight row, c the nodes,
-    p the classical order and p_stage the stage order.
+    p the classical order and p_stage the stage order. The arrays are
+    read-only, so the structural checks are computed once per tableau
+    (assumptions).
     """
 
     s: int
@@ -40,6 +43,11 @@ class Tableau:
     @property
     def stiffly_accurate(self) -> bool:
         return bool(np.array_equal(self.b, self.A[-1]))
+
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        """check_assumptions of this tableau, computed on first use."""
+        return check_assumptions(self)
 
 
 def _radau1():
@@ -143,6 +151,7 @@ def check_assumptions(t: Tableau) -> AssumptionReport:
     weights_ok = t.stiffly_accurate
     abs_det = abs(np.linalg.det(t.A))
     eigs = np.linalg.eigvals(t.A)
+    eigs.setflags(write=False)
     return AssumptionReport(
         weights_equal_last_row=weights_ok,
         matrix_invertible=abs_det > _DET_FLOOR,

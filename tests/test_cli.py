@@ -230,7 +230,10 @@ def test_numeric_validation_before_compute(monkeypatch, capsys):
                  ["weights", "--h", "inf"],
                  # the transparent boundary needs alpha < 1; a_half > 0 orders the grid
                  ["schrodinger", "--alpha", "1"],
-                 ["schrodinger", "--a-half", "-2"]):
+                 ["schrodinger", "--a-half", "-2"],
+                 # an error > nan is never true, so a nan bound would switch the check off
+                 ["subdiffusion", "--bound", "nan"],
+                 ["subdiffusion", "--bound", "-1"]):
         assert run_cli(args) == 2, args
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err, args
@@ -238,12 +241,13 @@ def test_numeric_validation_before_compute(monkeypatch, capsys):
 
 
 def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path, capsys):
-    # K=25, kappa=20, J=160 are the global defaults; passed explicitly they
-    # must run as given, not be replaced by the experiment's own defaults
+    # K=25, kappa=20, J=160 differ from subdiffusion's defaults; passed
+    # explicitly they must run as given, and J = None resolves to
+    # fastcq.default_J(kappa) = 24, which the report and --dump-config show
     base = ["subdiffusion", "--grid", "8", "--steps", "100", "--repeats", "1",
             "--bound", "1"]
     explicit = ["--K", "25", "--kappa", "20", "--J", "160"]
-    for flags, expected in ((explicit, (25, 20, 160)), ([], (20, 12, 14))):
+    for flags, expected in ((explicit, (25, 20, 160)), ([], (20, 12, 24))):
         out = tmp_path / "sub.json"
         assert run_cli(base + flags + ["--out", str(out)]) == 0
         payload = json.loads(out.read_text())

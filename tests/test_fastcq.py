@@ -76,20 +76,48 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             CQConfig(tableau=tab, h=h, N=N)
     assert CQConfig(tableau=tab, h=0.1, N=np.int64(10)).N == 10
+    # a non-integer K, Lambda, kappa or J is refused here, not met later as
+    # a TypeError inside the solve; numpy integers stay valid
+    for field, value in (("K", 25.5), ("K", np.nan), ("Lambda", 5.5), ("Lambda", np.nan),
+                         ("kappa", 20.5), ("kappa", np.inf), ("J", 160.5), ("J", np.nan)):
+        with pytest.raises(ConfigError):
+            CQConfig(tableau=tab, h=0.1, N=40, **{field: value})
+        assert getattr(CQConfig(tableau=tab, h=0.1, N=40, **{field: np.int64(40)}), field) == 40
+
+
+def test_tableau_checks_run_once_per_tableau(monkeypatch):
+    """CQConfig and the spectrum clearance of fast_solve read the checks the
+    tableau keeps (Tableau.assumptions): two solves at one tableau take the
+    eigenvalues of A once, not once per config and once per solve."""
+    calls = []
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or original(m))
+    tab = radau_iia(3)
+    prob = scalar_problem()
+    for n_steps in (40, 80):
+        fast_solve(prob, CQConfig(tableau=tab, h=0.05, N=n_steps, K=10))
+    assert len(calls) == 1 and np.array_equal(calls[0], tab.A)
+    assert not tab.assumptions.eigenvalues.flags.writeable
 
 
 def test_runstats_counters(example1, example1_complex):
     """Real problems count the folded nodes (K+1 per level, J//2+1 circle
-    nodes); complex data count all 2K+1 and all J."""
+    nodes); complex data count all 2K+1 and all J, here the default
+    J = 2 kappa = 40 that RunStats.J reports."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=1000, K=25)
+    assert cfg.J is None and cfg.resolved_J() == 40
     _, stats = fast_solve(example1, cfg)
     assert stats.resolvent_solves == 3 * 26
     assert stats.rk_steps == 26 * (1000 - 21)
-    assert stats.first_block_solves == 3 * 81
+    assert stats.first_block_solves == 3 * 21
+    assert stats.J == 40
     _, stats = fast_solve(example1_complex, cfg)
     assert stats.resolvent_solves == 3 * 51
     assert stats.rk_steps == 51 * (1000 - 21)
-    assert stats.first_block_solves == 3 * 160
+    assert stats.first_block_solves == 3 * 40
+    # an explicit J runs as given
+    _, stats = fast_solve(example1, dataclasses.replace(cfg, J=161))
+    assert stats.J == 161 and stats.first_block_solves == 3 * 81
 
 
 def test_default_K_is_sized_by_the_sector(example1, example1_complex, tbc_problem_small):
@@ -173,6 +201,38 @@ def test_direct_scalar_series_oracle():
     assert abs(u[0] - b.sum()) <= 1e-8
 
 
+@pytest.mark.parametrize("n_steps", [200, 500])
+def test_direct_circle_rule_is_converged_at_its_J(example1, tbc_problem_small, n_steps):
+    """direct_cq at its J = 4N lies within 2e-12 relative of the same
+    circle rule at J = 16N, on example 1 (t = 10) and TBC-101 (t = 0.5):
+    the balanced radius (circle_radius) converges geometrically in J.
+    Under the former radius rho^J = sqrt(eps) it read 3.5e-11 to 5.8e-11."""
+    tab = radau_iia(3)
+    for prob, t_end in ((example1, 10.0), (tbc_problem_small, 0.5)):
+        h = t_end / n_steps
+        u = direct_cq(prob, CQConfig(tableau=tab, h=h, N=n_steps))
+        table = prob.g.table(n_steps, h, tab.c)
+        ref, _ = fastcq._circle_sum(prob, tab, h, table, n_steps, 16 * n_steps, n_steps)
+        assert np.max(np.abs(u - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
+def test_default_J_is_as_accurate_as_the_former_J_160(example1):
+    """On the radau5 convergence ladder of example 1 (t = 10, K = 25) the
+    default J = 2 kappa = 40 lies no further from a J = 2000 run than the
+    former default J = 160 did under the former radius rho^J = sqrt(eps)
+    (the figures below, relative in max norm), at a quarter of the circle
+    systems."""
+    former = {20: 2.1e-11, 40: 2.9e-11, 80: 3.6e-11, 160: 9.9e-11, 320: 2.2e-10,
+              640: 3.5e-10}
+    tab = radau_iia(3)
+    for n_steps, err_former in former.items():
+        cfg = CQConfig(tableau=tab, h=10.0 / n_steps, N=n_steps, K=25)
+        u, stats = fast_solve(example1, cfg)
+        ref, _ = fast_solve(example1, dataclasses.replace(cfg, J=2000))
+        assert stats.J == 40
+        assert np.max(np.abs(u - ref)) <= err_former * np.max(np.abs(ref))
+
+
 def test_direct_matches_weight_assembly(example1, example1_complex):
     """direct_cq equals h sum_n w_n G_(N-1-n) assembled from the rows of the
     explicit-matrix circle rule, folded (example 1) and not (complex data)."""
@@ -199,7 +259,7 @@ def test_first_block_zero_samples():
     plan = plan_levels(40, cfg.kappa, cfg.Lambda)
     u0, solves = first_block(prob, cfg, plan)
     assert np.max(np.abs(u0)) == 0.0
-    assert solves == 3 * 81
+    assert solves == 3 * 21
 
 
 @pytest.mark.parametrize("J", [160, 161])
@@ -418,7 +478,7 @@ def test_fast_rejects_pending_initial_data():
 
 
 def test_worker_count_does_not_change_bits(example1):
-    """fast_solve (J = 160 circle nodes) and direct_cq (J = 1200) give the
+    """fast_solve (J = 40 circle nodes) and direct_cq (J = 1200) give the
     same bits at one, two and three workers."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=300, K=20, workers=1)
     for solver in (lambda c: fast_solve(example1, c)[0], lambda c: direct_cq(example1, c)):
@@ -611,7 +671,7 @@ def test_circle_split_does_not_depend_on_h(s):
     U diag(d/h) U^-1 rebuilds Delta(zeta)/h within 1e-12 relative."""
     from fraccq.tableau import delta
     tab, alpha, J = radau_iia(s), 0.5, 160
-    zetas = fastcq._EPS ** (1.0 / (2 * J)) * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
+    zetas = fastcq.circle_radius(J, 21) * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
     def by_imag(x):
         return np.take_along_axis(x, np.argsort(x.imag, axis=-1), axis=-1)
 
@@ -628,12 +688,14 @@ def test_circle_split_does_not_depend_on_h(s):
 
 
 def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
-    """fast_solve at N = 40, 80, 160 with one J splits the circle stack once;
-    at J = 160, 161, 160 three times, since only the last split is kept."""
+    """fast_solve at N = 20, 40, 80, 160 with one J splits the circle stack
+    once, the L = 0 solve at N = 20 included, since the radius is sized by
+    kappa+1, not by m_0; at J = 160, 161, 160 three times, since only the
+    last split is kept."""
     tab = radau_iia(3)
-    for n_steps in (40, 80, 160):
+    for n_steps in (20, 40, 80, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=1.0 / n_steps, N=n_steps, K=25))
-    assert eig_calls == [(81, 3, 3)]
+    assert eig_calls == [(21, 3, 3)]
     smallmat._kept = None
     eig_calls.clear()
     for J in (160, 161, 160):

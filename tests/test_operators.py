@@ -187,6 +187,28 @@ def test_tbc_multicolumn_solve(rng):
         assert np.max(np.abs(xs[:, j] - fam.solve(nu, ys[:, j]))) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_rejects_non_finite_entries(bad):
+    """A non-finite entry in A or M would reach every solve as NaN, and the
+    family would still report itself real."""
+    a_bad = A22.copy()
+    a_bad[0, 1] = bad
+    m_bad = np.eye(2)
+    m_bad[1, 1] = bad
+    with pytest.raises(ConfigError):
+        dense_operator(None, a_bad)
+    with pytest.raises(ConfigError):
+        dense_operator(m_bad, A22)
+
+
+@pytest.mark.parametrize("a_half", [-2.0, 0.0, np.nan, np.inf])
+def test_tbc_rejects_a_bad_half_width(a_half):
+    """-2 would build a mirrored grid (eta < 0); nan, 0 and inf give a grid
+    spacing eta of nan, 0 or inf."""
+    with pytest.raises(ConfigError):
+        schrodinger_tbc_1d(a_half, 61, 0.75)
+
+
 def test_tbc_support_validation():
     fam = schrodinger_tbc_1d(2.0, 101, 0.75)
     bad = np.ones(101)
