@@ -57,11 +57,11 @@ def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
     u_prime may return a scalar or an array; the result has the same shape.
     Raises AccuracyError when the panel refinement cannot certify tol.
     """
-    if t <= 0.0:
-        raise DomainError(f"the oracle needs t > 0, got t={t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"the oracle needs a finite t > 0, got t={t}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise DomainError(f"tolerances below 1e-12 are not supported, got {tol}")
     from scipy.integrate import quad_vec  # most of a second to import; only the oracle needs it
 
@@ -240,17 +240,19 @@ def example1_problem() -> ManufacturedProblem:
 class HalfOrderTrigTable:
     """Vectorized D^(1/2) of sin(pi t) and 1 - cos(pi t) on [0, t_max].
 
-    Evaluated in closed form through the Fresnel integrals; times outside
-    the declared range raise DomainError. The adaptive oracle is the
-    reference these values are tested against.
+    Evaluated in closed form through the Fresnel integrals; NaN times and
+    times outside the declared range raise DomainError. The adaptive oracle
+    is the reference these values are tested against.
     """
 
     def __init__(self, t_max: float):
+        if not 0.0 < t_max < math.inf:
+            raise ConfigError(f"t_max must be finite and positive, got {t_max}")
         self._t_max = float(t_max)
 
     def _checked(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self._t_max * 1.0000001):
+        if not np.all((t >= 0.0) & (t <= self._t_max * 1.0000001)):
             raise DomainError(f"time outside the declared range [0, {self._t_max}]")
         return t
 
@@ -284,12 +286,10 @@ def example2_problem(n_per_dim: int, t_max: float = 130.0) -> ManufacturedProble
     factors f1, f2, evaluated together for every stage time; the grid
     fields are stored in mass form, as consumed by the resolvent solves.
     """
-    if n_per_dim < 8:
+    if not n_per_dim >= 8:
         raise ConfigError(f"need n_per_dim >= 8, got {n_per_dim}")
     family, h_minus, h_plus = example2_fields(n_per_dim)
-    spatial = np.stack(
-        [family.apply_mass(h_minus).real, family.apply_mass(h_plus).real]
-    )
+    spatial = family.apply_mass(np.stack([h_minus, h_plus], axis=1)).real.T
     table = HalfOrderTrigTable(t_max)
 
     def u_exact(t):

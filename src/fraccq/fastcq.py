@@ -305,11 +305,12 @@ def direct_cq(problem: Problem, config: CQConfig):
     """Oracle evaluation of the convolution quadrature at t = N h.
 
     The first block over all N weights (_circle_sum) at the oracle-grade
-    J = max(4N, 256), its radius balanced for N terms: no contour, level
-    plan or march, and config.K, Lambda, kappa and J are not read. When the
-    operator and the data are both real, only the J//2+1 nodes of the upper
-    half circle are solved and the result is real. Nonzero initial data are
-    refused, as in fast_solve.
+    J = max(4N, 256), its radius balanced for N terms; u_N sums all N
+    weights, so the amplified rounding of the last ones stays near 1e-12
+    relative. No contour, level plan or march: config.K, Lambda, kappa and
+    J are not read. When the operator and the data are both real, only the
+    J//2+1 nodes of the upper half circle are solved and the result is
+    real. Nonzero initial data are refused, as in fast_solve.
     """
     table = _stage_table(problem, config)
     J = max(4 * config.N, 256)
@@ -318,16 +319,18 @@ def direct_cq(problem: Problem, config: CQConfig):
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
     """Full weight operators W_n as explicit (s*dim, s*dim) matrices from
-    the circle rule at direct_cq's J = max(4 (max n + 1), 256) nodes, its
-    radius balanced for max n + 1 terms (circle_radius); an oracle tool for
-    s*dim <= 96."""
+    the circle rule at J = max(10 (max n + 1), 256) nodes, its radius
+    balanced for max n + 1 terms (circle_radius); an oracle tool for
+    s*dim <= 96. Each W_n stands alone, so the last and smallest takes the
+    rounding amplification rho^-(max n) in full: eps^(-1/11) here, where
+    direct_cq's 4N (eps^(-1/5)) left W_700 of example 1 2.6e-11 off."""
     n_list = np.asarray(n_list, dtype=int)
     s, dim = tab.s, family.dim
     sd = s * dim
     if sd > 96:
         raise ConfigError(f"explicit weights are an oracle tool; s*dim={sd} too large")
     terms = int(n_list.max()) + 1
-    J = max(4 * terms, 256)
+    J = max(10 * terms, 256)
     rho = circle_radius(J, terms)
     eye = np.eye(dim)
     dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * np.arange(J) / J), tab, h, alpha)

@@ -43,19 +43,25 @@ class OperatorFamily(ABC):
         A scalar nu takes y of shape (dim,) or (dim, m). An array nu of
         shape (B,) solves B systems: y is (B, dim) or (B, dim, m), and
         x[k] solves the system at nu[k], bit for bit as solve(nu[k], y[k])
-        would.
+        would. A singular system or a solution with a non-finite entry
+        raises SolverError.
 
         With weights W of shape (B, m), y is one (dim, m) block shared by
         every node and the result is the weighted sum
         sum_k (nu_k M - A)^-1 y W[k], of shape (dim,).
         """
         nu = np.asarray(nu, dtype=complex)
-        if weights is not None:
-            return self._weighted_sum(nu, np.asarray(y, dtype=complex),
-                                      np.asarray(weights, dtype=complex))
-        if nu.ndim == 0:
-            return self._solve_one(complex(nu), y)
-        return self._solve_batch(nu, y)
+        try:
+            if weights is not None:
+                x = self._weighted_sum(nu, np.asarray(y, dtype=complex),
+                                       np.asarray(weights, dtype=complex))
+            else:
+                x = self._solve_one(complex(nu), y) if nu.ndim == 0 else self._solve_batch(nu, y)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"non-finite solution at nu={nu}", frequency=nu)
+        return x
 
     @abstractmethod
     def _solve_one(self, nu, y):
@@ -74,12 +80,12 @@ class OperatorFamily(ABC):
         return self._solve_batch(nu, weights @ y.T).sum(axis=0)
 
     def apply_op(self, y):
-        """Apply the evolution operator A (mass form), used to shift
-        inhomogeneities when transforming away initial data."""
+        """A y (mass form) for y of shape (dim,) or (dim, m); it shifts the
+        data when transform_initial moves initial data into them."""
         raise NotImplementedError(f"{type(self).__name__} does not expose A")
 
     def apply_mass(self, y):
-        """Apply the mass operator M (the identity unless overridden)."""
+        """M y for y of shape (dim,) or (dim, m); M is the identity unless overridden."""
         return np.asarray(y)
 
     def validate_initial(self, u0):
@@ -92,10 +98,9 @@ class DenseOperator(OperatorFamily):
 
     def __init__(self, A, M=None, theta1_hint=np.pi / 2):
         self.A = np.asarray(A, dtype=complex)
-        n = self.A.shape[0]
+        n = self.A.shape[0] if self.A.ndim else 0
         if self.A.shape != (n, n):
-            raise ConfigError(f"A must be square, got shape {self.A.shape}")
-        self.has_mass = M is not None
+            raise ConfigError(f"A must be a square matrix, got shape {self.A.shape}")
         self.M = np.eye(n, dtype=complex) if M is None else np.asarray(M, dtype=complex)
         if self.M.shape != (n, n):
             raise ConfigError(f"M must match A, got shape {self.M.shape}")
@@ -109,11 +114,7 @@ class DenseOperator(OperatorFamily):
         nu = np.asarray(nu, dtype=complex)
         y = np.asarray(y, dtype=complex)
         vector = y.ndim == nu.ndim + 1
-        try:
-            x = np.linalg.solve(nu[..., None, None] * self.M - self.A,
-                                y[..., None] if vector else y)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
+        x = np.linalg.solve(nu[..., None, None] * self.M - self.A, y[..., None] if vector else y)
         return x[..., 0] if vector else x
 
     _solve_one = _solve_batch  # a scalar nu is the one-frequency case
@@ -122,21 +123,12 @@ class DenseOperator(OperatorFamily):
         return self.A @ np.asarray(y, dtype=complex)
 
     def apply_mass(self, y):
-        return self.M @ np.asarray(y, dtype=complex) if self.has_mass else np.asarray(y)
+        return self.M @ np.asarray(y, dtype=complex)
 
 
 def dense_operator(M, A, theta1_hint=np.pi / 2) -> DenseOperator:
     """Dense backend; pass M=None for an identity mass matrix."""
     return DenseOperator(A, M=M, theta1_hint=theta1_hint)
-
-
-def _axis_mass(u, axis):
-    # compact-FD mass stencil (1/12, 5/6, 1/12), periodic
-    return (np.roll(u, 1, axis) + np.roll(u, -1, axis)) / 12.0 + 5.0 * u / 6.0
-
-
-def _axis_lap(u, axis, eta):
-    return (np.roll(u, 1, axis) - 2.0 * u + np.roll(u, -1, axis)) / eta**2
 
 
 class PeriodicCompactFD3D(OperatorFamily):
@@ -145,39 +137,33 @@ class PeriodicCompactFD3D(OperatorFamily):
     One-dimensional blocks A1 = circulant(1,-2,1)/eta^2 and
     M1 = circulant(1/12, 5/6, 1/12) composed by Kronecker sums:
     A3 = A1 x M1 x M1 + M1 x A1 x M1 + M1 x M1 x A1, M3 = M1 x M1 x M1.
-    Both are diagonalized by the 3D DFT, so a solve is three FFTs and a
-    pointwise division by the symbol per frequency; a batch runs its
-    frequencies one after another (a stacked 4-D FFT raised peak memory).
-    A weighted sum over a batch stays in Fourier space: the m columns of y
-    are transformed once, the weights are contracted with the reciprocal
-    symbols 1/(nu_k m - a) into one multiplier per column, and one inverse
-    FFT returns the sum. The reciprocals are taken over the distinct
-    (mass, op) symbol pairs only (254 of 4,096 on 16^3, 47 of 512 on 8^3).
+    Both are diagonalized by the 3D DFT. Their symbols m(xi), a(xi) are kept
+    once, as the distinct (m, a) pairs (254 of 4,096 on 16^3, 47 of 512 on
+    8^3) and each wavevector's index into them: a solve, apply_mass and
+    apply_op multiply the column transforms by 1/(nu m - a), m or a and
+    transform back, and a batch runs its frequencies one after another (a
+    stacked 4-D FFT raised peak memory). A weighted sum contracts the
+    weights with the reciprocals 1/(nu_k m - a) into one multiplier per
+    column of y, so one inverse FFT returns it.
     """
 
     is_real = True
     theta1_hint = np.pi / 2
 
     def __init__(self, n_per_dim: int):
-        if n_per_dim < 4:
-            raise ConfigError(f"need at least 4 grid points per axis, got {n_per_dim}")
+        if not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 4:
+            raise ConfigError(f"need an integer n_per_dim >= 4, got {n_per_dim!r}")
         self.n = int(n_per_dim)
         self.eta = 2.0 * np.pi / self.n
         self.dim = self.n**3
         xi = 2.0 * np.pi * fft.fftfreq(self.n)
         a = (2.0 * np.cos(xi) - 2.0) / self.eta**2
         m = 5.0 / 6.0 + np.cos(xi) / 6.0
-        self._mass_symbol = (
-            m[:, None, None] * m[None, :, None] * m[None, None, :]
-        )
-        self._op_symbol = (
-            a[:, None, None] * m[None, :, None] * m[None, None, :]
-            + m[:, None, None] * a[None, :, None] * m[None, None, :]
-            + m[:, None, None] * m[None, :, None] * a[None, None, :]
-        )
-        # distinct (mass, op) pairs; a complex key m + i a compares as the pair
-        pairs, self._pair_index = np.unique(
-            (self._mass_symbol + 1j * self._op_symbol).ravel(), return_inverse=True)
+        (ax, ay, az), (mx, my, mz) = np.ix_(a, a, a), np.ix_(m, m, m)
+        mass = mx * my * mz
+        op = ax * my * mz + mx * ay * mz + mx * my * az
+        # a complex key m + i a compares as the pair
+        pairs, self._pair_index = np.unique((mass + 1j * op).ravel(), return_inverse=True)
         self._pair_mass, self._pair_op = pairs.real, pairs.imag
 
     def grid(self):
@@ -195,40 +181,37 @@ class PeriodicCompactFD3D(OperatorFamily):
         cols = np.ascontiguousarray(np.reshape(y, (self.dim, -1)).T)
         return fft.fftn(cols.reshape(-1, self.n, self.n, self.n), axes=(1, 2, 3))
 
-    def _weighted_sum(self, nu, y, weights):
-        denom = nu[:, None] * self._pair_mass - self._pair_op  # (B, distinct pairs)
+    def _reciprocals(self, nu):
+        """1/(nu m - a) over the pairs for nu of shape (B,), as (B, pairs); a
+        vanishing symbol raises SolverError naming its frequency."""
+        denom = nu[:, None] * self._pair_mass - self._pair_op
         if not np.all(denom):
             bad = nu[np.argmin(np.all(denom, axis=1))]
             raise SolverError(f"symbol vanishes at nu={bad}", frequency=bad)
-        mult = weights.T @ np.reciprocal(denom, out=denom)  # (m, distinct pairs)
+        return np.reciprocal(denom, out=denom)
+
+    def _times_pairs(self, y, per_pair):
+        """The column transforms of y times per_pair at each wavevector's
+        pair, transformed back to the shape of y."""
+        y = np.asarray(y, dtype=complex)
+        symbol = np.take(per_pair, self._pair_index).reshape(self.n, self.n, self.n)
+        x = fft.ifftn(self._column_transforms(y) * symbol, axes=(1, 2, 3))
+        return x.reshape(-1, self.dim).T.reshape(y.shape)
+
+    def _weighted_sum(self, nu, y, weights):
+        mult = weights.T @ self._reciprocals(nu)  # (m, distinct pairs)
         hat = self._column_transforms(y).reshape(-1, self.dim)
         total = (hat * np.take(mult, self._pair_index, axis=1)).sum(axis=0)
         return fft.ifftn(total.reshape(self.n, self.n, self.n)).ravel()
 
     def _solve_one(self, nu, y):
-        y = np.asarray(y, dtype=complex)
-        denom = nu * self._mass_symbol - self._op_symbol
-        if np.any(denom == 0.0):
-            raise SolverError(f"symbol vanishes at nu={nu}", frequency=nu)
-        x = fft.ifftn(self._column_transforms(y) / denom, axes=(1, 2, 3))
-        return x.reshape(-1, self.dim).T.reshape(y.shape)
+        return self._times_pairs(y, self._reciprocals(np.array([nu]))[0])
 
     def apply_op(self, y):
-        u = np.asarray(y, dtype=complex).reshape(self.n, self.n, self.n)
-        out = np.zeros_like(u)
-        for axis in range(3):
-            t = _axis_lap(u, axis, self.eta)
-            for other in range(3):
-                if other != axis:
-                    t = _axis_mass(t, other)
-            out += t
-        return out.ravel()
+        return self._times_pairs(y, self._pair_op)
 
     def apply_mass(self, y):
-        u = np.asarray(y, dtype=complex).reshape(self.n, self.n, self.n)
-        for axis in range(3):
-            u = _axis_mass(u, axis)
-        return u.ravel()
+        return self._times_pairs(y, self._pair_mass)
 
 
 def periodic_compact_fd_3d(n_per_dim: int) -> PeriodicCompactFD3D:
@@ -239,26 +222,30 @@ class SchrodingerTBC1D(OperatorFamily):
     """i*Laplacian on [-a, a] with transparent compact-FD boundary rows.
 
     Interior rows of (nu*M - i*A) are the constant tridiagonal
-    (phi, psi, phi) with phi = nu/12 - i/eta^2 and psi = 5 nu/6 + 2 i/eta^2.
-    The exterior decaying solution u_out = z1 * u_boundary (|z1| < 1, root
-    of phi z^2 + psi z + phi = 0) folds into the two corner rows; solve()
-    is one LAPACK tridiagonal solve of those closed rows per frequency.
+    (phi, psi, phi) with phi = nu/12 - i/eta^2 and psi = 5 nu/6 + 2 i/eta^2
+    (_interior). The exterior decaying solution u_out = z1 * u_boundary
+    (|z1| < 1, root of phi z^2 + psi z + phi = 0) folds into the two corner
+    rows; solve() is one LAPACK tridiagonal solve of those closed rows per
+    frequency. apply_mass and apply_op are the interior stencils with zero
+    ghost values, which the closed rows match on data that vanish at both ends.
     """
 
     is_real = False
 
     def __init__(self, a_half: float, n_points: int, alpha: float):
-        if n_points < 5:
-            raise ConfigError(f"need at least 5 grid points, got {n_points}")
+        if not isinstance(n_points, (int, np.integer)) or n_points < 5:
+            raise ConfigError(f"need an integer n_points >= 5, got {n_points!r}")
+        self.n = int(n_points)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
         if not 0.0 < a_half < np.inf:
             raise ConfigError(f"half-width a_half must be finite and positive, got {a_half}")
         self.a_half = float(a_half)
-        self.n = int(n_points)
         self.dim = self.n
         self.alpha = float(alpha)
         self.eta = 2.0 * self.a_half / (self.n - 1)
+        if not 1e-150 < self.eta < 1e150:  # so that eta^2 and 1/eta^2 are finite floats
+            raise ConfigError(f"grid spacing eta={self.eta:g} outside [1e-150, 1e150]")
         self.x = np.linspace(-self.a_half, self.a_half, self.n)
         self.theta1_hint = contour.theta1(alpha, 0.0)
         # scipy is imported here, at set-up, and only by this backend
@@ -266,14 +253,17 @@ class SchrodingerTBC1D(OperatorFamily):
 
         self._solve_banded = solve_banded
 
+    def _interior(self, nu):
+        """(phi, psi): the off-diagonal and the diagonal of the interior rows at nu."""
+        return nu / 12.0 - 1j / self.eta**2, 5.0 * nu / 6.0 + 2j / self.eta**2
+
     def roots(self, nu):
         """Both roots of phi z^2 + psi z + phi = 0, decaying one first.
 
         The larger-magnitude numerator of the quadratic formula gives one
         root accurately; the other follows from the unit product of roots.
         """
-        phi = nu / 12.0 - 1j / self.eta**2
-        psi = 5.0 * nu / 6.0 + 2j / self.eta**2
+        phi, psi = self._interior(nu)
         if phi == 0.0:
             raise SolverError(f"phi vanishes at nu={nu}", frequency=nu)
         disc = np.sqrt(complex(psi * psi - 4.0 * phi * phi))
@@ -281,16 +271,12 @@ class SchrodingerTBC1D(OperatorFamily):
         z_a = num / (2.0 * phi)
         z_b = 1.0 / z_a
         if abs(abs(z_a) - 1.0) < 1e-10 and abs(abs(z_b) - 1.0) < 1e-10:
-            raise SolverError(
-                f"degenerate boundary roots |z| = 1 at nu={nu}", frequency=nu
-            )
-        z1, z2 = (z_a, z_b) if abs(z_a) < 1.0 else (z_b, z_a)
-        return z1, z2
+            raise SolverError(f"degenerate boundary roots |z| = 1 at nu={nu}", frequency=nu)
+        return (z_a, z_b) if abs(z_a) < 1.0 else (z_b, z_a)
 
     def closed_rows(self, nu):
         """(sub/super, diag) of the boundary-closed tridiagonal at nu."""
-        phi = nu / 12.0 - 1j / self.eta**2
-        psi = 5.0 * nu / 6.0 + 2j / self.eta**2
+        phi, psi = self._interior(nu)
         z1, _ = self.roots(nu)
         diag = np.full(self.n, psi, dtype=complex)
         diag[0] += phi * z1
@@ -300,15 +286,9 @@ class SchrodingerTBC1D(OperatorFamily):
     def _solve_one(self, nu, y):
         phi, diag = self.closed_rows(nu)
         bands = np.array([np.full(self.n, phi), diag, np.full(self.n, phi)])
-        y = np.asarray(y, dtype=complex)
-        try:
-            return self._solve_banded((1, 1), bands, y, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"closed tridiagonal singular at nu={nu}", frequency=nu) from exc
+        return self._solve_banded((1, 1), bands, np.asarray(y, dtype=complex), check_finite=False)
 
     def apply_op(self, y):
-        # i * second difference with zero ghost values; valid for data
-        # supported away from the boundary
         u = np.asarray(y, dtype=complex)
         lap = -2.0 * u.copy()
         lap[1:] += u[:-1]
@@ -346,7 +326,7 @@ def sector_probe(family: OperatorFamily, samples, trials: int = 4, seed: int = 0
     nus = np.repeat(np.asarray(samples, dtype=complex), trials)
     shape = (len(nus), family.dim)
     ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    masses = np.linalg.norm([family.apply_mass(y) for y in ys], axis=1)
+    masses = np.linalg.norm(family.apply_mass(ys.T), axis=0)
     return float(np.max(np.abs(nus) * np.linalg.norm(family.solve(nus, ys), axis=1) / masses))
 
 

@@ -13,7 +13,7 @@ import fraccq
 
 from fraccq import caputo, caputo_oracle, example1_problem, example3_initial
 from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u, _example1_u_prime
-from fraccq.errors import DomainError, SupportError
+from fraccq.errors import ConfigError, DomainError, SupportError
 from fraccq.tableau import radau_iia
 
 
@@ -66,6 +66,15 @@ def test_oracle_domain_errors():
         caputo_oracle(lambda tau: 1.0, 1.2, 1.0)
     with pytest.raises(DomainError):
         caputo_oracle(lambda tau: 1.0, 0.5, 1.0, tol=1e-14)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_oracle_refuses_a_non_finite_time(t):
+    """t = nan raised scipy's ValueError; a nan tolerance passed the check."""
+    with pytest.raises(DomainError):
+        caputo_oracle(lambda tau: 1.0, 0.5, t)
+    with pytest.raises(DomainError):
+        caputo_oracle(lambda tau: 1.0, 0.5, 1.0, tol=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +149,28 @@ def test_half_order_table_zero_start():
     table = HalfOrderTrigTable(2.0)
     assert table.f1(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-13)
     assert table.f2(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: HalfOrderTrigTable(np.nan), id="table-nan"),
+    pytest.param(lambda: HalfOrderTrigTable(-1.0), id="table-negative"),
+    pytest.param(lambda: caputo.example2_problem(np.nan), id="example2-nan"),
+    pytest.param(lambda: caputo.example2_problem(8.5), id="example2-8.5"),
+    pytest.param(lambda: caputo.example2_problem(8, t_max=np.inf), id="example2-t_max-inf"),
+    pytest.param(lambda: caputo.example3_problem(np.nan, 2.0), id="example3-nan"),
+    pytest.param(lambda: caputo.example3_problem(101.7, 2.0), id="example3-101.7"),
+])
+def test_example_constructors_refuse_with_config_error(build):
+    """HalfOrderTrigTable(nan) switched its own range check off and
+    evaluated any time; a nan grid size raised a bare ValueError and
+    8.5 or 101.7 built 8 or 101 points."""
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_half_order_table_refuses_nan_times():
+    with pytest.raises(DomainError):
+        HalfOrderTrigTable(10.0).factors(np.array([1.0, np.nan]))
 
 
 def test_half_order_factors_equal_the_two_columns():

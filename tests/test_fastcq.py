@@ -216,6 +216,19 @@ def test_direct_circle_rule_is_converged_at_its_J(example1, tbc_problem_small, n
         assert np.max(np.abs(u - ref)) <= 2e-12 * np.max(np.abs(ref))
 
 
+def test_latest_explicit_weight_is_converged():
+    """W_700 of example 1 (radau5, h = 0.01, |W_700| = 3.8e-3) from
+    weight_matrices_direct([700]) lies within 1e-12 of the same weight from
+    a rule sized for n up to 1400, whose radius amplifies the rounding of
+    W_700 far less. At J = 4 (max n + 1) it read 2.6e-11; at 10 (max n + 1)
+    about 1e-13."""
+    fam = dense_operator(None, caputo.EXAMPLE1_MATRIX)
+    tab = radau_iia(3)
+    w = fastcq.weight_matrices_direct(fam, tab, 0.5, 0.01, [700])[0]
+    ref = fastcq.weight_matrices_direct(fam, tab, 0.5, 0.01, [700, 1400])[0]
+    assert np.max(np.abs(w - ref)) <= 1e-12
+
+
 def test_default_J_is_as_accurate_as_the_former_J_160(example1):
     """On the radau5 convergence ladder of example 1 (t = 10, K = 25) the
     default J = 2 kappa = 40 lies no further from a J = 2000 run than the

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraccq import contour, smallmat
-from fraccq.errors import ConfigError, SolverError, SupportError
+from fraccq.errors import ConfigError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
@@ -365,18 +366,21 @@ def test_batched_solve_equals_per_node_solves(backend, rng):
         assert np.array_equal(xcols[k], fam.solve(nus[k], cols[k]))
 
 
+def _family(backend, rng):
+    if backend == "dense":
+        return dense_operator(np.eye(5) + 0.1 * rng.standard_normal((5, 5)),
+                              rng.standard_normal((5, 5)))
+    if backend.startswith("spectral"):
+        return periodic_compact_fd_3d(int(backend.split("-")[1]))
+    return schrodinger_tbc_1d(2.0, 41, 0.75)
+
+
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-10", "tbc"])
 def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
     """solve(nus, y, weights=W) is sum_k solve(nus[k], y @ W[k]) for complex
     weights; the spectral sum in Fourier space also on an odd grid."""
-    if backend == "dense":
-        fam = dense_operator(np.eye(5) + 0.1 * rng.standard_normal((5, 5)),
-                             rng.standard_normal((5, 5)))
-    elif backend.startswith("spectral"):
-        fam = periodic_compact_fd_3d(int(backend.split("-")[1]))
-    else:
-        fam = schrodinger_tbc_1d(2.0, 41, 0.75)
+    fam = _family(backend, rng)
     nus = np.array([1.1 + 0.7j, 0.3 - 2.0j, 4.0 + 0.1j, 2.5j, -0.5 + 3.0j])
     y = rng.standard_normal((fam.dim, m)) + 1j * rng.standard_normal((fam.dim, m))
     w = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
@@ -384,3 +388,104 @@ def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
     ref = sum(fam.solve(nu, y @ wk) for nu, wk in zip(nus, w))
     assert got.shape == (fam.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-5", "tbc"])
+def test_apply_and_solve_describe_one_operator(backend, rng):
+    """solve(nu, nu * apply_mass(Y) - apply_op(Y)) returns the (dim, m)
+    block Y at three frequencies, one at a time and as a batch. The TBC
+    block vanishes at both ends, where the closed boundary rows and the
+    zero-ghost stencils agree. A block applies as its columns do."""
+    fam = _family(backend, rng)
+    nus = np.array([1.1 + 0.7j, 0.3 - 2.0j, 4.0 + 0.1j])
+    ys = rng.standard_normal((3, fam.dim, 4)) + 1j * rng.standard_normal((3, fam.dim, 4))
+    if backend == "tbc":
+        ys[:, [0, -1]] = 0.0
+    rhs = np.stack([nu * fam.apply_mass(y) - fam.apply_op(y) for nu, y in zip(nus, ys)])
+    for apply in (fam.apply_mass, fam.apply_op):
+        block = apply(ys[0])
+        assert block.shape == ys[0].shape
+        cols = np.stack([apply(ys[0][:, j]) for j in range(4)], axis=1)
+        assert np.max(np.abs(block - cols)) <= 1e-14 * np.max(np.abs(cols))
+    batched = fam.solve(nus, rhs)
+    for k, nu in enumerate(nus):
+        scale = np.max(np.abs(ys[k]))
+        assert np.max(np.abs(fam.solve(nu, rhs[k]) - ys[k])) <= 1e-10 * scale
+        assert np.max(np.abs(batched[k] - ys[k])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: periodic_compact_fd_3d(8.5), id="spectral-8.5"),
+    pytest.param(lambda: periodic_compact_fd_3d(8.0), id="spectral-8.0"),
+    pytest.param(lambda: periodic_compact_fd_3d(np.nan), id="spectral-nan"),
+    pytest.param(lambda: schrodinger_tbc_1d(2.0, 101.7, 0.75), id="tbc-101.7"),
+    pytest.param(lambda: schrodinger_tbc_1d(2.0, np.nan, 0.75), id="tbc-nan"),
+    pytest.param(lambda: schrodinger_tbc_1d(1e-200, 101, 0.75), id="tbc-eta-underflow"),
+    pytest.param(lambda: schrodinger_tbc_1d(1e200, 101, 0.75), id="tbc-eta-overflow"),
+    pytest.param(lambda: dense_operator(None, 1.0), id="dense-scalar"),
+])
+def test_operator_constructors_refuse_with_config_error(build):
+    """Grid sizes must be integers: 8.5 and 101.7 built 8 and 101 points,
+    and nan raised a bare ValueError. A grid spacing whose square leaves the
+    float range raised ZeroDivisionError or OverflowError at the first
+    solve, and a scalar A an IndexError."""
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_numpy_integer_grid_sizes_are_kept():
+    assert periodic_compact_fd_3d(np.int64(4)).n == 4
+    assert schrodinger_tbc_1d(2.0, np.int32(41), 0.75).n == 41
+
+
+@pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
+@pytest.mark.parametrize("nu", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_non_finite_solutions_raise_solver_error(backend, nu, rng):
+    """A non-finite frequency returned NaN from every backend."""
+    fam = _family(backend, rng)
+    with np.errstate(all="ignore"), pytest.raises(SolverError):
+        fam.solve(nu, np.ones(fam.dim))
+    with np.errstate(all="ignore"), pytest.raises(SolverError):
+        fam.solve(np.array([1.0 + 1.0j, nu]), np.ones((2, fam.dim)))
+
+
+# Hypothesis draws: finite, non-finite, non-integer, zero and negative
+# values, each mixed with a valid range so that many draws solve, on grids
+# of at most 7^3 or 40 points.
+_REALS = st.floats()
+_NUS = st.builds(complex, st.floats(), st.floats())
+_MATRICES = st.integers(1, 3).flatmap(
+    lambda k: st.lists(_REALS, min_size=k * k, max_size=k * k).map(
+        lambda v: np.reshape(v, (k, k))))
+
+
+def _solves_or_raises_typed(build, nu):
+    """build() and solve at nu: the answer is finite and shaped like the
+    data, or a FracCQError; any other exception fails the test."""
+    try:
+        with np.errstate(all="ignore"):
+            fam = build()
+            y = np.linspace(1.0, 2.0, fam.dim) + 0.5j
+            x = fam.solve(nu, y)
+    except FracCQError:
+        return
+    assert x.shape == y.shape and np.all(np.isfinite(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(-2, 7), st.integers(-2, 7).map(np.int64), _REALS), nu=_NUS)
+def test_spectral_builds_and_solves_or_raises_typed(n, nu):
+    _solves_or_raises_typed(lambda: periodic_compact_fd_3d(n), nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a_half=st.one_of(st.floats(0.5, 4.0), _REALS), n=st.one_of(st.integers(-2, 40), _REALS),
+       alpha=st.one_of(st.floats(0.05, 0.95), _REALS), nu=_NUS)
+def test_tbc_builds_and_solves_or_raises_typed(a_half, n, alpha, nu):
+    _solves_or_raises_typed(lambda: schrodinger_tbc_1d(a_half, n, alpha), nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.one_of(_MATRICES, _REALS), m=st.one_of(st.none(), _MATRICES), nu=_NUS)
+def test_dense_builds_and_solves_or_raises_typed(a, m, nu):
+    _solves_or_raises_typed(lambda: dense_operator(m, a), nu)
