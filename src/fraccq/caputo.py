@@ -29,6 +29,15 @@ so large arguments need no further trig calls and lose nothing to
 rounding of the angle. The inhomogeneities are evaluated in one
 vectorized call per stage table; the oracle is the independent check of
 that data. Only the oracle needs scipy, and imports it when called.
+
+Example 1's nine frequencies are harmonics of two base frequencies,
+omega = 4 (1, 2, 3) and sqrt5 (1..6). Its tables therefore take
+exp(i omega t) of all nine as powers of the two base phases exp(4it) and
+exp(i sqrt5 t), formed by complex products, and sum the solution
+u = sum_k b_k (1 - cos(omega_k t)) from the same cosines: two complex
+exponentials per time instead of nine sines and nine cosines plus the
+powers of u. This agrees with the nine separate evaluations to about
+1e-15 of the data scale.
 """
 
 from __future__ import annotations
@@ -126,16 +135,11 @@ def _ratio(x, num, den):
     return out
 
 
-def _half_derivatives(omega, t, sin=True, trig=False):
-    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) at times t >= 0,
-    in the broadcast shape of omega and t (Fresnel form: module docstring).
-    With sin=False the first entry is None and is not computed; with
-    trig=True sin(omega t) and cos(omega t), evaluated on the way, follow."""
-    omega = np.asarray(omega, dtype=float)
-    wt = omega * np.asarray(t, dtype=float)
-    shape = wt.shape
-    wt = wt.ravel()
-    s, c = np.sin(wt), np.cos(wt)
+def _fresnel_half(wt, s, c, sin=True):
+    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) / sqrt(2 omega)
+    from flat arrays of the angles wt = omega t >= 0 and of sin(wt) and
+    cos(wt) (Fresnel form: module docstring). With sin=False the first
+    entry is None and is not computed."""
     # x >= 1.6, with inv = 1/(pi x^2) = 1/(2 omega t) and 1/(pi x) = sqrt(inv/pi);
     # entries below the edge are clamped here and overwritten below
     inv = 0.5 / np.maximum(wt, _FRESNEL_EDGE)
@@ -165,8 +169,22 @@ def _half_derivatives(omega, t, sin=True, trig=False):
         d_cos[small] = s_small * fc - c_small * fs
         if sin:
             d_sin[small] = c_small * fc + s_small * fs
+    return d_sin, d_cos
+
+
+def _half_derivatives(omega, t, sin=True, trig=False):
+    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) at times t >= 0,
+    in the broadcast shape of omega and t (Fresnel form: module docstring).
+    With sin=False the first entry is None and is not computed; with
+    trig=True sin(omega t) and cos(omega t), evaluated on the way, follow."""
+    omega = np.asarray(omega, dtype=float)
+    wt = omega * np.asarray(t, dtype=float)
+    shape = wt.shape
+    wt = wt.ravel()
+    s, c = np.sin(wt), np.cos(wt)
     scale = np.sqrt(2.0 * omega)
-    out = tuple(None if col is None else col.reshape(shape) * scale for col in (d_sin, d_cos))
+    out = tuple(None if col is None else col.reshape(shape) * scale
+                for col in _fresnel_half(wt, s, c, sin))
     return out + (s.reshape(shape), c.reshape(shape)) if trig else out
 
 
@@ -207,13 +225,26 @@ def _example1_u_prime(t):
 
 
 EXAMPLE1_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+# g = D^(1/2) u - A u = d @ (sqrt(2 omega) b) - (1 - cos(omega t)) @ (b A^T), with d
+# the unscaled half derivatives of 1 - cos(omega t) (_fresnel_half)
+_EXAMPLE1_DHALF = np.sqrt(2.0 * _EXAMPLE1_OMEGAS)[:, None] * _EXAMPLE1_WEIGHTS
+_EXAMPLE1_AU = _EXAMPLE1_WEIGHTS @ EXAMPLE1_MATRIX.T
 
 
 def _example1_factors(ts):
-    """g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2) array."""
+    """g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2) array, from the powers
+    of two base phases (harmonic evaluation: module docstring)."""
     ts = np.asarray(ts, dtype=float)
-    _, dhalf = _half_derivatives(_EXAMPLE1_OMEGAS, ts[:, None], sin=False)
-    return dhalf @ _EXAMPLE1_WEIGHTS - _example1_u(ts).T @ EXAMPLE1_MATRIX.T
+    phase = np.empty((9, len(ts)), dtype=complex)  # row k: exp(i omega_k t)
+    for first, stop, base in ((0, 3, 4.0), (3, 9, _SQRT5)):
+        phase[first] = np.exp(1j * (base * ts))
+        for k in range(first + 1, stop):
+            np.multiply(phase[k - 1], phase[first], out=phase[k])
+    cos = phase.real.ravel()
+    _, d_cos = _fresnel_half((_EXAMPLE1_OMEGAS[:, None] * ts).ravel(), phase.imag.ravel(),
+                             cos, sin=False)
+    return (d_cos.reshape(9, -1).T @ _EXAMPLE1_DHALF
+            - (1.0 - cos.reshape(9, -1)).T @ _EXAMPLE1_AU)
 
 
 def example1_problem() -> ManufacturedProblem:

@@ -35,6 +35,18 @@ class ContourParams:
     K: int
     Lambda: int
 
+    @functools.cached_property
+    def hyperbola(self):
+        """The factors of level_nodes that no mu scales, k = -K..K, read-only:
+        1 - sin(phi) cosh(k tau), sinh(k tau) and
+        cos(phi) cosh(k tau) + i sin(phi) sinh(k tau)."""
+        x = self.tau * np.arange(-self.K, self.K + 1)
+        ch, sh = np.cosh(x), np.sinh(x)
+        unit = (1.0 - np.sin(self.phi) * ch, sh, np.cos(self.phi) * ch + 1j * np.sin(self.phi) * sh)
+        for arr in unit:
+            arr.setflags(write=False)
+        return unit
+
 
 @dataclass(frozen=True)
 class ContourLevel:
@@ -193,8 +205,16 @@ def level_nodes(mu: float, params: ContourParams, ell: int = 0) -> ContourLevel:
 
 def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int) -> list:
     """The hyperbolas of levels 1..L: one parameter choice for all of them,
-    each scaled by its mu_level. No level (L = 0) selects no parameters."""
+    each scaled by its mu_level. The unit hyperbola is computed once per
+    parameter choice (ContourParams.hyperbola) and all levels are scaled
+    in one step, bit for bit level_nodes of each mu. No level (L = 0)
+    selects no parameters."""
     if L == 0:
         return []
     params = select_parameters(K, Lambda, theta)
-    return [level_nodes(mu_level(ell, K, h, kappa, params), params, ell) for ell in range(1, L + 1)]
+    mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])[:, None]
+    real, sh, unit_om = params.hyperbola
+    lams = mus * real + 1j * (mus * np.cos(params.phi)) * sh
+    oms = (params.tau * mus / (2.0 * np.pi)) * unit_om
+    return [ContourLevel(ell=ell, mu=float(mu), lambdas=lam, omegas=om, K=K)
+            for ell, mu, lam, om in zip(range(1, L + 1), mus[:, 0], lams, oms)]

@@ -27,7 +27,9 @@ u = sum_k (nu_k M - A)^-1 S^T w_k with S the (r, dim) spatial factors, so
 both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels. The stage-space work runs on arrays of nodes: one
-stability call per level, one stacked eigen-split of the circle nodes.
+spectrum-clearance test, one stability call and one combine scale over
+the contour nodes of all levels per solve, one stacked eigen-split of the
+circle nodes.
 It is a split of Delta(zeta_j), which depends on the tableau, J and kappa
 but not on h or N, so solves at one tableau, J and kappa split their
 circle nodes once per process (smallmat.eig_small keeps the last split).
@@ -109,7 +111,8 @@ class CQConfig:
             value = getattr(self, name)
             if value is None and name in ("K", "J"):
                 continue
-            if not isinstance(value, (int, np.integer)) or value < least:
+            # bool is an int subclass, but True is no step or node count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ConfigError(f"need an integer {name} >= {least}, got {name}={value}")
         if self.resolved_J() < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
@@ -169,7 +172,10 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
 @dataclass
 class RunStats:
     """Operation counters, the contour size K and circle size J used and
-    per-phase wall-clock times of one solve."""
+    per-phase wall-clock times of one solve: wall_times holds "prepare"
+    (which includes "table", the stage-table build or check of a passed
+    one), "rk_marches", "combine", "resolvent_solves", "first_block" and
+    "total"."""
 
     K: int = 0
     J: int = 0
@@ -424,19 +430,21 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
 # the fast algorithm
 
 
-def _check_spectrum_clearance(levels, tab, h):
+def _check_spectrum_clearance(z, tab):
+    """Refuse contour nodes z = h lambda of levels 1..L, k = -K..K, in an
+    (L, 2K+1) array, that lie within a relative 1e-8 of a pole 1/eig(A) of
+    the stage matrix: one test over the nodes of all levels, naming the
+    first offending level and node."""
     poles = 1.0 / tab.assumptions.eigenvalues
-    for lev in levels:
-        z = h * lev.lambdas
-        dist = np.min(np.abs(z[:, None] - poles[None, :]), axis=1)
-        bad = dist < _SPECTRUM_CLEARANCE * np.maximum(1.0, np.abs(z))
-        if np.any(bad):
-            k = int(np.argmax(bad)) - lev.K
-            raise PoleError(
-                f"contour node k={k} of level {lev.ell} hits the stage-matrix "
-                "spectrum; adjust K or kappa",
-                where=z[np.argmax(bad)],
-            )
+    dist = np.min(np.abs(z[..., None] - poles), axis=-1)
+    bad = dist < _SPECTRUM_CLEARANCE * np.maximum(1.0, np.abs(z))
+    if np.any(bad):
+        li, i = np.argwhere(bad)[0]
+        raise PoleError(
+            f"contour node k={i - z.shape[1] // 2} of level {li + 1} hits the "
+            "stage-matrix spectrum; adjust K or kappa",
+            where=z[li, i],
+        )
 
 
 def fast_solve(problem: Problem, config: CQConfig, table=None):
@@ -447,13 +455,16 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     the separable data; (2) combine: the weight of node k of level l is
     omega_k r_k^(m_l) times its r march coefficients; (3) one weighted
     resolvent solve sums the nodes of all levels; (4) circle-rule block
-    for the first m_0 weights. When the operator and the data are both real
-    (family.is_real and table.is_real), the term of node -k is the
-    conjugate of that of node k, so only the upper half k >= 0 of each
-    contour is computed and the conjugate pairs are folded in as doubled
-    real parts; otherwise all 2K+1 nodes are. A caller solving the same N,
-    h and tableau repeatedly may pass the stage table of problem.g; one
-    sampled at another N, h or set of stage nodes raises ConfigError.
+    for the first m_0 weights. The stage-space work of the levels (the
+    spectrum clearance, the stability data r, q and the combine scale) is
+    one array operation over the nodes of all levels. When the operator
+    and the data are both real (family.is_real and table.is_real), the
+    term of node -k is the conjugate of that of node k, so only the upper
+    half k >= 0 of each contour is computed and the conjugate pairs are
+    folded in as doubled real parts; otherwise all 2K+1 nodes are. A
+    caller solving the same N, h and tableau repeatedly may pass the stage
+    table of problem.g; one sampled at another N, h or set of stage nodes
+    raises ConfigError.
     """
     fam = problem.family
     alpha = problem.alpha
@@ -464,15 +475,21 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     K = config.resolved_K(fam)
     stats = RunStats(K=K, J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
+    t_phase = time.perf_counter()
     table = _stage_table(problem, config, table)
+    stats.wall_times["table"] = time.perf_counter() - t_phase
     levels = contour.level_contours(plan.L, K, config.Lambda, config.resolved_theta(fam),
                                     h, config.kappa)
-    _check_spectrum_clearance(levels, tab, h)
-
-    # per-level nodes and their stability data (r, q); folding needs k = 0..K only
+    # the nodes of all levels, level by level; folding needs k = 0..K only
     fold = fam.is_real and table.is_real
-    lam_used = [lev.lambdas[K:] if fold else lev.lambdas for lev in levels]
-    stab = [tableau_mod.stability(h * lams, tab) for lams in lam_used]
+    used = slice(K, None) if fold else slice(None)
+    n_nodes = K + 1 if fold else 2 * K + 1
+    if levels:
+        lams = np.stack([lev.lambdas for lev in levels])  # (L, 2K+1)
+        z = h * lams
+        _check_spectrum_clearance(z, tab)
+        r, q = tableau_mod.stability(z[:, used].ravel(), tab)  # one call for all levels
+        r, q = r.reshape(plan.L, n_nodes), q.reshape(plan.L, n_nodes, tab.s)
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
     # the marches run first, while the table is warm in cache
@@ -480,28 +497,27 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.window(li + 1)
-        coeffs.append(_march_window(*stab[li], table, N - m_hi, N - m_lo, h))
-        stats.rk_steps += len(lam_used[li]) * (m_hi - m_lo)
+        coeffs.append(_march_window(r[li], q[li], table, N - m_hi, N - m_lo, h))
+        stats.rk_steps += n_nodes * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
-
-    t_phase = time.perf_counter()
-    weights = []
-    for li, lev in enumerate(levels):
-        omegas = lev.omegas[K:] if fold else lev.omegas
-        scale = omegas * stab[li][0] ** plan.m[li]
-        if fold:  # node k > 0 stands for itself and its conjugate
-            scale *= np.where(np.arange(len(scale)) > 0, 2.0, 1.0)
-        weights.append(scale[:, None] * coeffs[li])
-    stats.wall_times["combine"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
     u_levels = 0.0
     if levels:
-        nus = smallmat.power_alpha(np.concatenate(lam_used), alpha)
-        u_levels = fam.solve(nus, table.spatial.T, weights=np.concatenate(weights))
+        scale = np.stack([lev.omegas[used] for lev in levels])
+        scale *= r ** np.array(plan.m[:plan.L])[:, None]  # r_k^(m_(l-1)) on level l
+        if fold:  # node k > 0 stands for itself and its conjugate
+            scale[:, 1:] *= 2.0
+        weights = scale.reshape(-1, 1) * np.concatenate(coeffs)
+    stats.wall_times["combine"] = time.perf_counter() - t_phase
+
+    t_phase = time.perf_counter()
+    if levels:
+        nus = smallmat.power_alpha(lams[:, used].ravel(), alpha)
+        u_levels = fam.solve(nus, table.spatial.T, weights=weights)
         if fold:  # the real part of the sum is the sum of the folded pairs
             u_levels = u_levels.real
-    stats.resolvent_solves = sum(len(lams) for lams in lam_used)
+    stats.resolvent_solves = plan.L * n_nodes
     stats.wall_times["resolvent_solves"] = time.perf_counter() - t_phase
 
     # the first block runs after the level solve, not straight after the

@@ -125,6 +125,23 @@ def test_example1_data_matches_oracle_across_scales(example1):
         assert np.max(np.abs(example1.g.sample(t) - ref)) <= 1e-10, t
 
 
+def test_example1_factors_match_the_nine_frequency_form():
+    """The tables take exp(i omega t) of the nine frequencies as products of
+    two base phases and sum u from the same cosines; on every stage table
+    of the radau5 ladder they agree with D^(1/2) of each 1 - cos(omega t)
+    and sin^6-form u within 1e-14 of the data scale, and vanish exactly at
+    t = 0."""
+    c = radau_iia(3).c
+    for n in (20, 40, 80, 160, 320, 640):
+        ts = ((np.arange(n)[:, None] + c) * (10.0 / n)).ravel()
+        _, dhalf = caputo._half_derivatives(caputo._EXAMPLE1_OMEGAS, ts[:, None], sin=False)
+        ref = dhalf @ caputo._EXAMPLE1_WEIGHTS - _example1_u(ts).T @ EXAMPLE1_MATRIX.T
+        got = caputo._example1_factors(ts)
+        assert got.shape == (3 * n, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+    assert np.array_equal(caputo._example1_factors(np.zeros(3)), np.zeros((3, 2)))
+
+
 def test_example1_derivative_is_consistent():
     # finite-difference check of the hand-coded u'
     for t in (0.3, 1.1, 2.7):

@@ -159,6 +159,23 @@ def test_trapezoid_inverts_laplace_of_one():
         assert abs(val - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("K, theta, h, kappa", [
+    (25, HALF_PI, 10.0 / 640, 20), (20, HALF_PI, 2.0 / 20000, 12),
+    (64, np.pi / 6, 0.5 / 2000, 20), (10, 1.0, 0.5, 3),
+])
+def test_level_contours_equal_level_nodes(K, theta, h, kappa):
+    """All levels scale one unit hyperbola, computed once per parameter
+    choice, and each equals level_nodes of its mu bit for bit."""
+    levels = level_contours(6, K, 5, theta, h, kappa)
+    p = select_parameters(K, 5, theta)
+    assert p.hyperbola is p.hyperbola and not any(a.flags.writeable for a in p.hyperbola)
+    for ell, lev in enumerate(levels, 1):
+        ref = level_nodes(mu_level(ell, K, h, kappa, p), p, ell)
+        assert (lev.ell, lev.mu, lev.K) == (ref.ell, ref.mu, ref.K)
+        assert np.array_equal(lev.lambdas, ref.lambdas) and np.array_equal(lev.omegas, ref.omegas)
+        assert not lev.lambdas.flags.writeable and not lev.omegas.flags.writeable
+
+
 def test_scalar_weight_sum_matches_direct_oracle():
     """Hyperbola-quadrature weights agree with circle-rule weights within
     eps*(n h)^(alpha-1) for indices inside the level windows (frozen

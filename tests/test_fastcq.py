@@ -13,7 +13,7 @@ from fraccq import (
     rk_march_scalar,
     transform_initial,
 )
-from fraccq import caputo, fastcq, smallmat
+from fraccq import caputo, contour, fastcq, smallmat, tableau
 from fraccq.errors import ConfigError, PoleError
 from fraccq.operators import (
     ConstantInhomogeneity,
@@ -85,6 +85,14 @@ def test_config_validation():
         assert getattr(CQConfig(tableau=tab, h=0.1, N=40, **{field: np.int64(40)}), field) == 40
 
 
+@pytest.mark.parametrize("field", ["N", "K", "Lambda", "kappa", "J"])
+def test_config_refuses_a_bool_count(field):
+    """bool is an int subclass: N=True and kappa=True ran a one-step and a
+    one-term solve without a word; every integer field refuses a bool."""
+    with pytest.raises(ConfigError, match=f"integer {field} "):
+        CQConfig(tableau=radau_iia(1), h=0.1, **{"N": 40, field: True})
+
+
 def test_tableau_checks_run_once_per_tableau(monkeypatch):
     """CQConfig and the spectrum clearance of fast_solve read the checks the
     tableau keeps (Tableau.assumptions): two solves at one tableau take the
@@ -118,6 +126,81 @@ def test_runstats_counters(example1, example1_complex):
     # an explicit J runs as given
     _, stats = fast_solve(example1, dataclasses.replace(cfg, J=161))
     assert stats.J == 161 and stats.first_block_solves == 3 * 81
+
+
+def test_wall_times_show_the_table_inside_prepare(example1):
+    """RunStats.wall_times reports the stage-table build, or the check of a
+    passed table, as "table", a part of "prepare"."""
+    cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=1000, K=25)
+    for table in (None, example1.g.table(cfg.N, cfg.h, cfg.tableau.c)):
+        times = fast_solve(example1, cfg, table)[1].wall_times
+        assert set(times) == {"table", "prepare", "rk_marches", "combine", "resolvent_solves",
+                              "first_block", "total"}
+        assert 0.0 <= times["table"] <= times["prepare"] <= times["total"]
+
+
+@pytest.mark.parametrize("N, L", [(20, 0), (40, 1), (640, 3)])
+def test_one_stability_call_per_solve(example1, example1_complex, monkeypatch, N, L):
+    """The stability data of the contour nodes of all levels come from one
+    tableau.stability call per solve (none without a level), over the
+    L (K+1) folded or L (2K+1) unfolded nodes."""
+    calls = []
+    original = tableau.stability
+
+    def counting_stability(z, t):
+        calls.append(np.shape(z))
+        return original(z, t)
+
+    monkeypatch.setattr(tableau, "stability", counting_stability)
+    cfg = CQConfig(tableau=radau_iia(3), h=10.0 / N, N=N, K=25)
+    assert plan_levels(N, cfg.kappa, cfg.Lambda).L == L
+    for prob, nodes in ((example1, 26), (example1_complex, 51)):
+        calls.clear()
+        fast_solve(prob, cfg)
+        assert calls == ([(L * nodes,)] if L else [])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_stacked_stage_space_equals_the_per_level_calls(s):
+    """One stability call over the nodes of all levels, split per level,
+    and the combine scale omega r^m over all levels at once give bit for
+    bit the per-level results, folded and unfolded."""
+    tab = radau_iia(s)
+    h, K = 10.0 / 3000, 25
+    plan = plan_levels(3000, 20, 5)
+    levels = contour.level_contours(plan.L, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
+    lams = np.stack([lev.lambdas for lev in levels])
+    for used in (slice(K, None), slice(None)):
+        r, q = tableau.stability(h * lams[:, used].ravel(), tab)
+        r, q = r.reshape(plan.L, -1), q.reshape(plan.L, -1, s)
+        scale = np.stack([lev.omegas[used] for lev in levels])
+        scale *= r ** np.array(plan.m[:plan.L])[:, None]
+        for li, lev in enumerate(levels):
+            r_l, q_l = tableau.stability(h * lev.lambdas[used], tab)
+            assert np.array_equal(r[li], r_l) and np.array_equal(q[li], q_l)
+            assert np.array_equal(scale[li], lev.omegas[used] * r_l ** plan.m[li])
+
+
+def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
+    """The clearance test runs over the nodes of all levels at once and
+    names the first offending level and node k, with the node as where."""
+    tab, h, K = radau_iia(3), 0.01, 25
+    levels = contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
+    z = h * np.stack([lev.lambdas for lev in levels])
+    fastcq._check_spectrum_clearance(z, tab)
+    pole = 1.0 / tab.assumptions.eigenvalues[1]
+    for hits, named in ((((0, -25),), (1, -25)), (((1, 3),), (2, 3)), (((2, 25),), (3, 25)),
+                        (((2, -7), (1, 4), (1, 0)), (2, 0))):
+        z_hit = z.copy()
+        for li, k in hits:
+            z_hit[li, K + k] = pole * (1.0 + 1e-10)
+        with pytest.raises(PoleError, match=f"node k={named[1]} of level {named[0]} ") as exc:
+            fastcq._check_spectrum_clearance(z_hit, tab)
+        assert exc.value.where == z_hit[named[0] - 1, K + named[1]]
+    # fast_solve runs the test: with every node too close, it names the first
+    monkeypatch.setattr(fastcq, "_SPECTRUM_CLEARANCE", 1e9)
+    with pytest.raises(PoleError, match="node k=-25 of level 1 "):
+        fast_solve(example1, CQConfig(tableau=tab, h=h, N=1000, K=K))
 
 
 def test_default_K_is_sized_by_the_sector(example1, example1_complex, tbc_problem_small):
