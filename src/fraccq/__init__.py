@@ -6,7 +6,6 @@ from .caputo import (
     caputo_oracle,
     example1_problem,
     example2_problem,
-    example3_initial,
     example3_problem,
 )
 from .contour import ContourLevel, ContourParams, level_nodes, mu_level, select_parameters, theta1
@@ -20,7 +19,6 @@ from .fastcq import (
     first_block,
     plan_levels,
     rk_march_scalar,
-    transform_initial,
 )
 from .operators import (
     OperatorFamily,
@@ -29,6 +27,7 @@ from .operators import (
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
     sector_probe,
+    transform_initial,
 )
 from .tableau import Tableau, check_assumptions, delta, radau_iia, stability
 
@@ -51,7 +50,6 @@ __all__ = [
     "direct_cq",
     "example1_problem",
     "example2_problem",
-    "example3_initial",
     "example3_problem",
     "fast_solve",
     "first_block",

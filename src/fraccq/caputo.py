@@ -55,6 +55,7 @@ from .operators import (
     dense_operator,
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
+    transform_initial,
 )
 
 _SQRT5 = math.sqrt(5.0)
@@ -341,30 +342,17 @@ def example2_problem(n_per_dim: int, t_max: float = 130.0) -> ManufacturedProble
 # Example 3: fractional Schroedinger with transparent boundaries
 
 
-def example3_initial(n_points: int, a_half: float) -> np.ndarray:
-    """The wave packet of example3_problem sampled on its grid.
+def example3_problem(n_points: int, a_half: float, alpha: float = 0.75):
+    """The fractional Schroedinger equation D^alpha v = i v_xx, v(0) = u0,
+    with the Gaussian wave packet u0 = 10 exp(-(4x)^2 + 10 i x), on n_points
+    of [-a_half, a_half] with transparent boundaries.
 
-    The packet must be numerically supported inside the domain: the two
-    cells next to each boundary carry at most 1e-20 in modulus.
-    """
-    if a_half < 1.0:
-        raise ConfigError(f"need a_half >= 1 for a contained packet, got {a_half}")
-    return example3_problem(n_points, a_half).u0
-
-
-def example3_problem(n_points: int, a_half: float, alpha: float = 0.75) -> Problem:
-    """Homogeneous fractional Schroedinger problem with nonzero initial data,
-    the Gaussian wave packet u0 = 10 exp(-(4x)^2 + 10 i x).
-
-    Pass the result through fastcq.transform_initial to obtain the
-    zero-initial-data form consumed by the solver.
+    Returns (problem, u0): transform_initial of the homogeneous problem, so
+    the solver's zero-initial u has data A u0 and v = u + u0. The packet must
+    be numerically supported inside the domain: the two cells next to each
+    boundary carry at most 1e-20 in modulus (SupportError otherwise).
     """
     family = schrodinger_tbc_1d(a_half, n_points, alpha)
     u0 = 10.0 * np.exp(-((4.0 * family.x) ** 2) + 10j * family.x)
-    family.validate_initial(u0)
-    return Problem(
-        family=family,
-        alpha=alpha,
-        g=ConstantInhomogeneity(np.zeros(family.dim, dtype=complex)),
-        u0=u0,
-    )
+    homogeneous = Problem(family, alpha, ConstantInhomogeneity(np.zeros(family.dim)))
+    return transform_initial(homogeneous, u0)

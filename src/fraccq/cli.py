@@ -311,15 +311,13 @@ def schrodinger_rows(spec):
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(f"snapshot t={t} is not a multiple of h={h}")
 
-    problem0 = caputo.example3_problem(n_points, a_half, alpha)
-    problem, offset = fastcq.transform_initial(problem0)
+    problem, offset = caputo.example3_problem(n_points, a_half, alpha)
     grid_x = problem.family.x
 
     tab = tableau_mod.by_name(spec["method"])
     if spec["reference"]:
         ref_points = 2 * (n_points - 1) + 1
-        ref0 = caputo.example3_problem(ref_points, 4.0 * a_half, alpha)
-        ref_problem, ref_offset = fastcq.transform_initial(ref0)
+        ref_problem, ref_offset = caputo.example3_problem(ref_points, 4.0 * a_half, alpha)
         ref_x = ref_problem.family.x
         # run grid points present on the reference grid (every other one)
         nearest = np.abs(ref_x[None, :] - grid_x[:, None]).argmin(axis=1)
@@ -366,7 +364,7 @@ def weights_rows(spec):
     plan = fastcq.plan_levels(N, kappa, spec["Lambda"])
     inside = [n for n in n_list if n < plan.m[-1]]
     w_direct = {}
-    if inside:
+    if inside and plan.L:  # a plan without levels reads no weight
         blocks = fastcq.weight_rows_direct(family, tab, alpha, h, inside)
         w_direct = dict(zip(inside, blocks))
     rows = []

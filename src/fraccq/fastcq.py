@@ -275,12 +275,7 @@ def _circle_sum(problem: Problem, tab, h, table, terms, J, budget):
 def _stage_table(problem: Problem, config: CQConfig, table=None):
     """The stage table a solve reads: problem.g's at the solve's N, h and
     stage nodes c, or the caller's one, which must have been sampled there.
-
-    The table carries no initial data, so a problem with nonzero u0 is
-    refused; transform_initial moves u0 into the data.
     """
-    if problem.has_initial:
-        raise ConfigError("problem carries nonzero initial data; apply transform_initial first")
     tab = config.tableau
     if table is None:
         return problem.g.table(config.N, config.h, tab.c)
@@ -316,7 +311,7 @@ def direct_cq(problem: Problem, config: CQConfig):
     relative. No contour, level plan or march: config.K, Lambda, kappa and
     J are not read. When the operator and the data are both real, only the
     J//2+1 nodes of the upper half circle are solved and the result is
-    real. Nonzero initial data are refused, as in fast_solve.
+    real.
     """
     table = _stage_table(problem, config)
     J = max(4 * config.N, 256)
@@ -528,31 +523,3 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     stats.wall_times["total"] = time.perf_counter() - t_start
     return u_first + u_levels, stats
 
-
-def transform_initial(problem: Problem):
-    """Equivalent zero-initial-data problem plus the reconstruction offset.
-
-    The inhomogeneity is shifted by the constant A u0 (mass form), and any
-    exact solution is shifted accordingly; the returned offset restores the
-    original unknown as v = u + u0.
-    """
-    dim = problem.family.dim
-    if not problem.has_initial:
-        return problem, np.zeros(dim)
-    fam = problem.family
-    fam.validate_initial(problem.u0)
-    u0 = np.asarray(problem.u0, dtype=np.result_type(problem.u0, float))
-    shift = fam.apply_op(u0)
-    u_exact = problem.u_exact
-    shifted_exact = None
-    if u_exact is not None:
-        def shifted_exact(t, _u_exact=u_exact, _u0=u0):
-            return _u_exact(t) - _u0
-    new_problem = Problem(
-        family=fam,
-        alpha=problem.alpha,
-        g=problem.g.shifted(shift),
-        u_exact=shifted_exact,
-        u0=None,
-    )
-    return new_problem, u0.copy()

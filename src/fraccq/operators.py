@@ -411,13 +411,14 @@ def ConstantInhomogeneity(vec) -> SeparableInhomogeneity:
 
 @dataclass(frozen=True)
 class Problem:
-    """Evolution problem: operator family, fractional order, data samplers."""
+    """Zero-initial evolution problem D^alpha u = A u + g, u(0) = 0: operator
+    family, fractional order, mass-form data and, if known, exact solution.
+    transform_initial brings nonzero initial data into this form."""
 
     family: OperatorFamily
     alpha: float
     g: SeparableInhomogeneity
     u_exact: Callable[[float], np.ndarray] | None = None
-    u0: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -436,6 +437,28 @@ class Problem:
         """Stage sample vector G_n at times (n + c_k) h, shape (s, dim)."""
         return np.stack([self.g.sample((n + ck) * h) for ck in np.asarray(c)])
 
-    @property
-    def has_initial(self) -> bool:
-        return self.u0 is not None and bool(np.any(self.u0 != 0))
+
+def transform_initial(problem: Problem, u0):
+    """The zero-initial form of D^alpha v = A v + g, v(0) = u0, and its offset.
+
+    The Caputo derivative of a constant vanishes, so u = v - u0 solves the
+    problem with data g + A u0 (mass form), u(0) = 0 and exact solution
+    u_exact - u0. Returns that problem and the offset u0 (real if u0 is), so
+    that v = u + u0; a zero u0 returns problem itself. A u0 that is not a
+    finite (dim,) vector raises ConfigError, and the family may refuse
+    inadmissible data (validate_initial).
+    """
+    fam = problem.family
+    u0 = np.asarray(u0)
+    if (u0.shape != (fam.dim,) or not np.issubdtype(u0.dtype, np.number)
+            or not np.all(np.isfinite(u0))):
+        raise ConfigError(f"u0 must be a finite numeric vector of shape ({fam.dim},), "
+                          f"got {u0.dtype} of shape {u0.shape}")
+    u0 = u0.astype(np.result_type(u0, float))
+    if not np.any(u0):
+        return problem, u0
+    fam.validate_initial(u0)
+    u_exact = problem.u_exact
+    shifted_exact = None if u_exact is None else (lambda t: u_exact(t) - u0)
+    new = Problem(fam, problem.alpha, problem.g.shifted(fam.apply_op(u0)), shifted_exact)
+    return new, u0.copy()

@@ -32,9 +32,7 @@ def example2_small():
 
 @pytest.fixture(scope="session")
 def tbc_problem_small():
-    problem0 = fraccq.example3_problem(101, 2.0)
-    problem, offset = fraccq.transform_initial(problem0)
-    return problem
+    return fraccq.example3_problem(101, 2.0)[0]
 
 
 @pytest.fixture

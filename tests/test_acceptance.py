@@ -32,7 +32,6 @@ from fraccq import (
     direct_cq,
     fast_solve,
     radau_iia,
-    transform_initial,
 )
 from fraccq import contour, fastcq
 from fraccq.caputo import EXAMPLE1_MATRIX
@@ -313,7 +312,7 @@ def test_criterion_6_contour_exponential_convergence():
     range, which is the curve shape the criterion describes.
     """
     tab = radau_iia(3)
-    problem, _ = transform_initial(fraccq.example3_problem(401, 2.0))
+    problem, _ = fraccq.example3_problem(401, 2.0)
     h, n_steps = 0.00025, 2000  # t = 0.5
     cfg_ref = CQConfig(tableau=tab, h=h, N=n_steps, K=110, kappa=110, J=440, workers=2)
     u_ref, _ = fast_solve(problem, cfg_ref)

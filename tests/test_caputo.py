@@ -11,7 +11,7 @@ import pytest
 
 import fraccq
 
-from fraccq import caputo, caputo_oracle, example1_problem, example3_initial
+from fraccq import caputo, caputo_oracle, example1_problem, example3_problem
 from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u, _example1_u_prime
 from fraccq.errors import ConfigError, DomainError, SupportError
 from fraccq.tableau import radau_iia
@@ -334,14 +334,13 @@ def test_example2_inhomogeneity_identity(example2_small):
 
 
 def test_example3_initial_values():
-    u0 = example3_initial(101, 2.0)
+    _, u0 = example3_problem(101, 2.0)
     assert u0[50] == pytest.approx(10.0)  # x = 0 at the midpoint
     assert abs(u0[0]) == pytest.approx(10 * np.exp(-64.0), rel=1e-10)
     assert np.max(np.abs(u0)) == pytest.approx(10.0)
 
 
 def test_example3_support_violation():
-    with pytest.raises(SupportError):
-        example3_initial(101, 1.0)
-    with pytest.raises(Exception):
-        example3_initial(101, 0.5)
+    for a_half in (1.0, 0.5):
+        with pytest.raises(SupportError):
+            example3_problem(101, a_half)

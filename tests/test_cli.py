@@ -281,3 +281,51 @@ def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, total
     spec = dict(cli._EXPERIMENTS["subdiffusion"].flags, grid=8, t_end=1.0, steps=(40,), J=14)
     report = cli.subdiffusion_report(spec, problem)
     assert report["n_ladder"][0]["timing_flagged"] is flagged
+
+
+def test_config_file_booleans(tmp_path, capsys):
+    """A config file spells a switch true/false or 1/0 in any case; any
+    other word exits 2."""
+    cfg = tmp_path / "ref.cfg"
+    for text, expected in (("true", True), ("FALSE", False), ("1", True), ("0", False)):
+        cfg.write_text(f"reference={text}\n")
+        assert run_cli(["schrodinger", "--config", str(cfg), "--dump-config"]) == 0
+        assert f"reference={expected}" in capsys.readouterr().out.splitlines()
+    cfg.write_text("reference=maybe\n")
+    assert run_cli(["schrodinger", "--config", str(cfg), "--dump-config"]) == 2
+    assert "bad value for reference" in capsys.readouterr().err
+
+
+def test_j_below_kappa_plus_one_exits_2(capsys):
+    assert run_cli(["convergence", "--J", "5"]) == 2
+    assert "J must be >= kappa+1" in capsys.readouterr().err
+
+
+def test_weights_levels_past_the_first(tmp_path):
+    """At t_end = 10, h = 0.01 (N = 1000, kappa = 20, Lambda = 5) index 130
+    lies in the second level's window and 700 in a later one."""
+    out = tmp_path / "w.csv"
+    assert run_cli(["weights", "--steps", "25,130,700", "--K", "25", "--out", str(out)]) == 0
+    rows = {int(r.split(",")[0]): r.split(",") for r in out.read_text().splitlines()[2:]}
+    assert rows[25][2] == "1" and rows[130][2] == "2" and int(rows[700][2]) > 2
+    assert all(row[4] == "" for row in rows.values())
+
+
+def test_weights_without_levels_computes_no_weights(tmp_path, monkeypatch):
+    """N = t_end / h = 10 <= kappa + 1: the plan has no level, every index
+    inside it is direct-only, and no weight is computed."""
+    from fraccq import fastcq
+
+    def never(*args, **kwargs):
+        raise AssertionError("weights computed for a plan without levels")
+
+    monkeypatch.setattr(fastcq, "weight_rows_direct", never)
+    monkeypatch.setattr(fastcq, "weight_rows_contour", never)
+    out = tmp_path / "w.csv"
+    assert run_cli(["weights", "--t-end", "0.1", "--h", "0.01", "--steps", "0,4,9,10",
+                    "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+    assert len(rows) == 4 * 4  # four indices at each of the K ladder's four values
+    notes = {(int(r[0]), r[4]) for r in rows}
+    assert notes == {(0, "direct-only"), (4, "direct-only"), (9, "direct-only"),
+                     (10, "beyond-plan")}

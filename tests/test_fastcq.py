@@ -562,17 +562,6 @@ def test_folding_follows_the_operator_and_the_data(example1, example1_complex,
         assert np.iscomplexobj(u) and stats.resolvent_solves == levels * 51
 
 
-def test_fast_rejects_pending_initial_data():
-    fam = dense_operator(None, A22)
-    prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(2)),
-                   u0=np.array([1.0, 0.0]))
-    cfg = CQConfig(tableau=radau_iia(2), h=0.1, N=10)
-    for solve in (fast_solve, direct_cq,
-                  lambda p, config: first_block(p, config, plan_levels(10, 20, 5))):
-        with pytest.raises(ConfigError):
-            solve(prob, cfg)
-
-
 def test_worker_count_does_not_change_bits(example1):
     """fast_solve (J = 40 circle nodes) and direct_cq (J = 1200) give the
     same bits at one, two and three workers."""
@@ -651,42 +640,51 @@ def test_oracle_equivalence_scaled_by_contour_accuracy(example1, example2_small,
 
 
 def test_transform_initial_noop(example1):
-    same, offset = transform_initial(example1)
+    same, offset = transform_initial(example1, np.zeros(2))
     assert same is example1
     assert np.max(np.abs(offset)) == 0.0
 
 
 def test_transform_initial_dense_shift():
     fam = dense_operator(None, A22)
-    prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(2)),
-                   u0=np.array([1.0, 0.0]))
-    new, offset = transform_initial(prob)
+    prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(2)))
+    new, offset = transform_initial(prob, np.array([1.0, 0.0]))
     assert offset == pytest.approx([1.0, 0.0])
     # shifted inhomogeneity is the first column of A, constant in time
     for t in (0.0, 0.3, 2.0):
         assert new.g.sample(t) == pytest.approx(A22[:, 0])
-    assert not new.has_initial
+    assert new.u_exact is None
+
+
+def test_transform_initial_shifts_the_exact_solution(example1):
+    """u = v - u0: the shifted problem's exact solution is the original's
+    minus u0 at every time, t = 0 included."""
+    u0 = np.array([0.25, -1.5])
+    new, offset = transform_initial(example1, u0)
+    for t in (0.0, 0.7, 3.0):
+        assert np.array_equal(new.u_exact(t), example1.u_exact(t) - u0)
+    offset[:] = 0.0  # the returned offset is the caller's own copy
+    assert np.array_equal(new.u_exact(0.7), example1.u_exact(0.7) - u0)
 
 
 def test_transform_initial_schrodinger_constant_samples():
     from fraccq import example3_problem
-    prob0 = example3_problem(101, 2.0)
-    prob, offset = transform_initial(prob0)
+    prob, offset = example3_problem(101, 2.0)
     tab = radau_iia(3)
     g0 = prob.g_stage(0, tab.c, 0.01)
     g7 = prob.g_stage(7, tab.c, 0.01)
     assert np.array_equal(g0, g7)
-    assert np.max(np.abs(offset - prob0.u0)) == 0.0
+    assert np.array_equal(offset, 10.0 * np.exp(-((4.0 * prob.family.x) ** 2)
+                                                 + 10j * prob.family.x))
 
 
 def test_transform_initial_schrodinger_data_is_rank_one():
     """The zero data of example 3 leave no spatial row behind: the shifted
     inhomogeneity is the constant A u0 alone."""
     from fraccq import example3_problem
-    prob0 = example3_problem(101, 2.0)
-    prob, _ = transform_initial(prob0)
+    prob, u0 = example3_problem(101, 2.0)
     assert prob.g.rank == 1
-    assert np.array_equal(prob.g.spatial[0], prob0.family.apply_op(prob0.u0))
+    assert np.array_equal(prob.g.spatial[0], prob.family.apply_op(u0))
 
 
 def test_transform_initial_reconstruction_consistency():
@@ -694,8 +692,8 @@ def test_transform_initial_reconstruction_consistency():
     the untransformed classical solution for alpha -> 1 (sanity bridge)."""
     fam = dense_operator(None, A22)
     u0 = np.array([0.4, -0.2])
-    prob = Problem(family=fam, alpha=1.0, g=ConstantInhomogeneity(np.zeros(2)), u0=u0)
-    new, offset = transform_initial(prob)
+    prob = Problem(family=fam, alpha=1.0, g=ConstantInhomogeneity(np.zeros(2)))
+    new, offset = transform_initial(prob, u0)
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=100)
     u, _ = fast_solve(new, cfg)
     from scipy.linalg import expm

@@ -11,6 +11,7 @@ from fraccq.operators import (
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
     sector_probe,
+    transform_initial,
 )
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -219,6 +220,32 @@ def test_tbc_support_validation():
 
 # ---------------------------------------------------------------------------
 # shared contracts
+
+
+@pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
+def test_transform_initial_refuses_a_bad_u0_with_config_error(backend, rng):
+    """A u0 of another shape or with a non-finite entry gets ConfigError,
+    not numpy's ValueError from a matmul or reshape, nor a later solver
+    failure; the spectral family would take a (dim+1,) u0 to its reshape."""
+    fam = _family(backend, rng)
+    problem = Problem(family=fam, alpha=0.75, g=ConstantInhomogeneity(np.zeros(fam.dim)))
+    good = np.zeros(fam.dim, dtype=complex)
+    good[fam.dim // 2] = 1.0
+    for bad in (np.ones(fam.dim + 1), np.ones((fam.dim, 1)), np.ones(()), ["1"] * fam.dim,
+                np.where(good, np.nan, good), np.where(good, np.inf, good),
+                np.where(good, complex(1.0, np.nan), good)):
+        with pytest.raises(ConfigError):
+            transform_initial(problem, bad)
+    new, offset = transform_initial(problem, good)
+    assert np.array_equal(offset, good) and new.g.rank == 1
+
+
+def test_every_public_name_resolves():
+    import fraccq
+
+    missing = [name for name in fraccq.__all__ if not hasattr(fraccq, name)]
+    assert not missing
+    assert "transform_initial" in fraccq.__all__ and "example3_initial" not in fraccq.__all__
 
 
 @pytest.mark.parametrize("backend", ["dense", "spectral", "tbc"])
