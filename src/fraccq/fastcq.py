@@ -26,13 +26,23 @@ The result needs only a weighted sum of resolvent solves,
 u = sum_k (nu_k M - A)^-1 S^T w_k with S the (r, dim) spatial factors, so
 both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
-nodes of all levels. The stage-space work runs on arrays of nodes: one
-spectrum-clearance test, one stability call and one combine scale over
-the contour nodes of all levels per solve, one stacked eigen-split of the
-circle nodes.
-It is a split of Delta(zeta_j), which depends on the tableau, J and kappa
-but not on h or N, so solves at one tableau, J and kappa split their
-circle nodes once per process (smallmat.eig_small keeps the last split).
+nodes of all levels.
+
+fast_solve reads its stage-space data from a stage plan (StagePlan) that
+the problem keeps. The hyperbola of level l has scale
+mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle nodes zeta_j depend only
+on J and kappa, so in the variable z = h lambda the contour nodes, the
+weights h omega, the Runge-Kutta data r(z) and q(z), the combine factor
+r^(m_(l-1)), the powers z^alpha and the split of Delta(zeta_j) with its
+d^alpha are the same at every h and N. The plan computes each of them
+once, level by level as N grows, and a solve only scales them by powers
+of h. The plan is keyed by the tableau, K, Lambda, theta, kappa, J and
+the fold below, and lives on the Problem instance, one entry: a solve
+with other parameters replaces it, and dataclasses.replace starts the
+new problem without one. Its pieces are stacked numpy calls over nodes:
+one spectrum-clearance test and one stability call per batch of new
+levels, one stacked eigen-split of the circle nodes (which
+smallmat.eig_small also keeps for new problems and the oracles).
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -175,13 +185,16 @@ class RunStats:
     per-phase wall-clock times of one solve: wall_times holds "prepare"
     (which includes "table", the stage-table build or check of a passed
     one), "rk_marches", "combine", "resolvent_solves", "first_block" and
-    "total"."""
+    "total". levels_built counts the stage-plan pieces this solve
+    computed (StagePlan.built): one per new contour level, one for the
+    circle split; 0 when the problem's plan already held them all."""
 
     K: int = 0
     J: int = 0
     rk_steps: int = 0
     resolvent_solves: int = 0
     first_block_solves: int = 0
+    levels_built: int = 0
     wall_times: dict = field(default_factory=dict)
 
 
@@ -217,59 +230,53 @@ def _circle_decomp(zetas, tab, h, alpha):
             zetas[exc.indices] *= 1.0 + 1e-9
 
 
-def _circle_weights(tab, h, alpha, rho, data, J):
-    """Frequencies and rank-space weights of the circle rule over the first
-    n = len(data) of the J circle nodes zeta_j = rho exp(2 pi i j / J), for
-    data of shape (n, s, rank).
-
-    With U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h, the circle sum
-    sum_j [U_j (nu_j M - A)^-1 U_j^-1 data_j S]_last equals
-    sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 data_j)[i],
-    one weighted family.solve. Returns nu (n*s,) and w (n*s, rank), in
-    (node, stage) order. The n nodes make one stacked split: a few LAPACK
-    calls over the stack, or none when these nodes were split last.
-    """
-    n, s, rank = data.shape
-    zetas = rho * np.exp(2j * np.pi * np.arange(n) / J)
-
-    def node_weights(nodes):
-        dec, nus = _circle_decomp(nodes, tab, h, alpha)
-        return nus.ravel(), (dec.U[:, -1, :, None] * (dec.U_inv @ data)).reshape(n * s, rank)
-
-    [(nus, weights)] = parallel_map(node_weights, [zetas], 1)
-    return nus, weights
+def _folds(problem: Problem, table) -> bool:
+    """Whether the operator and the data are both real, so that conjugate
+    nodes give conjugate terms and only the upper half is solved."""
+    return problem.family.is_real and table.is_real
 
 
-def _circle_sum(problem: Problem, tab, h, table, terms, J, budget):
+def _circle_split(tab, h, alpha, J, rho, fold):
+    """The split of Delta(zeta_j) (_circle_decomp) over the circle nodes
+    zeta_j = rho exp(2 pi i j / J) that the circle sum solves: j = 0..J//2
+    when it folds, all J otherwise. One stacked split: a few LAPACK calls
+    over the stack, or none when these nodes were split last."""
+    zetas = rho * np.exp(2j * np.pi * np.arange(J // 2 + 1 if fold else J) / J)
+    [split] = parallel_map(lambda nodes: _circle_decomp(nodes, tab, h, alpha), [zetas], 1)
+    return split
+
+
+def _circle_sum(problem: Problem, table, terms, J, rho, dec, nus):
     """h sum_(n < terms) (e_s x Id) W_n G_(N-1-n) over the table's last
-    `terms` samples, by the circle rule at J nodes whose radius
-    circle_radius(J, budget) is balanced for a sum of budget >= terms
-    weights.
+    `terms` samples, by the circle rule at J nodes of radius rho, with the
+    split U_j diag(d_j) U_j^-1 = Delta(zeta_j) of its solved nodes
+    (_circle_split) and the powered eigenvalues nus of Delta(zeta_j)/h,
+    both (n, s).
 
-    Takes one DFT of the rho-scaled sequence of time factors and sums the
-    s decoupled systems of every circle node in one weighted solve
-    (_circle_weights). When the operator and the data are both real, the
-    sequence is real, so node J-j is the conjugate of node j in its DFT
-    value, its split and its solve: only nodes j = 0..J//2 are computed
-    (one rfft), j = 1..(J-1)//2 with doubled weight, and the real part of
-    the sum is returned. Returns the sum and the system count, s times the
-    nodes solved.
+    Takes one DFT of the rho-scaled sequence of time factors. With
+    U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h, the circle sum
+    sum_j [U_j (nu_j M - A)^-1 U_j^-1 hat_j S]_last equals
+    sum_(j,i) (nu_ji M - A)^-1 S^T w_ji with w_ji = U_j[-1, i] (U_j^-1 hat_j)[i],
+    one weighted family.solve over the s decoupled systems of every node.
+    When the operator and the data are both real, the sequence is real, so
+    node J-j is the conjugate of node j in its DFT value, its split and its
+    solve: only nodes j = 0..J//2 are computed (one rfft), j = 1..(J-1)//2
+    with doubled weight, and the real part of the sum is returned. Returns
+    the sum and the system count, s times the nodes solved.
     """
-    fam = problem.family
-    fold = fam.is_real and table.is_real
-    rho = circle_radius(J, budget)
+    fold = _folds(problem, table)
     blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
     rev = blk[::-1].real if fold else blk[::-1]
-    seq = np.zeros((J, tab.s, table.rank), dtype=rev.dtype)
+    seq = np.zeros((J, table.s, table.rank), dtype=rev.dtype)
     seq[:terms] = rev * (rho ** -np.arange(terms))[:, None, None] / J
     if fold:
         hat = np.fft.rfft(seq, axis=0)  # hat_j for j = 0..J//2 only
         hat[1:(J + 1) // 2] *= 2.0  # node j stands for itself and node J-j
     else:
         hat = np.fft.fft(seq, axis=0)  # hat_j = sum_n seq_n exp(-2 pi i n j / J)
-    nus, weights = _circle_weights(tab, h, problem.alpha, rho, hat, J)
-    u = fam.solve(nus, table.spatial.T, weights=weights)
-    return (u.real.copy() if fold else u), tab.s * len(hat)
+    weights = (dec.U[:, -1, :, None] * (dec.U_inv @ hat)).reshape(nus.size, table.rank)
+    u = problem.family.solve(nus.ravel(), table.spatial.T, weights=weights)
+    return (u.real.copy() if fold else u), nus.size
 
 
 def _stage_table(problem: Problem, config: CQConfig, table=None):
@@ -290,16 +297,20 @@ def _stage_table(problem: Problem, config: CQConfig, table=None):
 def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
     """Contribution of the first m_0 weights via the circle rule at
     config.resolved_J() nodes (_circle_sum), its radius balanced for the
-    term budget kappa+1 rather than m_0, so that the circle nodes, and with
-    them the kept split, are the same at every h and N, L = 0 solves
-    (m_0 = N <= kappa+1) included. Returns the length-dim vector, real when
-    the operator and the data are, and the system count: s*(J//2+1) when
-    _circle_sum folds the conjugate nodes, s*J otherwise. A passed table
-    must match the solve (_stage_table).
+    term budget kappa+1 rather than m_0, so that the circle nodes are the
+    same at every h and N, L = 0 solves (m_0 = N <= kappa+1) included. The
+    split of Delta(zeta_j) and its d^alpha come from the problem's stage
+    plan (StagePlan.circle_split), computed by the first solve that asks;
+    every solve scales them to the frequencies nu = d^alpha h^-alpha of
+    Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
+    and the data are, and the system count: s*(J//2+1) when _circle_sum
+    folds the conjugate nodes, s*J otherwise. A passed table must match
+    the solve (_stage_table).
     """
     table = _stage_table(problem, config, table)
-    return _circle_sum(problem, config.tableau, config.h, table, plan.m[0],
-                       config.resolved_J(), config.kappa + 1)
+    rho, dec, d_alpha = _stage_plan(problem, config, _folds(problem, table)).circle_split()
+    return _circle_sum(problem, table, plan.m[0], config.resolved_J(), rho, dec,
+                       d_alpha * config.h ** -problem.alpha)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
@@ -314,8 +325,16 @@ def direct_cq(problem: Problem, config: CQConfig):
     real.
     """
     table = _stage_table(problem, config)
-    J = max(4 * config.N, 256)
-    return _circle_sum(problem, config.tableau, config.h, table, config.N, J, config.N)[0]
+    return _direct_circle_sum(problem, config.tableau, config.h, table, max(4 * config.N, 256))
+
+
+def _direct_circle_sum(problem: Problem, tab, h, table, J):
+    """The circle sum (_circle_sum) over all table.N weights at J nodes,
+    its radius balanced for table.N terms, split at this h."""
+    N = table.N
+    rho = circle_radius(J, N)
+    dec, nus = _circle_split(tab, h, problem.alpha, J, rho, _folds(problem, table))
+    return _circle_sum(problem, table, N, J, rho, dec, nus)[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
@@ -425,21 +444,99 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
 # the fast algorithm
 
 
-def _check_spectrum_clearance(z, tab):
-    """Refuse contour nodes z = h lambda of levels 1..L, k = -K..K, in an
-    (L, 2K+1) array, that lie within a relative 1e-8 of a pole 1/eig(A) of
-    the stage matrix: one test over the nodes of all levels, naming the
-    first offending level and node."""
+def _check_spectrum_clearance(z, tab, first_level=1):
+    """Refuse contour nodes z = h lambda of levels first_level.., k = -K..K,
+    in an (levels, 2K+1) array, that lie within a relative 1e-8 of a pole
+    1/eig(A) of the stage matrix: one test over the nodes of all these
+    levels, naming the first offending level and node."""
     poles = 1.0 / tab.assumptions.eigenvalues
     dist = np.min(np.abs(z[..., None] - poles), axis=-1)
     bad = dist < _SPECTRUM_CLEARANCE * np.maximum(1.0, np.abs(z))
     if np.any(bad):
         li, i = np.argwhere(bad)[0]
         raise PoleError(
-            f"contour node k={i - z.shape[1] // 2} of level {li + 1} hits the "
+            f"contour node k={i - z.shape[1] // 2} of level {li + first_level} hits the "
             "stage-matrix spectrum; adjust K or kappa",
             where=z[li, i],
         )
+
+
+class StagePlan:
+    """Stage-space data of a problem's solves at one tableau, K, Lambda,
+    theta, kappa, J and fold, in the variable z = h lambda, where none of
+    it depends on h or N.
+
+    For each contour level l = 1..L it keeps, over the solved nodes
+    (k = 0..K when folded, all 2K+1 otherwise): r(z) and q(z) of the
+    tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
+    folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
+    from contour.level_contours at h = 1 and z cleared of the stage
+    spectrum. For the first block it keeps the circle radius, the split of
+    Delta(zeta_j) and its d^alpha (circle). Each piece is computed once:
+    levels when a solve first needs them, the circle split when a first
+    block first asks. built counts the pieces, the circle split as one.
+    """
+
+    def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
+        self.tab, self.alpha = tab, alpha
+        self.K, self.Lambda, self.theta, self.kappa, self.J, self.fold = (
+            K, Lambda, theta, kappa, J, fold)
+        n_nodes = K + 1 if fold else 2 * K + 1
+        self.r = np.empty((0, n_nodes), dtype=complex)
+        self.q = np.empty((0, n_nodes, tab.s), dtype=complex)
+        self.scale = np.empty((0, n_nodes), dtype=complex)
+        self.z_alpha = np.empty((0, n_nodes), dtype=complex)
+        self.circle = None
+        self.built = 0
+
+    def add_levels(self, L):
+        """Extend the levels to 1..L, all new levels in one stacked
+        clearance test and one stability call. A refused node (PoleError)
+        leaves the plan as it was."""
+        have = len(self.r)
+        if L <= have:
+            return
+        levels = contour.level_contours(L, self.K, self.Lambda, self.theta, 1.0,
+                                        self.kappa)[have:]
+        z = np.stack([lev.lambdas for lev in levels])  # (new, 2K+1): h lambda at every h
+        _check_spectrum_clearance(z, self.tab, first_level=have + 1)
+        used = slice(self.K, None) if self.fold else slice(None)  # folding needs k = 0..K
+        z = z[:, used]
+        r, q = tableau_mod.stability(z.ravel(), self.tab)
+        r, q = r.reshape(z.shape), q.reshape(*z.shape, self.tab.s)
+        scale = np.stack([lev.omegas[used] for lev in levels])  # h omega
+        m = np.array([(self.kappa + 1) * self.Lambda**ell for ell in range(have, L)])
+        scale *= r ** m[:, None]  # r_k^(m_(l-1)) on level l
+        if self.fold:  # node k > 0 stands for itself and its conjugate
+            scale[:, 1:] *= 2.0
+        z_alpha = smallmat.power_alpha(z.ravel(), self.alpha).reshape(z.shape)
+        self.r, self.q = np.concatenate([self.r, r]), np.concatenate([self.q, q])
+        self.scale = np.concatenate([self.scale, scale])
+        self.z_alpha = np.concatenate([self.z_alpha, z_alpha])
+        self.built += L - have
+
+    def circle_split(self):
+        """(rho, split of Delta(zeta_j), d^alpha) of the first block's circle
+        rule: J nodes, radius balanced for kappa+1 terms (circle_radius)."""
+        if self.circle is None:
+            rho = circle_radius(self.J, self.kappa + 1)
+            self.circle = (rho, *_circle_split(self.tab, 1.0, self.alpha, self.J, rho, self.fold))
+            self.built += 1
+        return self.circle
+
+
+def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
+    """The problem's stage plan for the solve's parameters: the kept one,
+    or a new one that replaces it (one entry per problem)."""
+    fam, tab = problem.family, config.tableau
+    # a tableau's arrays are read-only, so equal tableaux share a plan
+    key = (tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(), config.resolved_K(fam),
+           config.Lambda, config.resolved_theta(fam), config.kappa, config.resolved_J(), fold)
+    kept = problem._stage_plan
+    if key not in kept:
+        kept.clear()
+        kept[key] = StagePlan(tab, problem.alpha, *key[3:])
+    return kept[key]
 
 
 def fast_solve(problem: Problem, config: CQConfig, table=None):
@@ -450,41 +547,37 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     the separable data; (2) combine: the weight of node k of level l is
     omega_k r_k^(m_l) times its r march coefficients; (3) one weighted
     resolvent solve sums the nodes of all levels; (4) circle-rule block
-    for the first m_0 weights. The stage-space work of the levels (the
-    spectrum clearance, the stability data r, q and the combine scale) is
-    one array operation over the nodes of all levels. When the operator
-    and the data are both real (family.is_real and table.is_real), the
-    term of node -k is the conjugate of that of node k, so only the upper
-    half k >= 0 of each contour is computed and the conjugate pairs are
-    folded in as doubled real parts; otherwise all 2K+1 nodes are. A
-    caller solving the same N, h and tableau repeatedly may pass the stage
-    table of problem.g; one sampled at another N, h or set of stage nodes
-    raises ConfigError.
+    for the first m_0 weights. When the operator and the data are both
+    real (family.is_real and table.is_real), the term of node -k is the
+    conjugate of that of node k, so only the upper half k >= 0 of each
+    contour is computed and the conjugate pairs are folded in as doubled
+    real parts; otherwise all 2K+1 nodes are.
+
+    The stage-space data come from the problem's stage plan (StagePlan),
+    which "prepare" extends to the solve's levels; the first solve with
+    these parameters on this problem computes them, later ones at any h
+    and N reuse them (RunStats.levels_built counts what this solve
+    computed). Every solve, the first included, scales the plan in the
+    same way: nu = z^alpha h^-alpha, omega r^m = (h omega r^m)/h and
+    nu_circle = d^alpha h^-alpha, so its bits do not depend on which
+    solves ran on the problem before it. A caller solving the same N, h
+    and tableau repeatedly may pass the stage table of problem.g; one
+    sampled at another N, h or set of stage nodes raises ConfigError.
     """
     fam = problem.family
-    alpha = problem.alpha
-    tab = config.tableau
     N, h = config.N, config.h
 
     t_start = time.perf_counter()
-    K = config.resolved_K(fam)
-    stats = RunStats(K=K, J=config.resolved_J())
+    stats = RunStats(K=config.resolved_K(fam), J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
     t_phase = time.perf_counter()
     table = _stage_table(problem, config, table)
     stats.wall_times["table"] = time.perf_counter() - t_phase
-    levels = contour.level_contours(plan.L, K, config.Lambda, config.resolved_theta(fam),
-                                    h, config.kappa)
-    # the nodes of all levels, level by level; folding needs k = 0..K only
-    fold = fam.is_real and table.is_real
-    used = slice(K, None) if fold else slice(None)
-    n_nodes = K + 1 if fold else 2 * K + 1
-    if levels:
-        lams = np.stack([lev.lambdas for lev in levels])  # (L, 2K+1)
-        z = h * lams
-        _check_spectrum_clearance(z, tab)
-        r, q = tableau_mod.stability(z[:, used].ravel(), tab)  # one call for all levels
-        r, q = r.reshape(plan.L, n_nodes), q.reshape(plan.L, n_nodes, tab.s)
+    fold = _folds(problem, table)
+    stage = _stage_plan(problem, config, fold)
+    built = stage.built
+    stage.add_levels(plan.L)
+    n_nodes = stage.r.shape[1]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
     # the marches run first, while the table is warm in cache
@@ -492,23 +585,19 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.window(li + 1)
-        coeffs.append(_march_window(r[li], q[li], table, N - m_hi, N - m_lo, h))
+        coeffs.append(_march_window(stage.r[li], stage.q[li], table, N - m_hi, N - m_lo, h))
         stats.rk_steps += n_nodes * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
     u_levels = 0.0
-    if levels:
-        scale = np.stack([lev.omegas[used] for lev in levels])
-        scale *= r ** np.array(plan.m[:plan.L])[:, None]  # r_k^(m_(l-1)) on level l
-        if fold:  # node k > 0 stands for itself and its conjugate
-            scale[:, 1:] *= 2.0
-        weights = scale.reshape(-1, 1) * np.concatenate(coeffs)
+    if plan.L:
+        weights = (stage.scale[:plan.L] / h).reshape(-1, 1) * np.concatenate(coeffs)
     stats.wall_times["combine"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    if levels:
-        nus = smallmat.power_alpha(lams[:, used].ravel(), alpha)
+    if plan.L:
+        nus = stage.z_alpha[:plan.L].ravel() * h ** -problem.alpha
         u_levels = fam.solve(nus, table.spatial.T, weights=weights)
         if fold:  # the real part of the sum is the sum of the folded pairs
             u_levels = u_levels.real
@@ -520,6 +609,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     t_phase = time.perf_counter()
     u_first, stats.first_block_solves = first_block(problem, config, plan, table)
     stats.wall_times["first_block"] = time.perf_counter() - t_phase
+    stats.levels_built = stage.built - built
     stats.wall_times["total"] = time.perf_counter() - t_start
     return u_first + u_levels, stats
 

@@ -11,7 +11,7 @@ free-space Schroedinger operator closed with transparent boundary rows.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -164,7 +164,8 @@ class PeriodicCompactFD3D(OperatorFamily):
         op = ax * my * mz + mx * ay * mz + mx * my * az
         # a complex key m + i a compares as the pair
         pairs, self._pair_index = np.unique((mass + 1j * op).ravel(), return_inverse=True)
-        self._pair_mass, self._pair_op = pairs.real, pairs.imag
+        # stored complex, so that nu m - a runs in one dtype
+        self._pair_mass, self._pair_op = pairs.real.astype(complex), pairs.imag.astype(complex)
 
     def grid(self):
         """Flattened meshgrid coordinates (x, y, z), C order."""
@@ -184,7 +185,8 @@ class PeriodicCompactFD3D(OperatorFamily):
     def _reciprocals(self, nu):
         """1/(nu m - a) over the pairs for nu of shape (B,), as (B, pairs); a
         vanishing symbol raises SolverError naming its frequency."""
-        denom = nu[:, None] * self._pair_mass - self._pair_op
+        denom = nu[:, None] * self._pair_mass
+        denom -= self._pair_op  # in place: a second (B, pairs) array took 5x the arithmetic
         if not np.all(denom):
             bad = nu[np.argmin(np.all(denom, axis=1))]
             raise SolverError(f"symbol vanishes at nu={bad}", frequency=bad)
@@ -413,12 +415,19 @@ def ConstantInhomogeneity(vec) -> SeparableInhomogeneity:
 class Problem:
     """Zero-initial evolution problem D^alpha u = A u + g, u(0) = 0: operator
     family, fractional order, mass-form data and, if known, exact solution.
-    transform_initial brings nonzero initial data into this form."""
+    transform_initial brings nonzero initial data into this form.
+
+    A problem also keeps the stage plan of its solves (fastcq.StagePlan):
+    the step-size-free stage-space data of the last solve parameters, one
+    entry. It takes no part in comparison or repr, and dataclasses.replace
+    starts the new problem without one.
+    """
 
     family: OperatorFamily
     alpha: float
     g: SeparableInhomogeneity
     u_exact: Callable[[float], np.ndarray] | None = None
+    _stage_plan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:

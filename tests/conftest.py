@@ -19,18 +19,23 @@ def fresh_caches():
     contour.sized_K.cache_clear()
 
 
-@pytest.fixture(scope="session")
+# The problem fixtures are built per test: a Problem keeps the stage plan
+# of its solves, and a shared one would carry it from test to test. All
+# three are closed-form and cheap.
+
+
+@pytest.fixture
 def example1():
     """Dense 2x2 manufactured problem with closed-form data."""
     return fraccq.example1_problem().problem
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def example2_small():
     return fraccq.example2_problem(8).problem
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def tbc_problem_small():
     return fraccq.example3_problem(101, 2.0)[0]
 

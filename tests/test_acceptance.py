@@ -217,8 +217,8 @@ def test_criterion_4_scaling_shape():
     1-2 ms at every N (its J = 14 circle rule splits 8 nodes, the upper
     half circle of this real problem, in the calling thread; the split is
     of Delta(zeta_j), not of Delta(zeta_j)/h, so after the warm-up call
-    every timed first block reuses the kept split of smallmat.eig_small
-    and makes no LAPACK eigen-split). Over those 10 runs the first-block ratio read 1.16-1.82 and
+    every timed first block reuses the split that the problem's stage
+    plan keeps and makes no LAPACK eigen-split). Over those 10 runs the first-block ratio read 1.16-1.82 and
     the resolvent growth 1.6-3.4x. Both legs time phases of a millisecond
     or two, so a disturbed host can still push either past its gate; with
     the first block timed straight after the marches, it carried their

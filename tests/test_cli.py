@@ -166,6 +166,8 @@ def test_subdiffusion_report_smoke(tmp_path):
     assert [r["N"] for r in payload["n_ladder"]] == [40, 80]
     rung = payload["n_ladder"][0]
     assert set(rung["phases"]) == {"first_block", "rk_marches", "resolvent_solves"}
+    # the first rung builds the circle split and level 1, the second level 2
+    assert [r["levels_built"] for r in payload["n_ladder"]] == [2, 1]
     assert rung["error_inf"] <= 0.2
     assert "worker_ladder" not in payload and "workers" not in rung
 
@@ -258,13 +260,18 @@ def test_subdiffusion_explicit_flags_equal_to_global_defaults_are_kept(tmp_path,
 
 
 @pytest.mark.parametrize("rk_marches, totals, flagged", [
+    # the first entry is the untimed warm-up solve, the others the repeats;
     # 0.3 ms of jitter in a 0.4 ms phase is more than half its median
-    ((4e-4, 7e-4, 4e-4), (0.0124, 0.0127, 0.0124), False),
-    ((4e-4, 4e-4, 4e-4), (0.0100, 0.0100, 0.0200), True),
+    ((4e-4, 4e-4, 7e-4, 4e-4), (0.0124, 0.0124, 0.0127, 0.0124), False),
+    ((4e-4, 4e-4, 4e-4, 4e-4), (0.0100, 0.0100, 0.0100, 0.0200), True),
+    # a cold first solve, three times the others, is the warm-up's alone
+    ((1e-3, 4e-4, 4e-4, 4e-4), (0.0300, 0.0100, 0.0100, 0.0100), False),
 ])
 def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, totals, flagged):
     """The flag fires on a repeat whose whole solve is a 2x outlier, not on
-    sub-millisecond jitter in one phase."""
+    sub-millisecond jitter in one phase, and not on a slow first solve of
+    the process: the first rung runs one untimed solve before its
+    repeats."""
     from fraccq import cli, example2_problem
     from fraccq.fastcq import RunStats
 
@@ -280,6 +287,7 @@ def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, total
     monkeypatch.setattr(cli.fastcq, "fast_solve", stub_solve)
     spec = dict(cli._EXPERIMENTS["subdiffusion"].flags, grid=8, t_end=1.0, steps=(40,), J=14)
     report = cli.subdiffusion_report(spec, problem)
+    assert next(first_rung, None) is None  # the warm-up and the three repeats
     assert report["n_ladder"][0]["timing_flagged"] is flagged
 
 

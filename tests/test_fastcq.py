@@ -25,7 +25,7 @@ from fraccq.operators import (
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def example1_complex(example1):
     """Example 1 with its data scaled by 1 + i: complex data, real operator."""
     return dataclasses.replace(example1, g=SeparableInhomogeneity(
@@ -142,8 +142,9 @@ def test_wall_times_show_the_table_inside_prepare(example1):
 @pytest.mark.parametrize("N, L", [(20, 0), (40, 1), (640, 3)])
 def test_one_stability_call_per_solve(example1, example1_complex, monkeypatch, N, L):
     """The stability data of the contour nodes of all levels come from one
-    tableau.stability call per solve (none without a level), over the
-    L (K+1) folded or L (2K+1) unfolded nodes."""
+    tableau.stability call in the first solve on a fresh problem (none
+    without a level), over the L (K+1) folded or L (2K+1) unfolded nodes:
+    the problem's stage plan keeps them (test_stage_plan_ladder_...)."""
     calls = []
     original = tableau.stability
 
@@ -183,7 +184,9 @@ def test_stacked_stage_space_equals_the_per_level_calls(s):
 
 def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
     """The clearance test runs over the nodes of all levels at once and
-    names the first offending level and node k, with the node as where."""
+    names the first offending level and node k, with the node as where.
+    fast_solve runs it when it adds levels to a problem's stage plan, so
+    on a fresh problem over all the solve's levels."""
     tab, h, K = radau_iia(3), 0.01, 25
     levels = contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
     z = h * np.stack([lev.lambdas for lev in levels])
@@ -295,7 +298,7 @@ def test_direct_circle_rule_is_converged_at_its_J(example1, tbc_problem_small, n
         h = t_end / n_steps
         u = direct_cq(prob, CQConfig(tableau=tab, h=h, N=n_steps))
         table = prob.g.table(n_steps, h, tab.c)
-        ref, _ = fastcq._circle_sum(prob, tab, h, table, n_steps, 16 * n_steps, n_steps)
+        ref = fastcq._direct_circle_sum(prob, tab, h, table, 16 * n_steps)
         assert np.max(np.abs(u - ref)) <= 2e-12 * np.max(np.abs(ref))
 
 
@@ -782,10 +785,11 @@ def test_circle_split_does_not_depend_on_h(s):
 
 
 def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
-    """fast_solve at N = 20, 40, 80, 160 with one J splits the circle stack
-    once, the L = 0 solve at N = 20 included, since the radius is sized by
-    kappa+1, not by m_0; at J = 160, 161, 160 three times, since only the
-    last split is kept."""
+    """fast_solve on one problem at N = 20, 40, 80, 160 with one J splits
+    the circle stack once, the L = 0 solve at N = 20 included, since the
+    radius is sized by kappa+1, not by m_0; at J = 160, 161, 160 three
+    times, since the problem's stage plan and smallmat.eig_small each keep
+    one entry only."""
     tab = radau_iia(3)
     for n_steps in (20, 40, 80, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=1.0 / n_steps, N=n_steps, K=25))
@@ -795,3 +799,92 @@ def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
     for J in (160, 161, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=0.025, N=40, K=25, J=J))
     assert eig_calls == [(81, 3, 3)] * 3
+
+
+# ---------------------------------------------------------------------------
+# stage plans
+
+
+LADDER = (20, 40, 80, 160, 320, 640)
+
+
+def ladder_config(tab, n_steps, **kw):
+    return CQConfig(tableau=tab, h=10.0 / n_steps, N=n_steps, K=25, **kw)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Names of the stage-space calls (stability, delta, eig_small) made
+    during the test."""
+    calls = []
+    for module, name in ((tableau, "stability"), (tableau, "delta"), (smallmat, "eig_small")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_stage_plan_ladder_builds_each_piece_once(example1, stage_calls):
+    """On a fresh example-1 problem the dense-ladder solves N = 20..640
+    add levels 1, 2 and 3 with one stability call each and split the
+    circle once (one delta call); RunStats.levels_built reads 1, 1, 0, 1,
+    0, 1. A second ladder on the same problem makes no stage-space call."""
+    tab = radau_iia(3)
+    built = [fast_solve(example1, ladder_config(tab, n))[1].levels_built for n in LADDER]
+    assert built == [1, 1, 0, 1, 0, 1]
+    assert stage_calls.count("stability") == 3 and stage_calls.count("delta") == 1
+    assert stage_calls.count("eig_small") <= 1
+    stage_calls.clear()
+    again = [fast_solve(example1, ladder_config(tab, n))[1].levels_built for n in LADDER]
+    assert again == [0] * 6 and stage_calls == []
+
+
+def test_replaced_problem_builds_a_new_plan(example1, stage_calls):
+    """dataclasses.replace starts the new problem without a plan, and the
+    plan takes no part in comparison or repr; an equal tableau built
+    afresh finds the kept plan, and a solve with other parameters
+    replaces it."""
+    tab = radau_iia(3)
+    cfg = ladder_config(tab, 640)
+    assert fast_solve(example1, cfg)[1].levels_built == 4
+    fresh = dataclasses.replace(example1, family=dense_operator(None, caputo.EXAMPLE1_MATRIX))
+    stage_calls.clear()
+    assert fast_solve(fresh, cfg)[1].levels_built == 4
+    assert stage_calls.count("stability") == 1 and stage_calls.count("delta") == 1
+    assert dataclasses.replace(example1) == example1 and "_stage_plan" not in repr(example1)
+    assert fast_solve(example1, cfg)[1].levels_built == 0
+    # an equal tableau built afresh finds the plan, another tableau does not
+    assert fast_solve(example1, dataclasses.replace(cfg, tableau=radau_iia(3)))[1].levels_built == 0
+    assert fast_solve(example1, dataclasses.replace(cfg, tableau=radau_iia(2)))[1].levels_built == 4
+    assert fast_solve(example1, dataclasses.replace(cfg, K=30))[1].levels_built == 4
+    assert fast_solve(example1, cfg)[1].levels_built == 4
+
+
+def test_solve_bits_do_not_depend_on_earlier_solves(example1, example1_complex):
+    """N = 640 on a fresh problem and N = 640 after the ladder on another
+    give the same bits, folded (example 1) and unfolded (complex data):
+    the first solve scales the plan it builds as later ones do."""
+    tab = radau_iia(3)
+    for prob in (example1, example1_complex):
+        alone, _ = fast_solve(dataclasses.replace(prob), ladder_config(tab, 640))
+        for n_steps in LADDER:
+            after, stats = fast_solve(prob, ladder_config(tab, n_steps))
+        assert stats.levels_built == 1 and np.array_equal(alone, after)
+
+
+def test_pole_error_leaves_no_partial_plan(example1, monkeypatch):
+    """A PoleError from the clearance test of new levels leaves the plan as
+    it was: the same call raises again, naming the first new level, and
+    once the nodes clear it adds exactly the missing levels."""
+    tab = radau_iia(3)
+    fast_solve(example1, ladder_config(tab, 40))  # circle split and level 1
+    monkeypatch.setattr(fastcq, "_SPECTRUM_CLEARANCE", 1e9)
+    for _ in range(2):
+        with pytest.raises(PoleError, match="node k=-25 of level 2 "):
+            fast_solve(example1, ladder_config(tab, 640))
+    monkeypatch.undo()
+    u, stats = fast_solve(example1, ladder_config(tab, 640))
+    assert stats.levels_built == 2
+    assert np.array_equal(u, fast_solve(dataclasses.replace(example1), ladder_config(tab, 640))[0])
