@@ -268,9 +268,9 @@ def subdiffusion_report(spec, problem=None):
     def timed_run(n, warm_up):
         cfg = _cq_config(spec, tab, n, t_end / n)
         table = problem.g.table(n, cfg.h, tab.c)  # shared by the repeats
-        # an untimed first solve pays the process's one-off work (the kept
-        # circle split, the contour-parameter caches, the stage plan), which
-        # would otherwise flag the first rung of every run
+        # an untimed first solve pays the process's one-off work (the
+        # contour-parameter caches and the stage plan with its circle
+        # split), which would otherwise flag the first rung of every run
         built = fastcq.fast_solve(problem, cfg, table)[1].levels_built if warm_up else 0
         runs = [fastcq.fast_solve(problem, cfg, table) for _ in range(repeats)]
         u, stats = runs[-1]

@@ -41,8 +41,9 @@ the fold below, and lives on the Problem instance, one entry: a solve
 with other parameters replaces it, and dataclasses.replace starts the
 new problem without one. Its pieces are stacked numpy calls over nodes:
 one spectrum-clearance test and one stability call per batch of new
-levels, one stacked eigen-split of the circle nodes (which
-smallmat.eig_small also keeps for new problems and the oracles).
+levels, one stacked eigen-split of the circle nodes (_circle_split). The
+plan is the only holder of that split: direct_cq and
+weight_matrices_direct make their own at their own J, on every call.
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -115,19 +116,28 @@ class CQConfig:
     workers: int = 1  # reaches no phase of a solve; kept only because perfbench sets it
 
     def __post_init__(self):
-        if not 0.0 < self.h < np.inf:
-            raise ConfigError(f"step size must be finite and positive, got h={self.h}")
-        for name, least in (("N", 1), ("K", 2), ("Lambda", 2), ("kappa", 1), ("J", 1)):
+        if not isinstance(self.tableau, tableau_mod.Tableau):
+            raise ConfigError(f"need a Runge-Kutta Tableau, got tableau={self.tableau!r}")
+        # bool is an int subclass, but True is no step size, step or node count
+        h = self.h
+        real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
+        try:
+            h = float(h) if real else np.nan
+        except OverflowError:  # an integer beyond the float range
+            h = np.inf
+        if not 0.0 < h < np.inf:
+            raise ConfigError(f"step size must be finite and positive, got h={self.h!r}")
+        self.h = h
+        for name, least in (("N", 1), ("K", 2), ("Lambda", 2), ("kappa", 1), ("J", 1),
+                            ("workers", 1)):
             value = getattr(self, name)
             if value is None and name in ("K", "J"):
                 continue
-            # bool is an int subclass, but True is no step or node count
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"need an integer {name} >= {least}, got {name}={value}")
+                raise ConfigError(f"need an integer {name} >= {least}, got {name}={value!r}")
+            setattr(self, name, int(value))  # a narrow numpy integer would wrap around
         if self.resolved_J() < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
-        if self.workers < 1:
-            raise ConfigError(f"need workers >= 1, got {self.workers}")
         report = self.tableau.assumptions
         if not report.all_pass:
             raise ConfigError(
@@ -207,43 +217,36 @@ def parallel_map(fn, tasks, workers):
 # circle-rule machinery (first weights and the direct oracle)
 
 
-def _circle_decomp(zetas, tab, h, alpha):
-    """One stacked eigen-split Delta(zeta_j) = U_j diag(d_j) U_j^-1 over an
-    array of nodes, with the powered eigenvalues (d_j/h)^alpha of
-    Delta(zeta_j)/h.
-
-    The split does not depend on h, so solves at one tableau and set of
-    circle nodes share it (the kept split of smallmat.eig_small); its
-    checks are relative and do not change under the scale 1/h. Nodes whose
-    split is defective or has an eigenvalue on the branch cut are moved
-    radially by a part in 1e9, once, and the stack is split again; LAPACK
-    splits each matrix on its own, so the others keep their bits.
-    """
-    zetas = np.array(zetas, dtype=complex)
-    for retry in (True, False):
-        try:
-            dec = smallmat.eig_small(tableau_mod.delta(zetas, tab))
-            return dec, smallmat.power_alpha(dec.d / h, alpha)
-        except (DecompositionError, BranchCutError) as exc:
-            if not retry:
-                raise
-            zetas[exc.indices] *= 1.0 + 1e-9
-
-
 def _folds(problem: Problem, table) -> bool:
     """Whether the operator and the data are both real, so that conjugate
     nodes give conjugate terms and only the upper half is solved."""
     return problem.family.is_real and table.is_real
 
 
-def _circle_split(tab, h, alpha, J, rho, fold):
-    """The split of Delta(zeta_j) (_circle_decomp) over the circle nodes
-    zeta_j = rho exp(2 pi i j / J) that the circle sum solves: j = 0..J//2
-    when it folds, all J otherwise. One stacked split: a few LAPACK calls
-    over the stack, or none when these nodes were split last."""
+def _circle_split(tab, alpha, J, rho, fold):
+    """One stacked eigen-split Delta(zeta_j) = U_j diag(d_j) U_j^-1, with
+    the powers d_j^alpha, over the circle nodes zeta_j = rho exp(2 pi i j/J)
+    a circle sum solves: j = 0..J//2 when it folds, all J otherwise.
+
+    The split is at h = 1; a caller at step size h scales d^alpha by
+    h^-alpha to the frequencies of Delta(zeta_j)/h. Nodes whose split is
+    defective or has an eigenvalue on the branch cut are moved radially by
+    a part in 1e9, once, and the stack is split again; LAPACK splits each
+    matrix on its own, so the others keep their bits.
+    """
+    def split(zetas):
+        for retry in (True, False):
+            try:
+                dec = smallmat.eig_small(tableau_mod.delta(zetas, tab))
+                return dec, smallmat.power_alpha(dec.d, alpha)
+            except (DecompositionError, BranchCutError) as exc:
+                if not retry:
+                    raise
+                zetas[exc.indices] *= 1.0 + 1e-9
+
     zetas = rho * np.exp(2j * np.pi * np.arange(J // 2 + 1 if fold else J) / J)
-    [split] = parallel_map(lambda nodes: _circle_decomp(nodes, tab, h, alpha), [zetas], 1)
-    return split
+    [out] = parallel_map(split, [zetas], 1)
+    return out
 
 
 def _circle_sum(problem: Problem, table, terms, J, rho, dec, nus):
@@ -299,10 +302,10 @@ def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None)
     config.resolved_J() nodes (_circle_sum), its radius balanced for the
     term budget kappa+1 rather than m_0, so that the circle nodes are the
     same at every h and N, L = 0 solves (m_0 = N <= kappa+1) included. The
-    split of Delta(zeta_j) and its d^alpha come from the problem's stage
-    plan (StagePlan.circle_split), computed by the first solve that asks;
-    every solve scales them to the frequencies nu = d^alpha h^-alpha of
-    Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
+    circle split of Delta(zeta_j) and its d^alpha at h = 1 come from the
+    problem's stage plan (StagePlan.circle_split), made by the first solve
+    that asks; every solve scales them to the frequencies
+    nu = d^alpha h^-alpha of Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
     and the data are, and the system count: s*(J//2+1) when _circle_sum
     folds the conjugate nodes, s*J otherwise. A passed table must match
     the solve (_stage_table).
@@ -320,9 +323,10 @@ def direct_cq(problem: Problem, config: CQConfig):
     J = max(4N, 256), its radius balanced for N terms; u_N sums all N
     weights, so the amplified rounding of the last ones stays near 1e-12
     relative. No contour, level plan or march: config.K, Lambda, kappa and
-    J are not read. When the operator and the data are both real, only the
-    J//2+1 nodes of the upper half circle are solved and the result is
-    real.
+    J are not read, and no stage plan: each call makes its own circle
+    split (_circle_split). When the operator and the data are both real,
+    only the J//2+1 nodes of the upper half circle are solved and the
+    result is real.
     """
     table = _stage_table(problem, config)
     return _direct_circle_sum(problem, config.tableau, config.h, table, max(4 * config.N, 256))
@@ -330,11 +334,11 @@ def direct_cq(problem: Problem, config: CQConfig):
 
 def _direct_circle_sum(problem: Problem, tab, h, table, J):
     """The circle sum (_circle_sum) over all table.N weights at J nodes,
-    its radius balanced for table.N terms, split at this h."""
+    its radius balanced for table.N terms."""
     N = table.N
     rho = circle_radius(J, N)
-    dec, nus = _circle_split(tab, h, problem.alpha, J, rho, _folds(problem, table))
-    return _circle_sum(problem, table, N, J, rho, dec, nus)[0]
+    dec, d_alpha = _circle_split(tab, problem.alpha, J, rho, _folds(problem, table))
+    return _circle_sum(problem, table, N, J, rho, dec, d_alpha * h ** -problem.alpha)[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
@@ -353,7 +357,8 @@ def weight_matrices_direct(family, tab, alpha, h, n_list):
     J = max(10 * terms, 256)
     rho = circle_radius(J, terms)
     eye = np.eye(dim)
-    dec, nus = _circle_decomp(rho * np.exp(2j * np.pi * np.arange(J) / J), tab, h, alpha)
+    dec, d_alpha = _circle_split(tab, alpha, J, rho, fold=False)
+    nus = d_alpha * h ** -alpha
     xs = family.solve(nus.ravel(), np.kron(dec.U_inv, eye).reshape(J * s, dim, sd))
     kernels = np.kron(dec.U, eye) @ xs.reshape(J, sd, sd)
     phases = (np.exp(-2j * np.pi * np.outer(n_list, np.arange(J)) / J)
@@ -471,10 +476,11 @@ class StagePlan:
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
     folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
     from contour.level_contours at h = 1 and z cleared of the stage
-    spectrum. For the first block it keeps the circle radius, the split of
-    Delta(zeta_j) and its d^alpha (circle). Each piece is computed once:
-    levels when a solve first needs them, the circle split when a first
-    block first asks. built counts the pieces, the circle split as one.
+    spectrum. For the first block it keeps the circle radius and the
+    circle split (_circle_split) with its d^alpha (circle), which nothing
+    else keeps. Each piece is computed once: levels when a solve first
+    needs them, the circle split when a first block first asks. built
+    counts the pieces, the circle split as one.
     """
 
     def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
@@ -489,11 +495,12 @@ class StagePlan:
         self.circle = None
         self.built = 0
 
-    def add_levels(self, L):
-        """Extend the levels to 1..L, all new levels in one stacked
-        clearance test and one stability call. A refused node (PoleError)
+    def add_levels(self, plan: LevelPlan):
+        """Extend the levels to 1..plan.L, all new levels in one stacked
+        clearance test and one stability call, with the window starts
+        m_(l-1) of the solve's level plan. A refused node (PoleError)
         leaves the plan as it was."""
-        have = len(self.r)
+        have, L = len(self.r), plan.L
         if L <= have:
             return
         levels = contour.level_contours(L, self.K, self.Lambda, self.theta, 1.0,
@@ -505,8 +512,7 @@ class StagePlan:
         r, q = tableau_mod.stability(z.ravel(), self.tab)
         r, q = r.reshape(z.shape), q.reshape(*z.shape, self.tab.s)
         scale = np.stack([lev.omegas[used] for lev in levels])  # h omega
-        m = np.array([(self.kappa + 1) * self.Lambda**ell for ell in range(have, L)])
-        scale *= r ** m[:, None]  # r_k^(m_(l-1)) on level l
+        scale *= r ** np.array(plan.m[have:L])[:, None]  # r_k^(m_(l-1)) on level l
         if self.fold:  # node k > 0 stands for itself and its conjugate
             scale[:, 1:] *= 2.0
         z_alpha = smallmat.power_alpha(z.ravel(), self.alpha).reshape(z.shape)
@@ -520,7 +526,7 @@ class StagePlan:
         rule: J nodes, radius balanced for kappa+1 terms (circle_radius)."""
         if self.circle is None:
             rho = circle_radius(self.J, self.kappa + 1)
-            self.circle = (rho, *_circle_split(self.tab, 1.0, self.alpha, self.J, rho, self.fold))
+            self.circle = (rho, *_circle_split(self.tab, self.alpha, self.J, rho, self.fold))
             self.built += 1
         return self.circle
 
@@ -576,7 +582,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     fold = _folds(problem, table)
     stage = _stage_plan(problem, config, fold)
     built = stage.built
-    stage.add_levels(plan.L)
+    stage.add_levels(plan)
     n_nodes = stage.r.shape[1]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 

@@ -3,9 +3,8 @@
 The s x s matrices Delta(zeta) of the Runge-Kutta schemes, one per circle
 node, are split as one stack by LAPACK (numpy.linalg.eig and inv) into
 U diag(d) U^-1, with every split checked for eigenvalue gaps and
-reconstruction residual. The last stack that passed is kept with its
-read-only split, one entry only: solves at one tableau and J ask for the
-same stack at every N and h, and get it without a LAPACK call.
+reconstruction residual. The module keeps no state: a problem's stage
+plan (fastcq.StagePlan) is what holds a split for later solves.
 Also here: principal-branch fractional powers.
 """
 
@@ -19,7 +18,6 @@ from .errors import BranchCutError, DecompositionError, DomainError
 
 _GAP_REL = 1e-8
 _RECON_REL = 1e-10
-_kept = None  # (stack, EigDecomp) of the last split that passed its checks
 
 
 @dataclass(frozen=True)
@@ -39,18 +37,11 @@ def eig_small(mtx):
     above 1e-8 and a reconstruction residual below 1e-10, relative in max
     norm; otherwise a DecompositionError names the failing flat indices
     (exc.indices), for the caller to perturb those circle nodes and retry.
-
-    The last stack that passes is kept, one entry only: a stack of equal
-    shape and entries returns the kept EigDecomp, bit-identical to a fresh
-    split. Its U, d and U_inv are read-only. A failing stack is not kept.
     """
-    global _kept
     m = np.asarray(mtx, dtype=complex)
     s = m.shape[-1] if m.ndim >= 2 else 0
     if s < 1 or m.shape[-2] != s:
         raise DomainError(f"eig_small expects square matrices, got shape {m.shape}")
-    if _kept is not None and np.array_equal(_kept[0], m):
-        return _kept[1]
     try:
         d, u = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -72,11 +63,7 @@ def eig_small(mtx):
             f"{_RECON_REL:g}, relative); perturb those quadrature nodes and retry",
             indices=np.flatnonzero(bad),
         )
-    for arr in (u, d, u_inv):
-        arr.setflags(write=False)
-    dec = EigDecomp(U=u, d=d, U_inv=u_inv)
-    _kept = (m.copy(), dec)
-    return dec
+    return EigDecomp(U=u, d=d, U_inv=u_inv)
 
 
 def power_alpha(d, alpha):

@@ -7,14 +7,14 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import fraccq  # noqa: E402
-from fraccq import contour, smallmat  # noqa: E402
+from fraccq import contour  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts without a kept circle split or cached contour
-    parameters, so no result depends on which test ran before it."""
-    smallmat._kept = None
+    """Each test starts without cached contour parameters, so no call
+    count depends on which test ran before it. The caches memoise pure
+    functions; a circle split is kept only by a problem's stage plan."""
     contour.select_parameters.cache_clear()
     contour.sized_K.cache_clear()
 

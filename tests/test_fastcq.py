@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraccq import (
     CQConfig,
@@ -91,6 +92,71 @@ def test_config_refuses_a_bool_count(field):
     one-term solve without a word; every integer field refuses a bool."""
     with pytest.raises(ConfigError, match=f"integer {field} "):
         CQConfig(tableau=radau_iia(1), h=0.1, **{"N": 40, field: True})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h", "0.1"), ("h", None), ("h", 1j), ("h", True),
+    pytest.param("h", 10**400, id="h-int-beyond-float"),
+    ("tableau", None), ("tableau", "radau5"),
+    ("workers", np.nan), ("workers", 1.5), ("workers", True), ("workers", "2"), ("workers", 0),
+])
+def test_config_refuses_untyped_fields(field, value):
+    """A step size that is no positive finite real, a tableau that is no
+    Tableau and a worker count that is no integer >= 1 raise ConfigError,
+    not a TypeError or AttributeError, and h=True is no step size of 1."""
+    with pytest.raises(ConfigError, match=f"{field}="):
+        CQConfig(**{"tableau": radau_iia(1), "h": 0.1, "N": 40, field: value})
+
+
+def test_narrow_numpy_integers_are_stored_as_int():
+    """np.int8 counts are kept as Python int: at the int8 Lambda and kappa
+    the level plan's window cap (kappa+1) Lambda^l wrapped around and
+    plan_levels looped for ever at every N > 127, and kappa = np.int8(100)
+    was refused because default_J = 2 kappa wrapped to -56."""
+    cfg = CQConfig(tableau=radau_iia(3), h=1e-3, N=np.int16(3000), K=np.int8(25),
+                   kappa=np.int8(20), Lambda=np.int8(100), J=np.int8(41), workers=np.int8(1))
+    for name in ("N", "K", "Lambda", "kappa", "J", "workers"):
+        assert type(getattr(cfg, name)) is int, name
+    assert type(cfg.h) is float
+    assert CQConfig(tableau=radau_iia(3), h=1e-3, N=10, kappa=np.int8(100)).resolved_J() == 200
+    assert plan_levels(cfg.N, cfg.kappa, cfg.Lambda).m == (21, 2100, 3000)
+    u, _ = fast_solve(caputo.example1_problem().problem, cfg)
+    assert np.all(np.isfinite(u))
+
+
+# Hypothesis draws for the CQConfig fields: a valid range mixed with
+# finite, non-finite, non-integer, zero, negative, bool, str and np.int8
+# values, at N <= 64 so that every solve is small. Positive step sizes stay
+# in [1e-3, 1]: a valid h near the float limits overflows t = N h or 1/h
+# inside the solve, which then refuses with SolverError, not ConfigError.
+_JUNK = st.one_of(st.floats(), st.booleans(), st.text(max_size=2), st.none())
+_STEPS = st.one_of(st.floats(1e-3, 1.0), st.floats(0.125, 1.0, width=32).map(np.float32),
+                   st.floats(max_value=0.0), st.sampled_from([np.nan, np.inf, 1j]),
+                   st.integers(-1, 1), st.integers(-1, 1).map(np.int8),
+                   st.booleans(), st.text(max_size=2), st.none())
+
+
+def _counts(lo, hi):
+    return st.one_of(st.integers(lo, hi), st.integers(-2, hi).map(np.int8),
+                     st.integers(-2, 0), _JUNK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tab=st.sampled_from([radau_iia(1), radau_iia(3), None, "radau5"]),
+       h=_STEPS,
+       N=_counts(1, 64), K=st.one_of(st.none(), _counts(2, 30)), Lambda=_counts(2, 9),
+       kappa=_counts(1, 40), J=st.one_of(st.none(), _counts(1, 90)), workers=_counts(1, 3))
+def test_config_builds_and_solves_or_raises_config_error(tab, h, N, K, Lambda, kappa, J,
+                                                        workers):
+    """Each draw raises ConfigError or builds a config on which fast_solve
+    of example 1 returns a finite result; no other exception escapes."""
+    try:
+        cfg = CQConfig(tableau=tab, h=h, N=N, K=K, Lambda=Lambda, kappa=kappa, J=J,
+                       workers=workers)
+    except ConfigError:
+        return
+    u, _ = fast_solve(caputo.example1_problem().problem, cfg)
+    assert u.shape == (2,) and np.all(np.isfinite(u))
 
 
 def test_tableau_checks_run_once_per_tableau(monkeypatch):
@@ -717,14 +783,15 @@ def test_config_rejects_nonconforming_tableau():
         CQConfig(tableau=gauss, h=0.1, N=10)
 
 
-def test_circle_decomp_perturbs_only_the_flagged_nodes(monkeypatch):
+def test_circle_split_perturbs_only_the_flagged_nodes(monkeypatch):
     """A split that fails at one node perturbs that node alone; every other
     node keeps the bits of an undisturbed split."""
     from fraccq import smallmat
     from fraccq.errors import DecompositionError
-    tab, h, alpha = radau_iia(3), 0.01, 0.5
+    from fraccq.tableau import delta
+    tab, alpha = radau_iia(3), 0.5
     zetas = 0.8 * np.exp(2j * np.pi * np.arange(9) / 9)
-    clean, clean_nus = fastcq._circle_decomp(zetas, tab, h, alpha)
+    clean, clean_nus = fastcq._circle_split(tab, alpha, 9, 0.8, fold=False)
 
     original = smallmat.eig_small
     seen = []
@@ -736,11 +803,11 @@ def test_circle_decomp_perturbs_only_the_flagged_nodes(monkeypatch):
         return original(stack)
 
     monkeypatch.setattr(smallmat, "eig_small", fail_once_at_node_5)
-    dec, nus = fastcq._circle_decomp(zetas, tab, h, alpha)
+    dec, nus = fastcq._circle_split(tab, alpha, 9, 0.8, fold=False)
     assert len(seen) == 2
     moved = [k for k in range(9) if not np.array_equal(seen[0][k], seen[1][k])]
     assert moved == [5]
-    assert np.array_equal(zetas, 0.8 * np.exp(2j * np.pi * np.arange(9) / 9))
+    assert np.array_equal(seen[0], delta(zetas, tab))
     keep = np.arange(9) != 5
     assert np.array_equal(dec.U[keep], clean.U[keep])
     assert np.array_equal(dec.U_inv[keep], clean.U_inv[keep])
@@ -749,7 +816,7 @@ def test_circle_decomp_perturbs_only_the_flagged_nodes(monkeypatch):
     assert np.allclose(nus[5], clean_nus[5], rtol=1e-7)
 
 
-def test_circle_decomp_gives_up_after_one_perturbation(monkeypatch):
+def test_circle_split_gives_up_after_one_perturbation(monkeypatch):
     from fraccq import smallmat
     from fraccq.errors import DecompositionError
 
@@ -758,24 +825,26 @@ def test_circle_decomp_gives_up_after_one_perturbation(monkeypatch):
 
     monkeypatch.setattr(smallmat, "eig_small", always_fail)
     with pytest.raises(DecompositionError):
-        fastcq._circle_decomp(np.array([0.5, 0.5j]), radau_iia(2), 0.1, 0.5)
+        fastcq._circle_split(radau_iia(3), 0.5, 9, 0.8, fold=False)
 
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_circle_split_does_not_depend_on_h(s):
-    """At every h the split of Delta(zeta) gives the eigenvalues of
-    Delta(zeta)/h, powered, within 1e-13 relative per node, and
-    U diag(d/h) U^-1 rebuilds Delta(zeta)/h within 1e-12 relative."""
+    """The split is made once, at h = 1: at every h its d^alpha h^-alpha
+    gives the eigenvalues of Delta(zeta)/h, powered, within 1e-13 relative
+    per node, and U diag(d/h) U^-1 rebuilds Delta(zeta)/h within 1e-12
+    relative."""
     from fraccq.tableau import delta
     tab, alpha, J = radau_iia(s), 0.5, 160
-    zetas = fastcq.circle_radius(J, 21) * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
+    rho = fastcq.circle_radius(J, 21)
+    zetas = rho * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
+    dec, d_alpha = fastcq._circle_split(tab, alpha, J, rho, fold=True)
     def by_imag(x):
         return np.take_along_axis(x, np.argsort(x.imag, axis=-1), axis=-1)
 
     for h in (0.1, 1e-3):
-        dec, nus = fastcq._circle_decomp(zetas, tab, h, alpha)
         mats = delta(zetas, tab) / h
-        got = by_imag(nus)
+        got = by_imag(d_alpha * h ** -alpha)
         want = by_imag(smallmat.power_alpha(np.linalg.eigvals(mats), alpha))
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.max(np.abs(got - want) / scale) <= 1e-13
@@ -788,13 +857,12 @@ def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
     """fast_solve on one problem at N = 20, 40, 80, 160 with one J splits
     the circle stack once, the L = 0 solve at N = 20 included, since the
     radius is sized by kappa+1, not by m_0; at J = 160, 161, 160 three
-    times, since the problem's stage plan and smallmat.eig_small each keep
-    one entry only."""
+    times, since the problem's stage plan, the only holder of a split,
+    keeps one entry."""
     tab = radau_iia(3)
     for n_steps in (20, 40, 80, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=1.0 / n_steps, N=n_steps, K=25))
     assert eig_calls == [(21, 3, 3)]
-    smallmat._kept = None
     eig_calls.clear()
     for J in (160, 161, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=0.025, N=40, K=25, J=J))
@@ -829,30 +897,34 @@ def stage_calls(monkeypatch):
 def test_stage_plan_ladder_builds_each_piece_once(example1, stage_calls):
     """On a fresh example-1 problem the dense-ladder solves N = 20..640
     add levels 1, 2 and 3 with one stability call each and split the
-    circle once (one delta call); RunStats.levels_built reads 1, 1, 0, 1,
-    0, 1. A second ladder on the same problem makes no stage-space call."""
+    circle once (one delta and one eig_small call); RunStats.levels_built
+    reads 1, 1, 0, 1, 0, 1. A second ladder on the same problem makes no
+    stage-space call."""
     tab = radau_iia(3)
     built = [fast_solve(example1, ladder_config(tab, n))[1].levels_built for n in LADDER]
     assert built == [1, 1, 0, 1, 0, 1]
     assert stage_calls.count("stability") == 3 and stage_calls.count("delta") == 1
-    assert stage_calls.count("eig_small") <= 1
+    assert stage_calls.count("eig_small") == 1
     stage_calls.clear()
     again = [fast_solve(example1, ladder_config(tab, n))[1].levels_built for n in LADDER]
     assert again == [0] * 6 and stage_calls == []
 
 
-def test_replaced_problem_builds_a_new_plan(example1, stage_calls):
+def test_replaced_problem_builds_a_new_plan(example1, stage_calls, eig_calls):
     """dataclasses.replace starts the new problem without a plan, and the
     plan takes no part in comparison or repr; an equal tableau built
     afresh finds the kept plan, and a solve with other parameters
-    replaces it."""
+    replaces it. The new problem splits its circle nodes itself: no split
+    is kept outside a plan."""
     tab = radau_iia(3)
     cfg = ladder_config(tab, 640)
     assert fast_solve(example1, cfg)[1].levels_built == 4
     fresh = dataclasses.replace(example1, family=dense_operator(None, caputo.EXAMPLE1_MATRIX))
     stage_calls.clear()
+    eig_calls.clear()
     assert fast_solve(fresh, cfg)[1].levels_built == 4
     assert stage_calls.count("stability") == 1 and stage_calls.count("delta") == 1
+    assert stage_calls.count("eig_small") == 1 and len(eig_calls) == 1
     assert dataclasses.replace(example1) == example1 and "_stage_plan" not in repr(example1)
     assert fast_solve(example1, cfg)[1].levels_built == 0
     # an equal tableau built afresh finds the plan, another tableau does not
