@@ -188,6 +188,9 @@ def _validate(spec, experiment):
             raise ConfigError(f"{key} must {rule}, got {value}")
     if "J" in spec and spec["J"] < spec["kappa"] + 1:
         raise ConfigError(f"J must be >= kappa+1, got J={spec['J']} kappa={spec['kappa']}")
+    if "h" in spec and not spec["t_end"] / spec["h"] <= np.iinfo(np.intp).max:
+        raise ConfigError(f"t_end / h must be a step count in the index range, got "
+                          f"t_end={spec['t_end']}, h={spec['h']}")
     if experiment.output == "json" and spec["format"] == "csv":
         raise ConfigError("the report is nested; only json is supported")
 
@@ -253,7 +256,7 @@ def convergence_rows(spec, problem=None):
             log_h.append(np.log(h))
             log_e.append(np.log(max(err, 1e-300)))
             slope = ""
-            if len(log_h) >= 2:
+            if len(set(log_h)) >= 2:  # a slope needs two step sizes
                 slope = float(np.polyfit(log_h, log_e, 1)[0])
             rows.append((method, tab.s, h, n, spec["K"], err, slope, note))
     return rows
@@ -267,18 +270,18 @@ def subdiffusion_report(spec, problem=None):
 
     def timed_run(n, warm_up):
         cfg = _cq_config(spec, tab, n, t_end / n)
-        table = problem.g.table(n, cfg.h, tab.c)  # shared by the repeats
         # an untimed first solve pays the process's one-off work (the
         # contour-parameter caches and the stage plan with its circle
         # split), which would otherwise flag the first rung of every run
-        built = fastcq.fast_solve(problem, cfg, table)[1].levels_built if warm_up else 0
-        runs = [fastcq.fast_solve(problem, cfg, table) for _ in range(repeats)]
+        built = fastcq.fast_solve(problem, cfg)[1].levels_built if warm_up else 0
+        runs = [fastcq.fast_solve(problem, cfg) for _ in range(repeats)]
         u, stats = runs[-1]
         med = {key: float(np.median([st.wall_times[key] for _, st in runs]))
                for key in ("first_block", "rk_marches", "resolvent_solves")}
-        # a disturbed repeat shows in the whole solve; sub-millisecond
-        # phases jitter by more than half their median on a quiet host
-        totals = [st.wall_times["total"] for _, st in runs]
+        # a disturbed repeat shows in the whole solve, less the table build
+        # of a rung's first repeat; sub-millisecond phases jitter by more
+        # than half their median on a quiet host
+        totals = [st.wall_times["total"] - st.wall_times["table"] for _, st in runs]
         flagged = bool(max(totals) - min(totals) > 0.5 * np.median(totals))
         err = float(np.max(np.abs(u - problem.u_exact(t_end))))
         return {
@@ -313,7 +316,7 @@ def schrodinger_rows(spec):
     snap_times = [t_end * (i + 1) / 20 for i in range(20)]
     for t in snap_times:
         n = t / h
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        if not np.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(f"snapshot t={t} is not a multiple of h={h}")
 
     problem, offset = caputo.example3_problem(n_points, a_half, alpha)

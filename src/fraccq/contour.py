@@ -94,8 +94,8 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     0.14 ms; callers share the frozen ContourParams, and the warning for an
     objective monotone over (0,1) comes from the first call per arguments.
     """
-    if K < 2:
-        raise ConfigError(f"need K >= 2 quadrature points, got K={K}")
+    if not 2 <= K <= (np.iinfo(np.intp).max - 1) // 2:
+        raise ConfigError(f"need K >= 2 with 2K+1 nodes in the index range, got K={K}")
     if Lambda < 2:
         raise ConfigError(f"need an integer growth factor Lambda >= 2, got {Lambda}")
     if not 0.0 < theta < np.pi:
@@ -105,7 +105,8 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
 
     def objective(rho):
         eps_k = np.exp(-2.0 * np.pi * phi * K / _a_of_rho(rho, Lambda, phi))
-        return eps * eps_k ** (rho - 1.0) + eps_k**rho
+        with np.errstate(over="ignore", divide="ignore"):  # inf near rho = 0 at large K
+            return eps * eps_k ** (rho - 1.0) + eps_k**rho
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 2)[1:-1]
     values = objective(grid)
@@ -195,12 +196,16 @@ def level_nodes(mu: float, params: ContourParams, ell: int = 0) -> ContourLevel:
     the latter with the 1/i of the inverse transform already cancelled.
     Conjugate symmetry in k holds to the last bit.
     """
-    K = params.K
-    x = params.tau * np.arange(-K, K + 1)
-    ch, sh = np.cosh(x), np.sinh(x)
-    lam = mu * (1.0 - np.sin(params.phi) * ch) + 1j * (mu * np.cos(params.phi)) * sh
-    om = (params.tau * mu / (2.0 * np.pi)) * (np.cos(params.phi) * ch + 1j * np.sin(params.phi) * sh)
-    return ContourLevel(ell=ell, mu=mu, lambdas=lam, omegas=om, K=K)
+    lam, om = _scaled_hyperbola(mu, params)
+    return ContourLevel(ell=ell, mu=mu, lambdas=lam, omegas=om, K=params.K)
+
+
+def _scaled_hyperbola(mu, params: ContourParams):
+    """(lambda_k, omega_k) of level_nodes for a scale mu, a float or an
+    (L, 1) array of them, from the unit hyperbola (ContourParams.hyperbola)."""
+    real, sh, unit_om = params.hyperbola
+    return (mu * real + 1j * (mu * np.cos(params.phi)) * sh,
+            (params.tau * mu / (2.0 * np.pi)) * unit_om)
 
 
 def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int) -> list:
@@ -213,8 +218,6 @@ def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: i
         return []
     params = select_parameters(K, Lambda, theta)
     mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])[:, None]
-    real, sh, unit_om = params.hyperbola
-    lams = mus * real + 1j * (mus * np.cos(params.phi)) * sh
-    oms = (params.tau * mus / (2.0 * np.pi)) * unit_om
+    lams, oms = _scaled_hyperbola(mus, params)
     return [ContourLevel(ell=ell, mu=float(mu), lambdas=lam, omegas=om, K=K)
             for ell, mu, lam, om in zip(range(1, L + 1), mus[:, 0], lams, oms)]

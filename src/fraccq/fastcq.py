@@ -28,27 +28,24 @@ both routes stay in the rank space of the data and hand each sum to one
 weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels.
 
-fast_solve reads its stage-space data from a stage plan (StagePlan) that
-the problem keeps. The hyperbola of level l has scale
-mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle nodes zeta_j depend only
-on J and kappa, so in the variable z = h lambda the contour nodes, the
-weights h omega, the Runge-Kutta data r(z) and q(z), the combine factor
-r^(m_(l-1)), the powers z^alpha and the split of Delta(zeta_j) with its
-d^alpha are the same at every h and N. The plan computes each of them
-once, level by level as N grows, and a solve only scales them by powers
-of h. The plan is keyed by the tableau, K, Lambda, theta, kappa, J and
-the fold below, and lives on the Problem instance, one entry: a solve
-with other parameters replaces it, and dataclasses.replace starts the
-new problem without one. Its pieces are stacked numpy calls over nodes:
-one spectrum-clearance test and one stability call per batch of new
-levels, one stacked eigen-split of the circle nodes (_circle_split). The
-plan is the only holder of that split: direct_cq and
-weight_matrices_direct make their own at their own J, on every call.
+A solve takes only the problem and the config; the problem keeps what
+its solves derive from it alone, one entry each (_kept): the stage table
+of its data at the last N, h and stage nodes c, and the stage plan
+(StagePlan) of the last tableau, K, Lambda, theta, kappa, J and fold. A
+solve with other parameters replaces an entry, and dataclasses.replace
+starts the new problem without either. The hyperbola of level l has
+scale mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle nodes zeta_j
+depend only on J and kappa, so in the variable z = h lambda the plan's
+contour nodes, weights h omega, Runge-Kutta data r(z) and q(z), combine
+factors r^(m_(l-1)), powers z^alpha and split of Delta(zeta_j) with its
+d^alpha are the same at every h and N: the plan computes each once,
+level by level as N grows, and a solve only scales them by powers of h.
+The plan is the only holder of the circle split (_circle_split):
+direct_cq and weight_matrices_direct make their own, on every call.
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
-The paper's independent marches and solves are these stacked numpy and
-LAPACK calls, and every phase of a solve runs in the calling thread.
+Every phase is stacked numpy and LAPACK calls in the calling thread.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ from .errors import BranchCutError, ConfigError, DecompositionError, PoleError
 from .operators import OperatorFamily, Problem
 
 _EPS = float(np.finfo(float).eps)
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 _MARCH_BLOCK = 1024
 _SPECTRUM_CLEARANCE = 1e-8
 
@@ -125,8 +123,8 @@ class CQConfig:
             h = float(h) if real else np.nan
         except OverflowError:  # an integer beyond the float range
             h = np.inf
-        if not 0.0 < h < np.inf:
-            raise ConfigError(f"step size must be finite and positive, got h={self.h!r}")
+        if not (0.0 < h < np.inf and 1.0 / h < np.inf):  # 1/h scales every frequency
+            raise ConfigError(f"need a finite h > 0 with a finite 1/h, got h={self.h!r}")
         self.h = h
         for name, least in (("N", 1), ("K", 2), ("Lambda", 2), ("kappa", 1), ("J", 1),
                             ("workers", 1)):
@@ -138,6 +136,11 @@ class CQConfig:
             setattr(self, name, int(value))  # a narrow numpy integer would wrap around
         if self.resolved_J() < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
+        # N s stage samples, 2K+1 contour nodes and J circle nodes are indexed
+        if (max(self.N * self.tableau.s, 2 * (self.K or 0) + 1, self.resolved_J()) > _INDEX_MAX
+                or not self.N * h < np.inf):
+            raise ConfigError(f"need N s, 2K+1 and J in the index range and a finite N h, got "
+                              f"N={self.N}, s={self.tableau.s}, K={self.K}, J={self.J}, h={h!r}")
         report = self.tableau.assumptions
         if not report.all_pass:
             raise ConfigError(
@@ -166,11 +169,7 @@ class LevelPlan:
     """Geometric history decomposition m_0 < m_1 < ... < m_L = N."""
 
     L: int
-    m: tuple
-
-    def window(self, ell: int):
-        """Weight-index window [m_{ell-1}, m_ell) of level ell >= 1."""
-        return self.m[ell - 1], self.m[ell]
+    m: tuple  # level l >= 1 covers the weight indices [m_(l-1), m_l)
 
 
 def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
@@ -193,11 +192,11 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
 class RunStats:
     """Operation counters, the contour size K and circle size J used and
     per-phase wall-clock times of one solve: wall_times holds "prepare"
-    (which includes "table", the stage-table build or check of a passed
-    one), "rk_marches", "combine", "resolvent_solves", "first_block" and
-    "total". levels_built counts the stage-plan pieces this solve
-    computed (StagePlan.built): one per new contour level, one for the
-    circle split; 0 when the problem's plan already held them all."""
+    (which includes "table", the stage-table build, near zero when the
+    problem keeps the table), "rk_marches", "combine", "resolvent_solves",
+    "first_block" and "total". levels_built counts the stage-plan pieces
+    this solve computed (StagePlan.built): one per new contour level, one
+    for the circle split; 0 when the problem's plan already held them."""
 
     K: int = 0
     J: int = 0
@@ -282,38 +281,40 @@ def _circle_sum(problem: Problem, table, terms, J, rho, dec, nus):
     return (u.real.copy() if fold else u), nus.size
 
 
-def _stage_table(problem: Problem, config: CQConfig, table=None):
+def _kept(problem: Problem, slot: str, key, build):
+    """The value the problem keeps in `slot` for `key`, or a new one from
+    build() that replaces it: one entry per slot."""
+    kept = problem._kept
+    if slot not in kept or kept[slot][0] != key:
+        kept.pop(slot, None)  # the old value goes before the new one is built
+        kept[slot] = (key, build())
+    return kept[slot][1]
+
+
+def _stage_table(problem: Problem, config: CQConfig):
     """The stage table a solve reads: problem.g's at the solve's N, h and
-    stage nodes c, or the caller's one, which must have been sampled there.
-    """
-    tab = config.tableau
-    if table is None:
-        return problem.g.table(config.N, config.h, tab.c)
-    if (table.N, table.h) != (config.N, config.h) or not np.array_equal(table.c, tab.c):
-        raise ConfigError(
-            f"stage table sampled at N={table.N}, h={table.h}, c={table.c}; "
-            f"the solve runs N={config.N}, h={config.h}, c={tab.c}"
-        )
-    return table
+    stage nodes c, kept by the problem for the next solve there."""
+    N, h, c = config.N, config.h, config.tableau.c
+    return _kept(problem, "table", (N, h, c.tobytes()), lambda: problem.g.table(N, h, c))
 
 
-def first_block(problem: Problem, config: CQConfig, plan: LevelPlan, table=None):
-    """Contribution of the first m_0 weights via the circle rule at
-    config.resolved_J() nodes (_circle_sum), its radius balanced for the
-    term budget kappa+1 rather than m_0, so that the circle nodes are the
-    same at every h and N, L = 0 solves (m_0 = N <= kappa+1) included. The
-    circle split of Delta(zeta_j) and its d^alpha at h = 1 come from the
-    problem's stage plan (StagePlan.circle_split), made by the first solve
-    that asks; every solve scales them to the frequencies
-    nu = d^alpha h^-alpha of Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
+def first_block(problem: Problem, config: CQConfig):
+    """Contribution of the first m_0 = min(N, kappa+1) weights via the
+    circle rule at config.resolved_J() nodes (_circle_sum), its radius
+    balanced for the term budget kappa+1 rather than m_0, so that the
+    circle nodes are the same at every h and N, L = 0 solves
+    (m_0 = N <= kappa+1) included. The circle split of Delta(zeta_j) and
+    its d^alpha at h = 1 come from the problem's stage plan
+    (StagePlan.circle_split), made by the first solve that asks; every
+    solve scales them to the frequencies nu = d^alpha h^-alpha of
+    Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
     and the data are, and the system count: s*(J//2+1) when _circle_sum
-    folds the conjugate nodes, s*J otherwise. A passed table must match
-    the solve (_stage_table).
+    folds the conjugate nodes, s*J otherwise.
     """
-    table = _stage_table(problem, config, table)
+    table = _stage_table(problem, config)
     rho, dec, d_alpha = _stage_plan(problem, config, _folds(problem, table)).circle_split()
-    return _circle_sum(problem, table, plan.m[0], config.resolved_J(), rho, dec,
-                       d_alpha * config.h ** -problem.alpha)
+    return _circle_sum(problem, table, min(config.N, config.kappa + 1), config.resolved_J(),
+                       rho, dec, d_alpha * config.h ** -problem.alpha)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
@@ -323,10 +324,10 @@ def direct_cq(problem: Problem, config: CQConfig):
     J = max(4N, 256), its radius balanced for N terms; u_N sums all N
     weights, so the amplified rounding of the last ones stays near 1e-12
     relative. No contour, level plan or march: config.K, Lambda, kappa and
-    J are not read, and no stage plan: each call makes its own circle
-    split (_circle_split). When the operator and the data are both real,
-    only the J//2+1 nodes of the upper half circle are solved and the
-    result is real.
+    J are not read. It reads the stage table the problem keeps but no
+    stage plan: each call makes its own circle split (_circle_split).
+    When the operator and the data are both real, only the J//2+1 nodes
+    of the upper half circle are solved and the result is real.
     """
     table = _stage_table(problem, config)
     return _direct_circle_sum(problem, config.tableau, config.h, table, max(4 * config.N, 256))
@@ -468,19 +469,17 @@ def _check_spectrum_clearance(z, tab, first_level=1):
 
 class StagePlan:
     """Stage-space data of a problem's solves at one tableau, K, Lambda,
-    theta, kappa, J and fold, in the variable z = h lambda, where none of
-    it depends on h or N.
+    theta, kappa, J and fold, in z = h lambda (module docstring).
 
     For each contour level l = 1..L it keeps, over the solved nodes
     (k = 0..K when folded, all 2K+1 otherwise): r(z) and q(z) of the
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
     folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
     from contour.level_contours at h = 1 and z cleared of the stage
-    spectrum. For the first block it keeps the circle radius and the
-    circle split (_circle_split) with its d^alpha (circle), which nothing
-    else keeps. Each piece is computed once: levels when a solve first
-    needs them, the circle split when a first block first asks. built
-    counts the pieces, the circle split as one.
+    spectrum; for the first block, the circle radius and the circle split
+    (_circle_split) with its d^alpha (circle). Levels are computed when a
+    solve first needs them, the split when a first block first asks;
+    built counts the pieces, the split as one.
     """
 
     def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
@@ -533,19 +532,15 @@ class StagePlan:
 
 def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
     """The problem's stage plan for the solve's parameters: the kept one,
-    or a new one that replaces it (one entry per problem)."""
+    or a new one that replaces it (_kept)."""
     fam, tab = problem.family, config.tableau
     # a tableau's arrays are read-only, so equal tableaux share a plan
     key = (tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(), config.resolved_K(fam),
            config.Lambda, config.resolved_theta(fam), config.kappa, config.resolved_J(), fold)
-    kept = problem._stage_plan
-    if key not in kept:
-        kept.clear()
-        kept[key] = StagePlan(tab, problem.alpha, *key[3:])
-    return kept[key]
+    return _kept(problem, "plan", key, lambda: StagePlan(tab, problem.alpha, *key[3:]))
 
 
-def fast_solve(problem: Problem, config: CQConfig, table=None):
+def fast_solve(problem: Problem, config: CQConfig):
     """Approximation U_N at t = N h by the level-compressed algorithm.
 
     Phases: (1) scalar Runge-Kutta marches over each level window,
@@ -553,22 +548,13 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     the separable data; (2) combine: the weight of node k of level l is
     omega_k r_k^(m_l) times its r march coefficients; (3) one weighted
     resolvent solve sums the nodes of all levels; (4) circle-rule block
-    for the first m_0 weights. When the operator and the data are both
-    real (family.is_real and table.is_real), the term of node -k is the
-    conjugate of that of node k, so only the upper half k >= 0 of each
-    contour is computed and the conjugate pairs are folded in as doubled
-    real parts; otherwise all 2K+1 nodes are.
-
-    The stage-space data come from the problem's stage plan (StagePlan),
-    which "prepare" extends to the solve's levels; the first solve with
-    these parameters on this problem computes them, later ones at any h
-    and N reuse them (RunStats.levels_built counts what this solve
-    computed). Every solve, the first included, scales the plan in the
-    same way: nu = z^alpha h^-alpha, omega r^m = (h omega r^m)/h and
+    for the first m_0 weights. "prepare" reads the stage table and the
+    stage plan the problem keeps (module docstring) and extends the plan
+    to the solve's levels; RunStats.levels_built counts what it computed.
+    Every solve, the first included, scales the plan in the same way:
+    nu = z^alpha h^-alpha, omega r^m = (h omega r^m)/h and
     nu_circle = d^alpha h^-alpha, so its bits do not depend on which
-    solves ran on the problem before it. A caller solving the same N, h
-    and tableau repeatedly may pass the stage table of problem.g; one
-    sampled at another N, h or set of stage nodes raises ConfigError.
+    solves ran on the problem before it.
     """
     fam = problem.family
     N, h = config.N, config.h
@@ -577,7 +563,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     stats = RunStats(K=config.resolved_K(fam), J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
     t_phase = time.perf_counter()
-    table = _stage_table(problem, config, table)
+    table = _stage_table(problem, config)
     stats.wall_times["table"] = time.perf_counter() - t_phase
     fold = _folds(problem, table)
     stage = _stage_plan(problem, config, fold)
@@ -590,7 +576,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     t_phase = time.perf_counter()
     coeffs = []
     for li in range(plan.L):
-        m_lo, m_hi = plan.window(li + 1)
+        m_lo, m_hi = plan.m[li], plan.m[li + 1]
         coeffs.append(_march_window(stage.r[li], stage.q[li], table, N - m_hi, N - m_lo, h))
         stats.rk_steps += n_nodes * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
@@ -613,7 +599,7 @@ def fast_solve(problem: Problem, config: CQConfig, table=None):
     # the first block runs after the level solve, not straight after the
     # marches: its fixed work then meets the same cache state at every N
     t_phase = time.perf_counter()
-    u_first, stats.first_block_solves = first_block(problem, config, plan, table)
+    u_first, stats.first_block_solves = first_block(problem, config)
     stats.wall_times["first_block"] = time.perf_counter() - t_phase
     stats.levels_built = stage.built - built
     stats.wall_times["total"] = time.perf_counter() - t_start

@@ -21,6 +21,7 @@ from . import contour
 from .errors import ConfigError, DomainError, SolverError, SupportError
 
 _SUPPORT_ABS = 1e-20
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 class OperatorFamily(ABC):
@@ -151,8 +152,9 @@ class PeriodicCompactFD3D(OperatorFamily):
     theta1_hint = np.pi / 2
 
     def __init__(self, n_per_dim: int):
-        if not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 4:
-            raise ConfigError(f"need an integer n_per_dim >= 4, got {n_per_dim!r}")
+        if (not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 4
+                or int(n_per_dim) ** 3 > _INDEX_MAX):
+            raise ConfigError(f"need an integer n_per_dim >= 4, n^3 indexable, got {n_per_dim!r}")
         self.n = int(n_per_dim)
         self.eta = 2.0 * np.pi / self.n
         self.dim = self.n**3
@@ -235,8 +237,8 @@ class SchrodingerTBC1D(OperatorFamily):
     is_real = False
 
     def __init__(self, a_half: float, n_points: int, alpha: float):
-        if not isinstance(n_points, (int, np.integer)) or n_points < 5:
-            raise ConfigError(f"need an integer n_points >= 5, got {n_points!r}")
+        if not isinstance(n_points, (int, np.integer)) or not 5 <= n_points <= _INDEX_MAX:
+            raise ConfigError(f"need an integer n_points in [5, {_INDEX_MAX}], got {n_points!r}")
         self.n = int(n_points)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -264,11 +266,15 @@ class SchrodingerTBC1D(OperatorFamily):
 
         The larger-magnitude numerator of the quadratic formula gives one
         root accurately; the other follows from the unit product of roots.
+        An overflowing discriminant psi^2 - 4 phi^2 raises SolverError.
         """
-        phi, psi = self._interior(nu)
+        phi, psi = self._interior(complex(nu))  # Python complex overflows to inf silently
         if phi == 0.0:
             raise SolverError(f"phi vanishes at nu={nu}", frequency=nu)
-        disc = np.sqrt(complex(psi * psi - 4.0 * phi * phi))
+        disc = psi * psi - 4.0 * phi * phi
+        if not np.isfinite(disc):
+            raise SolverError(f"boundary-root discriminant overflows at nu={nu}", frequency=nu)
+        disc = np.sqrt(disc)
         num = -psi + disc if abs(-psi + disc) >= abs(-psi - disc) else -psi - disc
         z_a = num / (2.0 * phi)
         z_b = 1.0 / z_a
@@ -338,8 +344,7 @@ def sector_probe(family: OperatorFamily, samples, trials: int = 4, seed: int = 0
 
 class SeparableStageTable:
     """Stage samples G_n = sum_r time[n, :, r] * spatial[r, :], n = 0..N-1,
-    each of shape (s, dim), kept in factored form, taken at the times
-    (n + c_k) h of step size h and stage nodes c.
+    each of shape (s, dim), kept in factored form.
 
     Every reader works in the rank space of the data: block returns time
     factors, and a caller that needs full samples forms block @ spatial.
@@ -350,9 +355,7 @@ class SeparableStageTable:
     about 1 % of a solve.
     """
 
-    def __init__(self, time_factors, spatial, h, c):
-        self.h = h
-        self.c = np.asarray(c, dtype=float)
+    def __init__(self, time_factors, spatial):
         self.time = np.ascontiguousarray(time_factors, dtype=complex)
         self.spatial = np.ascontiguousarray(spatial, dtype=complex)
         self.is_real = not np.iscomplexobj(time_factors) and not np.any(self.spatial.imag)
@@ -384,11 +387,16 @@ class SeparableInhomogeneity:
         return fac[0] @ self.spatial
 
     def table(self, N, h, c) -> SeparableStageTable:
-        """Stage samples at times (n + c_k) h, n = 0..N-1."""
+        """Stage samples at times (n + c_k) h, n = 0..N-1. Time factors
+        that overflow or are undefined there raise DomainError."""
         c = np.asarray(c, dtype=float)
-        times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
-        fac = np.asarray(self._time_factors(times))
-        return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial, h, c)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
+                fac = np.asarray(self._time_factors(times))
+        except FloatingPointError as exc:
+            raise DomainError(f"the data's time factors overflow on [0, {N * h:g}]: {exc}") from exc
+        return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial)
 
     def shifted(self, offset) -> "SeparableInhomogeneity":
         """The sampler for g(t) + offset: one more rank with a unit time
@@ -417,17 +425,16 @@ class Problem:
     family, fractional order, mass-form data and, if known, exact solution.
     transform_initial brings nonzero initial data into this form.
 
-    A problem also keeps the stage plan of its solves (fastcq.StagePlan):
-    the step-size-free stage-space data of the last solve parameters, one
-    entry. It takes no part in comparison or repr, and dataclasses.replace
-    starts the new problem without one.
+    A problem also keeps the stage table and the stage plan of its last
+    solve parameters (fastcq._kept). They take no part in comparison or
+    repr, and dataclasses.replace starts the new problem without them.
     """
 
     family: OperatorFamily
     alpha: float
     g: SeparableInhomogeneity
     u_exact: Callable[[float], np.ndarray] | None = None
-    _stage_plan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:

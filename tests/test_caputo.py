@@ -262,8 +262,7 @@ def test_example_paths_import_no_scipy():
         tab = fraccq.radau_iia(3)
         for problem in (fraccq.example1_problem().problem, fraccq.example2_problem(8).problem):
             cfg = fraccq.CQConfig(tableau=tab, h=0.02, N=50)
-            table = problem.g.table(cfg.N, cfg.h, tab.c)
-            u, _ = fraccq.fast_solve(problem, cfg, table)
+            u, _ = fraccq.fast_solve(problem, cfg)
             assert np.all(np.isfinite(u))
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         pools = sorted(m for m in sys.modules if m.startswith("concurrent"))

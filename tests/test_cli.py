@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraccq.cli import main, read_config_file
 from fraccq.errors import ConfigError
@@ -278,10 +281,10 @@ def test_subdiffusion_timing_flag_reads_the_total(monkeypatch, rk_marches, total
     problem = example2_problem(8, t_max=2.0).problem
     first_rung = iter(zip(rk_marches, totals))
 
-    def stub_solve(prob, cfg, table=None):
+    def stub_solve(prob, cfg):
         rk, total = next(first_rung)
         times = {"first_block": 1e-3, "rk_marches": rk, "resolvent_solves": 1e-3,
-                 "total": total}
+                 "table": 0.0, "total": total}
         return problem.u_exact(cfg.N * cfg.h), RunStats(wall_times=times)
 
     monkeypatch.setattr(cli.fastcq, "fast_solve", stub_solve)
@@ -337,3 +340,82 @@ def test_weights_without_levels_computes_no_weights(tmp_path, monkeypatch):
     notes = {(int(r[0]), r[4]) for r in rows}
     assert notes == {(0, "direct-only"), (4, "direct-only"), (9, "direct-only"),
                      (10, "beyond-plan")}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["convergence", "--steps", str(10**20)], 2),
+    (["subdiffusion", "--steps", str(10**20)], 2),
+    (["schrodinger", "--h", "1e-300"], 2),
+    (["schrodinger", "--t-end", "1e300"], 2),
+    (["subdiffusion", "--grid", str(10**20)], 2),
+    (["schrodinger", "--grid", str(10**20)], 2),
+    (["convergence", "--steps", "3", "--t-end", "1e308"], 3),
+    (["subdiffusion", "--t-end", "1e308"], 3),
+])
+def test_sizes_and_times_beyond_range_exit_typed(args, code, capsys):
+    """Step counts and grids beyond the index range, step sizes whose step
+    count or 1/h overflows, and final times at which the data overflow end
+    in a one-line message: they raised ValueError from np.arange, fftfreq
+    or linspace, or a RuntimeWarning from the data."""
+    assert run_cli(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+
+
+# Hypothesis draws for the CLI: each experiment's numeric flags take a
+# cheap valid value, or up to two of them one of the kinds below (zero,
+# negative, non-integer, NaN/inf, tiny, huge, beyond the index range).
+# Valid step counts stay small: the ratio t_end / h is drawn, not h. A
+# huge --repeats is valid and runs that many solves, so it draws only the
+# invalid kinds.
+_INVALID = st.sampled_from(["0", "-1", "-2.5", "2.5", "nan", "inf", "-inf"])
+_EXTREMES = st.one_of(_INVALID, st.sampled_from(["1e-300", "5e-324", "1e300", "1.7e308",
+                                                 str(10**300), str(2**63), str(10**20)]))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_STEP_LISTS = st.lists(st.integers(1, 120), min_size=1, max_size=2).map(
+    lambda ns: ",".join(map(str, ns)))
+_CLI_VALID = {
+    "convergence": {"t_end": _reals(0.1, 10.0), "steps": _STEP_LISTS, "K": _ints(10, 30),
+                    "Lambda": _ints(2, 9), "kappa": _ints(1, 30), "J": _ints(61, 80)},
+    "subdiffusion": {"grid": st.just("8"), "t_end": _reals(0.1, 5.0), "steps": _STEP_LISTS,
+                     "K": _ints(10, 25), "Lambda": _ints(2, 9), "kappa": _ints(1, 20),
+                     "J": _ints(41, 60), "repeats": _ints(1, 3), "bound": _reals(0.01, 10.0)},
+    "schrodinger": {"grid": _ints(41, 61), "a_half": st.just("2.0"),
+                    "alpha": _reals(0.3, 0.9), "t_end": _reals(0.01, 0.5),
+                    "ratio": st.integers(1, 6).map(lambda k: 20 * k), "K": _ints(20, 40),
+                    "Lambda": _ints(2, 9), "kappa": _ints(1, 20)},
+    "weights": {"alpha": _reals(0.1, 1.0), "t_end": _reals(0.1, 2.0),
+                "ratio": st.integers(1, 120), "steps": _STEP_LISTS, "K": _ints(5, 25),
+                "Lambda": _ints(2, 9), "kappa": _ints(1, 30)},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_answers_every_draw_with_an_exit_code(data):
+    """main returns 0, 2 or 3 for every draw, and no exception escapes, not
+    even a RuntimeWarning under the suite's error filter."""
+    name = data.draw(st.sampled_from(sorted(_CLI_VALID)))
+    valid = _CLI_VALID[name]
+    flags = sorted(set(valid) - {"ratio"} | ({"h"} if "ratio" in valid else set()))
+    extreme = data.draw(st.sets(st.sampled_from(flags), max_size=2))
+    bad = {key: _INVALID if key == "repeats" else _EXTREMES for key in extreme}
+    values = {key: data.draw(bad.get(key, valid.get(key))) for key in flags if key != "h"}
+    if "h" in flags:
+        ratio = data.draw(valid["ratio"])
+        values["h"] = (data.draw(bad["h"]) if "h" in bad
+                       else repr(float(values["t_end"]) / ratio))
+    args = [name] + [arg for key, value in values.items()
+                     for arg in ("--" + key.replace("_", "-"), value)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(args)
+    assert code in (0, 2, 3), args

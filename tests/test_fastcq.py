@@ -15,7 +15,7 @@ from fraccq import (
     transform_initial,
 )
 from fraccq import caputo, contour, fastcq, smallmat, tableau
-from fraccq.errors import ConfigError, PoleError
+from fraccq.errors import ConfigError, DomainError, PoleError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
@@ -108,6 +108,32 @@ def test_config_refuses_untyped_fields(field, value):
         CQConfig(**{"tableau": radau_iia(1), "h": 0.1, "N": 40, field: value})
 
 
+@pytest.mark.parametrize("h, N, K, J", [
+    (5e-324, 10, None, None), (1e-310, 10, None, None),  # 1/h overflows
+    (1.7e308, 64, None, None),  # N h overflows
+    (0.1, 10**20, None, None), (0.1, 2**62, None, None),  # N s beyond the index range
+    (0.1, 40, 2**62, None), (0.1, 40, None, 2**63),  # 2K+1 or J beyond it
+])
+def test_config_refuses_overflowing_sizes(h, N, K, J):
+    """A step size whose 1/h or N h overflows and sizes beyond the index
+    range raise ConfigError: they failed deep inside the solve with
+    SolverError, or with ValueError from np.arange."""
+    with pytest.raises(ConfigError, match="h=|N="):
+        CQConfig(tableau=radau_iia(3), h=h, N=N, K=K, J=J)
+
+
+def test_extreme_valid_step_sizes_solve_or_raise_typed(example1, example2_small):
+    """h = 1e-308 and 5.57e-309 (1/h just below the float limit) solve
+    examples 1 and 2; at h = 1e306 the data of example 1 overflow, and the
+    stage table raises DomainError naming [0, N h]."""
+    for h in (1e-308, 5.57e-309):
+        for prob in (example1, example2_small):
+            u, _ = fast_solve(prob, CQConfig(tableau=radau_iia(3), h=h, N=64))
+            assert np.all(np.isfinite(u))
+    with pytest.raises(DomainError, match=r"\[0, 6.4e\+307\]"):
+        fast_solve(example1, CQConfig(tableau=radau_iia(3), h=1e306, N=64))
+
+
 def test_narrow_numpy_integers_are_stored_as_int():
     """np.int8 counts are kept as Python int: at the int8 Lambda and kappa
     the level plan's window cap (kappa+1) Lambda^l wrapped around and
@@ -127,8 +153,9 @@ def test_narrow_numpy_integers_are_stored_as_int():
 # Hypothesis draws for the CQConfig fields: a valid range mixed with
 # finite, non-finite, non-integer, zero, negative, bool, str and np.int8
 # values, at N <= 64 so that every solve is small. Positive step sizes stay
-# in [1e-3, 1]: a valid h near the float limits overflows t = N h or 1/h
-# inside the solve, which then refuses with SolverError, not ConfigError.
+# in [1e-3, 1]: CQConfig refuses an h whose 1/h or N h overflows, but a
+# valid h near the float limits overflows the data of example 1 (DomainError,
+# test_config_refuses_overflowing_sizes) or its frequencies (SolverError).
 _JUNK = st.one_of(st.floats(), st.booleans(), st.text(max_size=2), st.none())
 _STEPS = st.one_of(st.floats(1e-3, 1.0), st.floats(0.125, 1.0, width=32).map(np.float32),
                    st.floats(max_value=0.0), st.sampled_from([np.nan, np.inf, 1j]),
@@ -195,11 +222,12 @@ def test_runstats_counters(example1, example1_complex):
 
 
 def test_wall_times_show_the_table_inside_prepare(example1):
-    """RunStats.wall_times reports the stage-table build, or the check of a
-    passed table, as "table", a part of "prepare"."""
+    """RunStats.wall_times reports the stage-table build, or the lookup of
+    the table the problem keeps (second solve), as "table", a part of
+    "prepare"."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=1000, K=25)
-    for table in (None, example1.g.table(cfg.N, cfg.h, cfg.tableau.c)):
-        times = fast_solve(example1, cfg, table)[1].wall_times
+    for _ in range(2):
+        times = fast_solve(example1, cfg)[1].wall_times
         assert set(times) == {"table", "prepare", "rk_marches", "combine", "resolvent_solves",
                               "first_block", "total"}
         assert 0.0 <= times["table"] <= times["prepare"] <= times["total"]
@@ -421,8 +449,7 @@ def test_first_block_zero_samples():
     fam = dense_operator(None, A22)
     prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.zeros(2)))
     cfg = CQConfig(tableau=radau_iia(3), h=0.05, N=40)
-    plan = plan_levels(40, cfg.kappa, cfg.Lambda)
-    u0, solves = first_block(prob, cfg, plan)
+    u0, solves = first_block(prob, cfg)
     assert np.max(np.abs(u0)) == 0.0
     assert solves == 3 * 21
 
@@ -436,7 +463,6 @@ def test_circle_fold_equals_the_unfolded_rule(example1, example1_complex, monkey
     from fraccq import smallmat
     tab, h, n_steps = radau_iia(3), 0.05, 40
     cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=25, J=J)
-    plan = plan_levels(n_steps, cfg.kappa, cfg.Lambda)
     original = smallmat.eig_small
     stacks = []
 
@@ -445,9 +471,9 @@ def test_circle_fold_equals_the_unfolded_rule(example1, example1_complex, monkey
         return original(stack)
 
     monkeypatch.setattr(smallmat, "eig_small", recording_eig_small)
-    u_real, solves_real = first_block(example1, cfg, plan)
+    u_real, solves_real = first_block(example1, cfg)
     assert stacks == [J // 2 + 1] and solves_real == 3 * (J // 2 + 1)
-    u_cplx, solves_cplx = first_block(example1_complex, cfg, plan)
+    u_cplx, solves_cplx = first_block(example1_complex, cfg)
     assert stacks == [J // 2 + 1, J] and solves_cplx == 3 * J
     assert np.isrealobj(u_real) and np.iscomplexobj(u_cplx)
     ref = u_cplx / (1 + 1j)
@@ -481,9 +507,8 @@ def test_first_block_matches_weight_assembly(example1):
     tab = radau_iia(3)
     h, n_steps = 0.05, 40
     cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=25, kappa=20, J=160)
-    plan = plan_levels(n_steps, 20, 5)
     table = example1.g.table(n_steps, h, tab.c)
-    u0, _ = first_block(example1, cfg, plan, table)
+    u0, _ = first_block(example1, cfg)
 
     rows = fastcq.weight_rows_direct(example1.family, tab, 0.5, h, list(range(21)))
     samples = table.block(0, n_steps) @ table.spatial
@@ -656,29 +681,36 @@ def test_worker_count_does_not_change_bits_on_a_grid():
                 assert np.array_equal(u1, u), (grid, workers)
 
 
-def test_passed_table_gives_the_same_bits(monkeypatch):
-    """A caller-built stage table is used as given: g.table is not called.
-    A table sampled at another N, h or set of stage nodes is refused."""
-    from fraccq import example1_problem
-    prob = example1_problem().problem
+def test_kept_table_gives_the_same_bits(example1, monkeypatch):
+    """The problem keeps the stage table of its last N, h and stage nodes:
+    a second solve there, and direct_cq at the same config, do not call
+    g.table and give the same bits; a solve at another N, h or tableau
+    builds its table once and replaces the entry. A replaced problem
+    starts with nothing kept."""
     tab = radau_iia(3)
     cfg = CQConfig(tableau=tab, h=0.01, N=300, K=20)
-    table = prob.g.table(cfg.N, cfg.h, tab.c)
-    u_own, _ = fast_solve(prob, cfg)
-    plan = plan_levels(cfg.N, cfg.kappa, cfg.Lambda)
-    for N, h, c in ((600, cfg.h, tab.c), (300, cfg.h / 2, tab.c), (200, cfg.h, tab.c),
-                    (300, cfg.h, radau_iia(2).c), (300, cfg.h, tab.c[::-1])):
-        other = prob.g.table(N, h, c)
-        for solve in (fast_solve, lambda p, config, t: first_block(p, config, plan, t)):
-            with pytest.raises(ConfigError):
-                solve(prob, cfg, other)
+    builds = []
+    original = example1.g.table
 
-    def no_table(*args):
-        raise AssertionError("fast_solve rebuilt the stage table")
+    def counting_table(N, h, c):
+        builds.append((N, h, tuple(c)))
+        return original(N, h, c)
 
-    monkeypatch.setattr(prob.g, "table", no_table)
-    u_passed, _ = fast_solve(prob, cfg, table)
-    assert np.array_equal(u_own, u_passed)
+    monkeypatch.setattr(example1.g, "table", counting_table)
+    u_first, _ = fast_solve(example1, cfg)
+    u_direct = direct_cq(example1, cfg)
+    u_again, _ = fast_solve(example1, cfg)
+    assert builds == [(300, 0.01, tuple(tab.c))]
+    assert np.array_equal(u_first, u_again)
+    assert np.array_equal(u_direct, direct_cq(dataclasses.replace(example1), cfg))
+    for other in (dataclasses.replace(cfg, N=600), dataclasses.replace(cfg, h=0.005),
+                  dataclasses.replace(cfg, tableau=radau_iia(2))):
+        builds.clear()
+        fast_solve(example1, other)
+        fast_solve(example1, other)
+        assert builds == [(other.N, other.h, tuple(other.tableau.c))]
+        assert example1._kept["table"][0] == (other.N, other.h, other.tableau.c.tobytes())
+    assert dataclasses.replace(example1)._kept == {}
 
 
 def test_oracle_equivalence_scaled_by_contour_accuracy(example1, example2_small, tbc_problem_small):
@@ -925,7 +957,7 @@ def test_replaced_problem_builds_a_new_plan(example1, stage_calls, eig_calls):
     assert fast_solve(fresh, cfg)[1].levels_built == 4
     assert stage_calls.count("stability") == 1 and stage_calls.count("delta") == 1
     assert stage_calls.count("eig_small") == 1 and len(eig_calls) == 1
-    assert dataclasses.replace(example1) == example1 and "_stage_plan" not in repr(example1)
+    assert dataclasses.replace(example1) == example1 and "_kept" not in repr(example1)
     assert fast_solve(example1, cfg)[1].levels_built == 0
     # an equal tableau built afresh finds the plan, another tableau does not
     assert fast_solve(example1, dataclasses.replace(cfg, tableau=radau_iia(3)))[1].levels_built == 0

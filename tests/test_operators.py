@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraccq import contour, smallmat
-from fraccq.errors import ConfigError, FracCQError, SolverError, SupportError
+from fraccq.errors import ConfigError, DomainError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
@@ -155,6 +155,16 @@ def test_tbc_vieta_and_characteristic_residual(rng):
         psi = 5 * nu / 6 + 2j / fam.eta**2
         resid = phi * z1**2 + psi * z1 + phi
         assert abs(resid) <= 1e-10 * max(abs(phi), abs(psi))
+
+
+@pytest.mark.parametrize("nu", [1e155 + 1e155j, np.complex128(1e160), np.float64(-1e300)])
+def test_tbc_roots_refuse_an_overflowing_discriminant(nu):
+    """psi^2 - 4 phi^2 beyond the float range (|nu| above about 1e155, or
+    h below about 1e-220 at alpha = 3/4) raises SolverError naming nu; it
+    raised a RuntimeWarning from the overflow."""
+    with pytest.raises(SolverError, match="nu=") as err:
+        schrodinger_tbc_1d(2.0, 101, 0.75).roots(nu)
+    assert err.value.frequency == nu
 
 
 def test_tbc_root_moduli_on_contour_frequencies():
@@ -353,6 +363,18 @@ def test_families_and_tables_state_whether_they_are_real():
         assert g.table(5, 0.1, c).is_real is real, k
 
 
+def test_stage_table_refuses_overflowing_time_factors():
+    """Time factors that overflow at the stage times raise DomainError
+    naming [0, N h]: example 1 at t >= 1e307 (omega t overflows) and the
+    data of example 2 at t = 1e308 raised a RuntimeWarning."""
+    from fraccq import example1_problem, example2_problem
+    c = np.array([0.2, 0.6, 1.0])
+    for g, h in ((example1_problem().problem.g, 1e306),
+                 (example2_problem(8, t_max=1e308).problem.g, 1e308 / 64)):
+        with pytest.raises(DomainError, match=r"on \[0, 1e\+308\]|on \[0, 6.4e\+307\]"):
+            g.table(64, h, c)
+
+
 def test_stage_tables_agree_across_kinds(rng):
     """Separable and constant data: the time factors of table.block,
     expanded against table.spatial, equal pointwise sample at the stage
@@ -469,6 +491,9 @@ def test_apply_and_solve_describe_one_operator(backend, rng):
     pytest.param(lambda: schrodinger_tbc_1d(1e-200, 101, 0.75), id="tbc-eta-underflow"),
     pytest.param(lambda: schrodinger_tbc_1d(1e200, 101, 0.75), id="tbc-eta-overflow"),
     pytest.param(lambda: dense_operator(None, 1.0), id="dense-scalar"),
+    # beyond the index range: fftfreq and linspace raised ValueError
+    pytest.param(lambda: periodic_compact_fd_3d(2**21), id="spectral-n3-beyond-index"),
+    pytest.param(lambda: schrodinger_tbc_1d(2.0, 2**63, 0.75), id="tbc-beyond-index"),
 ])
 def test_operator_constructors_refuse_with_config_error(build):
     """Grid sizes must be integers: 8.5 and 101.7 built 8 and 101 points,
