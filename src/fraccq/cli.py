@@ -377,8 +377,8 @@ def weights_rows(spec):
         w_direct = dict(zip(inside, blocks))
     rows = []
     for K in k_values:
-        levels = contour.level_contours(plan.L, K, spec["Lambda"],
-                                        fastcq.CQConfig.resolved_theta(family), h, kappa)
+        _, lams, oms = contour.level_contours(
+            plan.L, K, spec["Lambda"], fastcq.CQConfig.resolved_theta(family), h, kappa)
         for n in n_list:
             if n >= plan.m[-1]:
                 rows.append((n, K, "", "", "beyond-plan"))
@@ -393,7 +393,7 @@ def weights_rows(spec):
             else:
                 while plan.m[ell] <= n:
                     ell += 1
-            w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, levels[ell - 1])
+            w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, lams[ell - 1], oms[ell - 1])
             err = float(np.max(np.abs(w_c - w_direct[n])))
             rows.append((n, K, ell, err, note))
     return rows

@@ -110,6 +110,9 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 2)[1:-1]
     values = objective(grid)
+    if not np.isfinite(values).any():  # eps_K underflows to 0 at every scan point
+        raise ConfigError(f"contour objective is infinite over all of (0,1) at K={K}, "
+                          f"Lambda={Lambda}, theta={theta!r}; take a smaller K")
     i = int(np.argmin(values))
     if i in (0, len(grid) - 1):
         warnings.warn(
@@ -208,16 +211,16 @@ def _scaled_hyperbola(mu, params: ContourParams):
             (params.tau * mu / (2.0 * np.pi)) * unit_om)
 
 
-def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int) -> list:
+def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int):
     """The hyperbolas of levels 1..L: one parameter choice for all of them,
-    each scaled by its mu_level. The unit hyperbola is computed once per
+    each scaled by its mu_level. Returns (mus, lambdas, omegas): the (L,)
+    scales and the read-only (L, 2K+1) nodes and weights, row l-1 bit for
+    bit level_nodes of mu_l. The unit hyperbola is computed once per
     parameter choice (ContourParams.hyperbola) and all levels are scaled
-    in one step, bit for bit level_nodes of each mu. No level (L = 0)
-    selects no parameters."""
-    if L == 0:
-        return []
+    in one step."""
     params = select_parameters(K, Lambda, theta)
-    mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])[:, None]
-    lams, oms = _scaled_hyperbola(mus, params)
-    return [ContourLevel(ell=ell, mu=float(mu), lambdas=lam, omegas=om, K=K)
-            for ell, mu, lam, om in zip(range(1, L + 1), mus[:, 0], lams, oms)]
+    mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])
+    lambdas, omegas = _scaled_hyperbola(mus[:, None], params)
+    for arr in (mus, lambdas, omegas):
+        arr.setflags(write=False)
+    return mus, lambdas, omegas

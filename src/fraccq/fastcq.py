@@ -4,7 +4,7 @@ The approximation at t = N h is u_N = h * (e_s x Id) sum_n W_n G_{N-1-n},
 with weights W_n generated by the rational symbol Delta(zeta)/h of the
 Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
 
-* direct_cq: the first block over all N weights, the trapezoidal circle
+* direct_cq: the circle sum over all N weights, the trapezoidal circle
   rule for the integral of the generating function at the oracle-grade
   J = max(4N, 256) nodes.
 * fast_solve: the first kappa+1 weights through the circle rule, at
@@ -17,10 +17,12 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
   factors.
 
-The circle radius balances the rule's aliasing error rho^J against the
-rounding that its rho^-n scaling amplifies, at rho^(J+terms-1) = eps for
-a sum of `terms` weights (circle_radius): kappa+1 terms for the first
-block at every N, N for direct_cq.
+A circle rule is one call, _circle_split(tab, alpha, J, terms, fold):
+its radius balances the aliasing error rho^J against the rounding that
+its rho^-n scaling amplifies, rho^(J+terms-1) = eps (circle_radius), for
+kappa+1 terms in the first block at every N, N in direct_cq and
+max n + 1 in weight_matrices_direct. The split is at h = 1; _circle_sum
+scales its d^alpha to the solve's h, and weight_matrices_direct its own.
 
 The result needs only a weighted sum of resolvent solves,
 u = sum_k (nu_k M - A)^-1 S^T w_k with S the (r, dim) spatial factors, so
@@ -40,8 +42,8 @@ contour nodes, weights h omega, Runge-Kutta data r(z) and q(z), combine
 factors r^(m_(l-1)), powers z^alpha and split of Delta(zeta_j) with its
 d^alpha are the same at every h and N: the plan computes each once,
 level by level as N grows, and a solve only scales them by powers of h.
-The plan is the only holder of the circle split (_circle_split):
-direct_cq and weight_matrices_direct make their own, on every call.
+The plan is the only holder of a circle split: direct_cq and
+weight_matrices_direct make their own, on every call.
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -136,11 +138,12 @@ class CQConfig:
             setattr(self, name, int(value))  # a narrow numpy integer would wrap around
         if self.resolved_J() < self.kappa + 1:
             raise ConfigError(f"need J >= kappa+1, got J={self.J}, kappa={self.kappa}")
-        # N s stage samples, 2K+1 contour nodes and J circle nodes are indexed
-        if (max(self.N * self.tableau.s, 2 * (self.K or 0) + 1, self.resolved_J()) > _INDEX_MAX
-                or not self.N * h < np.inf):
-            raise ConfigError(f"need N s, 2K+1 and J in the index range and a finite N h, got "
-                              f"N={self.N}, s={self.tableau.s}, K={self.K}, J={self.J}, h={h!r}")
+        # the 16 N s bytes of the complex stage table, 2K+1 contour nodes and J circle nodes
+        if (max(16 * self.N * self.tableau.s, 2 * (self.K or 0) + 1, self.resolved_J())
+                > _INDEX_MAX or not self.N * h < np.inf):
+            raise ConfigError(f"need 16 N s bytes, 2K+1 and J in the index range and a finite "
+                              f"N h, got N={self.N}, s={self.tableau.s}, K={self.K}, J={self.J}, "
+                              f"h={h!r}")
         report = self.tableau.assumptions
         if not report.all_pass:
             raise ConfigError(
@@ -177,8 +180,6 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
     direct block handling all N weights."""
     if N < 1:
         raise ConfigError(f"need N >= 1, got {N}")
-    if N <= kappa + 1:
-        return LevelPlan(L=0, m=(N,))
     L = 0
     cap = kappa + 1
     while N > cap:
@@ -222,16 +223,18 @@ def _folds(problem: Problem, table) -> bool:
     return problem.family.is_real and table.is_real
 
 
-def _circle_split(tab, alpha, J, rho, fold):
-    """One stacked eigen-split Delta(zeta_j) = U_j diag(d_j) U_j^-1, with
-    the powers d_j^alpha, over the circle nodes zeta_j = rho exp(2 pi i j/J)
-    a circle sum solves: j = 0..J//2 when it folds, all J otherwise.
+def _circle_split(tab, alpha, J, terms, fold):
+    """The circle rule of a sum of `terms` weights at J nodes: its radius
+    rho = circle_radius(J, terms), and one stacked eigen-split
+    Delta(zeta_j) = U_j diag(d_j) U_j^-1, with the powers d_j^alpha, over
+    the nodes zeta_j = rho exp(2 pi i j/J) a circle sum solves: j = 0..J//2
+    when it folds, all J otherwise. Returns (rho, split, d_alpha).
 
-    The split is at h = 1; a caller at step size h scales d^alpha by
-    h^-alpha to the frequencies of Delta(zeta_j)/h. Nodes whose split is
-    defective or has an eigenvalue on the branch cut are moved radially by
-    a part in 1e9, once, and the stack is split again; LAPACK splits each
-    matrix on its own, so the others keep their bits.
+    The split is at h = 1: _circle_sum scales d^alpha by h^-alpha to the
+    frequencies of Delta(zeta_j)/h. Nodes whose split is defective or has
+    an eigenvalue on the branch cut are moved radially by a part in 1e9,
+    once, and the stack is split again; LAPACK splits each matrix on its
+    own, so the others keep their bits.
     """
     def split(zetas):
         for retry in (True, False):
@@ -243,17 +246,16 @@ def _circle_split(tab, alpha, J, rho, fold):
                     raise
                 zetas[exc.indices] *= 1.0 + 1e-9
 
+    rho = circle_radius(J, terms)
     zetas = rho * np.exp(2j * np.pi * np.arange(J // 2 + 1 if fold else J) / J)
-    [out] = parallel_map(split, [zetas], 1)
-    return out
+    return (rho, *parallel_map(split, [zetas], 1)[0])
 
 
-def _circle_sum(problem: Problem, table, terms, J, rho, dec, nus):
+def _circle_sum(problem: Problem, table, terms, J, rule, h):
     """h sum_(n < terms) (e_s x Id) W_n G_(N-1-n) over the table's last
-    `terms` samples, by the circle rule at J nodes of radius rho, with the
-    split U_j diag(d_j) U_j^-1 = Delta(zeta_j) of its solved nodes
-    (_circle_split) and the powered eigenvalues nus of Delta(zeta_j)/h,
-    both (n, s).
+    `terms` samples, by the circle rule (rho, split, d^alpha) of
+    _circle_split at J nodes, whose d^alpha h^-alpha = nus are the
+    powered eigenvalues of Delta(zeta_j)/h at the step size h.
 
     Takes one DFT of the rho-scaled sequence of time factors. With
     U_j diag(nu_j^(1/alpha)) U_j^-1 = Delta(zeta_j)/h, the circle sum
@@ -267,6 +269,8 @@ def _circle_sum(problem: Problem, table, terms, J, rho, dec, nus):
     the sum and the system count, s times the nodes solved.
     """
     fold = _folds(problem, table)
+    rho, dec, d_alpha = rule
+    nus = d_alpha * h ** -problem.alpha
     blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
     rev = blk[::-1].real if fold else blk[::-1]
     seq = np.zeros((J, table.s, table.rank), dtype=rev.dtype)
@@ -300,55 +304,46 @@ def _stage_table(problem: Problem, config: CQConfig):
 
 def first_block(problem: Problem, config: CQConfig):
     """Contribution of the first m_0 = min(N, kappa+1) weights via the
-    circle rule at config.resolved_J() nodes (_circle_sum), its radius
-    balanced for the term budget kappa+1 rather than m_0, so that the
-    circle nodes are the same at every h and N, L = 0 solves
-    (m_0 = N <= kappa+1) included. The circle split of Delta(zeta_j) and
-    its d^alpha at h = 1 come from the problem's stage plan
-    (StagePlan.circle_split), made by the first solve that asks; every
-    solve scales them to the frequencies nu = d^alpha h^-alpha of
-    Delta(zeta_j)/h. Returns the length-dim vector, real when the operator
-    and the data are, and the system count: s*(J//2+1) when _circle_sum
-    folds the conjugate nodes, s*J otherwise.
+    circle rule of the problem's stage plan (StagePlan.circle_split): J
+    nodes, its radius balanced for the term budget kappa+1 rather than
+    m_0, so that the circle nodes are the same at every h and N, L = 0
+    solves (m_0 = N <= kappa+1) included. The plan makes the split at
+    h = 1 for the first solve that asks; _circle_sum scales it to the
+    solve's h. Returns the length-dim vector, real when the operator and
+    the data are, and the system count: s*(J//2+1) when _circle_sum folds
+    the conjugate nodes, s*J otherwise.
     """
     table = _stage_table(problem, config)
-    rho, dec, d_alpha = _stage_plan(problem, config, _folds(problem, table)).circle_split()
-    return _circle_sum(problem, table, min(config.N, config.kappa + 1), config.resolved_J(),
-                       rho, dec, d_alpha * config.h ** -problem.alpha)
+    plan = _stage_plan(problem, config, _folds(problem, table))
+    return _circle_sum(problem, table, min(config.N, config.kappa + 1), plan.J,
+                       plan.circle_split(), config.h)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
     """Oracle evaluation of the convolution quadrature at t = N h.
 
-    The first block over all N weights (_circle_sum) at the oracle-grade
-    J = max(4N, 256), its radius balanced for N terms; u_N sums all N
-    weights, so the amplified rounding of the last ones stays near 1e-12
-    relative. No contour, level plan or march: config.K, Lambda, kappa and
-    J are not read. It reads the stage table the problem keeps but no
-    stage plan: each call makes its own circle split (_circle_split).
+    The circle sum (_circle_sum) over all N weights at the oracle-grade
+    J = max(4N, 256), its radius balanced for N terms (_circle_split);
+    u_N sums all N weights, so the amplified rounding of the last ones
+    stays near 1e-12 relative. No contour, level plan or march: config.K,
+    Lambda, kappa and J are not read. It reads the stage table the problem
+    keeps but no stage plan: each call makes its own circle split.
     When the operator and the data are both real, only the J//2+1 nodes
     of the upper half circle are solved and the result is real.
     """
     table = _stage_table(problem, config)
-    return _direct_circle_sum(problem, config.tableau, config.h, table, max(4 * config.N, 256))
-
-
-def _direct_circle_sum(problem: Problem, tab, h, table, J):
-    """The circle sum (_circle_sum) over all table.N weights at J nodes,
-    its radius balanced for table.N terms."""
-    N = table.N
-    rho = circle_radius(J, N)
-    dec, d_alpha = _circle_split(tab, problem.alpha, J, rho, _folds(problem, table))
-    return _circle_sum(problem, table, N, J, rho, dec, d_alpha * h ** -problem.alpha)[0]
+    N, J = config.N, max(4 * config.N, 256)
+    rule = _circle_split(config.tableau, problem.alpha, J, N, _folds(problem, table))
+    return _circle_sum(problem, table, N, J, rule, config.h)[0]
 
 
 def weight_matrices_direct(family, tab, alpha, h, n_list):
     """Full weight operators W_n as explicit (s*dim, s*dim) matrices from
     the circle rule at J = max(10 (max n + 1), 256) nodes, its radius
-    balanced for max n + 1 terms (circle_radius); an oracle tool for
-    s*dim <= 96. Each W_n stands alone, so the last and smallest takes the
-    rounding amplification rho^-(max n) in full: eps^(-1/11) here, where
-    direct_cq's 4N (eps^(-1/5)) left W_700 of example 1 2.6e-11 off."""
+    balanced for max n + 1 terms (_circle_split), unfolded; an oracle tool
+    for s*dim <= 96. Each W_n stands alone, so the last and smallest takes
+    the rounding amplification rho^-(max n) in full: eps^(-1/11) here,
+    where direct_cq's 4N (eps^(-1/5)) left W_700 of example 1 2.6e-11 off."""
     n_list = np.asarray(n_list, dtype=int)
     s, dim = tab.s, family.dim
     sd = s * dim
@@ -356,9 +351,8 @@ def weight_matrices_direct(family, tab, alpha, h, n_list):
         raise ConfigError(f"explicit weights are an oracle tool; s*dim={sd} too large")
     terms = int(n_list.max()) + 1
     J = max(10 * terms, 256)
-    rho = circle_radius(J, terms)
     eye = np.eye(dim)
-    dec, d_alpha = _circle_split(tab, alpha, J, rho, fold=False)
+    rho, dec, d_alpha = _circle_split(tab, alpha, J, terms, fold=False)
     nus = d_alpha * h ** -alpha
     xs = family.solve(nus.ravel(), np.kron(dec.U_inv, eye).reshape(J * s, dim, sd))
     kernels = np.kron(dec.U, eye) @ xs.reshape(J, sd, sd)
@@ -374,14 +368,15 @@ def weight_rows_direct(family, tab, alpha, h, n_list):
     return w_full[:, (tab.s - 1) * family.dim:, :]
 
 
-def weight_rows_contour(family, tab, alpha, h, n, level: contour.ContourLevel):
-    """Hyperbola-quadrature approximation of w_n as a (dim, s*dim) block:
+def weight_rows_contour(family, tab, alpha, h, n, lambdas, omegas):
+    """Hyperbola-quadrature approximation of w_n as a (dim, s*dim) block on
+    one level's nodes lam_k and weights omega_k (level_contours' rows):
     sum_k omega_k r(h lam_k)^n q(h lam_k) x (lam_k^alpha M - A)^-1."""
     s, dim = tab.s, family.dim
-    r, q = tableau_mod.stability(h * level.lambdas, tab)
-    nus = smallmat.power_alpha(level.lambdas, alpha)
+    r, q = tableau_mod.stability(h * lambdas, tab)
+    nus = smallmat.power_alpha(lambdas, alpha)
     x = family.solve(nus, np.broadcast_to(np.eye(dim), (len(nus), dim, dim)))
-    coef = level.omegas * r ** int(n)
+    coef = omegas * r ** int(n)
     return np.einsum("k,ki,kab->aib", coef, q, x).reshape(dim, s * dim)
 
 
@@ -394,8 +389,11 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
 
     One inverse of the s x s stage matrix (Id - h lam A) serves the whole
     march; g enters through the stage-sample table. Returns the terminal
-    value, one entry per inhomogeneity column.
-    """
+    value, one entry per inhomogeneity column. Each step takes the last
+    stage, like _march_window: a tableau that is not stiffly accurate
+    raises ConfigError, as CQConfig does."""
+    if not tab.stiffly_accurate:
+        raise ConfigError("rk_march_scalar needs a stiffly accurate tableau (b = last row of A)")
     try:
         stage_inv = np.linalg.inv(np.eye(tab.s) - (h * lam) * tab.A)
     except np.linalg.LinAlgError as exc:
@@ -408,11 +406,7 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
     ones = np.ones(tab.s)
     hA = h * tab.A
     for g in table.block(from_step, to_step) @ table.spatial:
-        stages = stage_inv @ (np.outer(ones, y) + hA @ g)
-        if tab.stiffly_accurate:
-            y = stages[-1]
-        else:
-            y = y + h * (tab.b @ (lam * stages + g))
+        y = (stage_inv @ (np.outer(ones, y) + hA @ g))[-1]  # the last stage, stiffly accurate
     return y
 
 
@@ -476,8 +470,8 @@ class StagePlan:
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
     folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
     from contour.level_contours at h = 1 and z cleared of the stage
-    spectrum; for the first block, the circle radius and the circle split
-    (_circle_split) with its d^alpha (circle). Levels are computed when a
+    spectrum; for the first block, its circle rule (circle): the radius,
+    split and d^alpha of _circle_split. Levels are computed when a
     solve first needs them, the split when a first block first asks;
     built counts the pieces, the split as one.
     """
@@ -502,16 +496,16 @@ class StagePlan:
         have, L = len(self.r), plan.L
         if L <= have:
             return
-        levels = contour.level_contours(L, self.K, self.Lambda, self.theta, 1.0,
-                                        self.kappa)[have:]
-        z = np.stack([lev.lambdas for lev in levels])  # (new, 2K+1): h lambda at every h
+        _, lambdas, omegas = contour.level_contours(L, self.K, self.Lambda, self.theta, 1.0,
+                                                    self.kappa)
+        z = lambdas[have:]  # (new, 2K+1): h lambda at every h
         _check_spectrum_clearance(z, self.tab, first_level=have + 1)
         used = slice(self.K, None) if self.fold else slice(None)  # folding needs k = 0..K
         z = z[:, used]
         r, q = tableau_mod.stability(z.ravel(), self.tab)
         r, q = r.reshape(z.shape), q.reshape(*z.shape, self.tab.s)
-        scale = np.stack([lev.omegas[used] for lev in levels])  # h omega
-        scale *= r ** np.array(plan.m[have:L])[:, None]  # r_k^(m_(l-1)) on level l
+        # h omega r_k^(m_(l-1)) on level l
+        scale = omegas[have:, used] * r ** np.array(plan.m[have:L])[:, None]
         if self.fold:  # node k > 0 stands for itself and its conjugate
             scale[:, 1:] *= 2.0
         z_alpha = smallmat.power_alpha(z.ravel(), self.alpha).reshape(z.shape)
@@ -521,11 +515,10 @@ class StagePlan:
         self.built += L - have
 
     def circle_split(self):
-        """(rho, split of Delta(zeta_j), d^alpha) of the first block's circle
-        rule: J nodes, radius balanced for kappa+1 terms (circle_radius)."""
+        """The first block's circle rule (rho, split of Delta(zeta_j),
+        d^alpha): J nodes, radius balanced for kappa+1 terms (_circle_split)."""
         if self.circle is None:
-            rho = circle_radius(self.J, self.kappa + 1)
-            self.circle = (rho, *_circle_split(self.tab, self.alpha, self.J, rho, self.fold))
+            self.circle = _circle_split(self.tab, self.alpha, self.J, self.kappa + 1, self.fold)
             self.built += 1
         return self.circle
 

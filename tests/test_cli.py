@@ -20,6 +20,29 @@ def test_selftest_exit_code(capsys):
     assert out.count("PASS") >= 6
 
 
+@pytest.mark.parametrize("fails", ["wrong", "raises"])
+def test_selftest_reports_a_failing_check(monkeypatch, capsys, fails):
+    """A check that fails prints FAIL with its name and the count of failed
+    checks, and exits 4; a check that raises is reported as its exception."""
+    from fraccq import fastcq
+    original = fastcq.plan_levels
+
+    def broken_plan_levels(N, kappa, Lambda):
+        if N != 1000:  # the level-plan check's N; the fast-vs-direct solve keeps its plan
+            return original(N, kappa, Lambda)
+        if fails == "raises":
+            raise RuntimeError("forced")
+        return fastcq.LevelPlan(L=0, m=(N,))
+
+    monkeypatch.setattr(fastcq, "plan_levels", broken_plan_levels)
+    assert run_cli(["selftest"]) == 4
+    out = capsys.readouterr().out
+    detail = "exception: forced" if fails == "raises" else "plan (1000,)"
+    assert f"FAIL level-plan: {detail}" in out
+    assert out.count("FAIL") == 1 and "1 selftest check(s) failed" in out
+    assert "selftest passed" not in out
+
+
 def test_convergence_schema_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -103,6 +126,20 @@ def test_config_file_bad_value(tmp_path):
     cfg.write_text("K=notanumber\n")
     assert run_cli(["convergence", "--config", str(cfg)]) == 2
     assert run_cli(["convergence", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_config_file_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("K=13\nkappa 9\n")
+    assert run_cli(["convergence", "--config", str(cfg)]) == 2
+    assert "bad.cfg:2: expected key=value" in capsys.readouterr().err
+
+
+def test_schrodinger_step_that_misses_the_snapshots_exits_2(capsys):
+    """The 20 snapshot times t_end (i+1)/20 must be multiples of h: at
+    t_end = 1, h = 3e-4 misses them, before any problem is built."""
+    assert run_cli(["schrodinger", "--h", "0.0003"]) == 2
+    assert "is not a multiple of h=0.0003" in capsys.readouterr().err
 
 
 def test_unwritable_out_exits_2_before_computing(tmp_path, capsys):
@@ -351,12 +388,18 @@ def test_weights_without_levels_computes_no_weights(tmp_path, monkeypatch):
     (["schrodinger", "--grid", str(10**20)], 2),
     (["convergence", "--steps", "3", "--t-end", "1e308"], 3),
     (["subdiffusion", "--t-end", "1e308"], 3),
+    (["convergence", "--steps", "2000000000000000000"], 2),
+    (["subdiffusion", "--steps", "2000000000000000000"], 2),
+    (["convergence", "--method", "radau5", "--steps", "640", "--K", "2000"], 2),
 ])
 def test_sizes_and_times_beyond_range_exit_typed(args, code, capsys):
     """Step counts and grids beyond the index range, step sizes whose step
     count or 1/h overflows, and final times at which the data overflow end
     in a one-line message: they raised ValueError from np.arange, fftfreq
-    or linspace, or a RuntimeWarning from the data."""
+    or linspace, or a RuntimeWarning from the data. So do step counts whose
+    stage table has more bytes than the index range (ValueError "array is
+    too big" from np.arange) and a K at which the contour objective
+    underflows (a late "non-finite solution" over several lines)."""
     assert run_cli(args) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err

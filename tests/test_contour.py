@@ -105,6 +105,23 @@ def test_mu_level_errors():
         mu_level(100000, 20, 1e-3, 12, p)
 
 
+def test_mu_level_refuses_level_zero():
+    p = select_parameters(20, 5, HALF_PI)
+    for ell in (0, -1):
+        with pytest.raises(DomainError, match="level index"):
+            mu_level(ell, 20, 1e-3, 12, p)
+
+
+def test_underflowing_contour_objective_is_refused():
+    """At K = 2000 (Lambda = 5, pi/2) and K = 1500 (Lambda = 2) eps_K
+    underflows at every scan point, so no objective value is finite:
+    select_parameters raises ConfigError naming K, Lambda and theta instead
+    of falling back to rho = 5e-4, which failed the solve late."""
+    for K, Lambda in ((2000, 5), (1500, 2)):
+        with pytest.raises(ConfigError, match=f"K={K}, Lambda={Lambda}, theta=1.57"):
+            select_parameters(K, Lambda, HALF_PI)
+
+
 def test_level_nodes_center_values():
     p = select_parameters(25, 5, HALF_PI)
     lev = level_nodes(3.7, p)
@@ -166,14 +183,16 @@ def test_trapezoid_inverts_laplace_of_one():
 def test_level_contours_equal_level_nodes(K, theta, h, kappa):
     """All levels scale one unit hyperbola, computed once per parameter
     choice, and each equals level_nodes of its mu bit for bit."""
-    levels = level_contours(6, K, 5, theta, h, kappa)
+    mus, lambdas, omegas = level_contours(6, K, 5, theta, h, kappa)
     p = select_parameters(K, 5, theta)
     assert p.hyperbola is p.hyperbola and not any(a.flags.writeable for a in p.hyperbola)
-    for ell, lev in enumerate(levels, 1):
+    assert mus.shape == (6,) and lambdas.shape == omegas.shape == (6, 2 * K + 1)
+    for ell in range(1, 7):
         ref = level_nodes(mu_level(ell, K, h, kappa, p), p, ell)
-        assert (lev.ell, lev.mu, lev.K) == (ref.ell, ref.mu, ref.K)
-        assert np.array_equal(lev.lambdas, ref.lambdas) and np.array_equal(lev.omegas, ref.omegas)
-        assert not lev.lambdas.flags.writeable and not lev.omegas.flags.writeable
+        assert mus[ell - 1] == ref.mu
+        assert (np.array_equal(lambdas[ell - 1], ref.lambdas)
+                and np.array_equal(omegas[ell - 1], ref.omegas))
+    assert not any(a.flags.writeable for a in (mus, lambdas, omegas))
 
 
 def test_scalar_weight_sum_matches_direct_oracle():
@@ -184,15 +203,15 @@ def test_scalar_weight_sum_matches_direct_oracle():
     fam = operators.dense_operator(None, np.array([[-1.0]]))
     h, kappa, K = 0.01, 20, 25
     plan = fastcq.plan_levels(525, kappa, 5)
-    levels = level_contours(plan.L, K, 5, HALF_PI, h, kappa)
+    _, lambdas, omegas = level_contours(plan.L, K, 5, HALF_PI, h, kappa)
     ns = [21, 50, 104, 105, 200, 524]
     for alpha in (0.5, 0.75):
         blocks = fastcq.weight_rows_direct(fam, tab, alpha, h, ns)
         direct = dict(zip(ns, blocks))
-        for ell, lev in enumerate(levels, 1):
+        for ell, (lams, oms) in enumerate(zip(lambdas, omegas), 1):
             for n in ns:
                 if plan.m[ell - 1] <= n < plan.m[ell]:
-                    wc = fastcq.weight_rows_contour(fam, tab, alpha, h, n, lev)
+                    wc = fastcq.weight_rows_contour(fam, tab, alpha, h, n, lams, oms)
                     err = np.max(np.abs(wc - direct[n]))
                     assert err <= 1e-9 * (n * h) ** (alpha - 1)
 

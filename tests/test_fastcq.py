@@ -26,6 +26,15 @@ from fraccq.operators import (
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
 
+def _gauss2():
+    """The 2-stage Gauss tableau: its weights differ from the last row of
+    its matrix, so it is not stiffly accurate."""
+    r3 = np.sqrt(3.0)
+    return tableau.Tableau(2, np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]]),
+                           np.array([1 / 2, 1 / 2]),
+                           np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]), 4, 2)
+
+
 @pytest.fixture
 def example1_complex(example1):
     """Example 1 with its data scaled by 1 + i: complex data, real operator."""
@@ -112,12 +121,14 @@ def test_config_refuses_untyped_fields(field, value):
     (5e-324, 10, None, None), (1e-310, 10, None, None),  # 1/h overflows
     (1.7e308, 64, None, None),  # N h overflows
     (0.1, 10**20, None, None), (0.1, 2**62, None, None),  # N s beyond the index range
+    (0.1, 2 * 10**18, None, None),  # N s in it, but not its 16 N s bytes
     (0.1, 40, 2**62, None), (0.1, 40, None, 2**63),  # 2K+1 or J beyond it
 ])
 def test_config_refuses_overflowing_sizes(h, N, K, J):
     """A step size whose 1/h or N h overflows and sizes beyond the index
     range raise ConfigError: they failed deep inside the solve with
-    SolverError, or with ValueError from np.arange."""
+    SolverError, or with ValueError from np.arange. The stage table's
+    16 N s bytes count, not its N s samples."""
     with pytest.raises(ConfigError, match="h=|N="):
         CQConfig(tableau=radau_iia(3), h=h, N=N, K=K, J=J)
 
@@ -261,17 +272,15 @@ def test_stacked_stage_space_equals_the_per_level_calls(s):
     tab = radau_iia(s)
     h, K = 10.0 / 3000, 25
     plan = plan_levels(3000, 20, 5)
-    levels = contour.level_contours(plan.L, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
-    lams = np.stack([lev.lambdas for lev in levels])
+    _, lams, oms = contour.level_contours(plan.L, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
     for used in (slice(K, None), slice(None)):
         r, q = tableau.stability(h * lams[:, used].ravel(), tab)
         r, q = r.reshape(plan.L, -1), q.reshape(plan.L, -1, s)
-        scale = np.stack([lev.omegas[used] for lev in levels])
-        scale *= r ** np.array(plan.m[:plan.L])[:, None]
-        for li, lev in enumerate(levels):
-            r_l, q_l = tableau.stability(h * lev.lambdas[used], tab)
+        scale = oms[:, used] * r ** np.array(plan.m[:plan.L])[:, None]
+        for li in range(plan.L):
+            r_l, q_l = tableau.stability(h * lams[li, used], tab)
             assert np.array_equal(r[li], r_l) and np.array_equal(q[li], q_l)
-            assert np.array_equal(scale[li], lev.omegas[used] * r_l ** plan.m[li])
+            assert np.array_equal(scale[li], oms[li, used] * r_l ** plan.m[li])
 
 
 def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
@@ -280,8 +289,7 @@ def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
     fast_solve runs it when it adds levels to a problem's stage plan, so
     on a fresh problem over all the solve's levels."""
     tab, h, K = radau_iia(3), 0.01, 25
-    levels = contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
-    z = h * np.stack([lev.lambdas for lev in levels])
+    z = h * contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)[1]
     fastcq._check_spectrum_clearance(z, tab)
     pole = 1.0 / tab.assumptions.eigenvalues[1]
     for hits, named in ((((0, -25),), (1, -25)), (((1, 3),), (2, 3)), (((2, 25),), (3, 25)),
@@ -390,8 +398,30 @@ def test_direct_circle_rule_is_converged_at_its_J(example1, tbc_problem_small, n
         h = t_end / n_steps
         u = direct_cq(prob, CQConfig(tableau=tab, h=h, N=n_steps))
         table = prob.g.table(n_steps, h, tab.c)
-        ref = fastcq._direct_circle_sum(prob, tab, h, table, 16 * n_steps)
+        J = 16 * n_steps
+        rule = fastcq._circle_split(tab, prob.alpha, J, n_steps, fastcq._folds(prob, table))
+        ref = fastcq._circle_sum(prob, table, n_steps, J, rule, h)[0]
         assert np.max(np.abs(u - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
+def test_explicit_weights_refuse_large_systems():
+    """weight_matrices_direct is an oracle tool for s*dim <= 96: radau5 on
+    a 33 x 33 operator (s*dim = 99) raises ConfigError."""
+    fam = dense_operator(None, -np.eye(33))
+    with pytest.raises(ConfigError, match="s\\*dim=99"):
+        fastcq.weight_matrices_direct(fam, radau_iia(3), 0.5, 0.01, [0, 1])
+
+
+def test_upper_edge_contour_fallback_still_solves(example1):
+    """At K = 100 (Lambda = 5, pi/2) the contour objective decreases over
+    all of (0,1), so select_parameters warns and takes the scan point next
+    to rho = 1; the fast solve of example 1 (N = 640) still agrees with
+    direct_cq under the criterion-2 bound."""
+    cfg = CQConfig(tableau=radau_iia(3), h=10.0 / 640, N=640, K=100)
+    with pytest.warns(UserWarning, match="monotone"):
+        u, _ = fast_solve(example1, cfg)
+    ref = direct_cq(example1, cfg)
+    assert np.max(np.abs(u - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_latest_explicit_weight_is_converged():
@@ -543,6 +573,15 @@ def test_march_pole_error():
     table = ConstantInhomogeneity(np.array([1.0])).table(4, 0.25, tab.c)
     with pytest.raises(PoleError):
         rk_march_scalar(4.0, table, 0, 4, tab, 0.25)
+
+
+def test_march_refuses_a_tableau_that_is_not_stiffly_accurate():
+    """The march steps to the last stage, like _march_window, so a tableau
+    that is not stiffly accurate is refused, as CQConfig refuses it."""
+    gauss = _gauss2()
+    table = ConstantInhomogeneity(np.array([1.0])).table(4, 0.25, gauss.c)
+    with pytest.raises(ConfigError, match="stiffly accurate"):
+        rk_march_scalar(-1.0, table, 0, 4, gauss, 0.25)
 
 
 def test_march_exponential_forcing_order():
@@ -803,14 +842,8 @@ def test_transform_initial_reconstruction_consistency():
 
 
 def test_config_rejects_nonconforming_tableau():
-    # 2-stage Gauss: weights differ from the last row of the matrix
-    r3 = np.sqrt(3.0)
-    from fraccq.tableau import Tableau
-    gauss = Tableau(2, np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]]),
-                    np.array([1 / 2, 1 / 2]),
-                    np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]), 4, 2)
     with pytest.raises(ConfigError):
-        CQConfig(tableau=gauss, h=0.1, N=10)
+        CQConfig(tableau=_gauss2(), h=0.1, N=10)
 
 
 def test_circle_split_perturbs_only_the_flagged_nodes(monkeypatch):
@@ -820,8 +853,8 @@ def test_circle_split_perturbs_only_the_flagged_nodes(monkeypatch):
     from fraccq.errors import DecompositionError
     from fraccq.tableau import delta
     tab, alpha = radau_iia(3), 0.5
-    zetas = 0.8 * np.exp(2j * np.pi * np.arange(9) / 9)
-    clean, clean_nus = fastcq._circle_split(tab, alpha, 9, 0.8, fold=False)
+    rho, clean, clean_nus = fastcq._circle_split(tab, alpha, 9, 21, fold=False)
+    zetas = rho * np.exp(2j * np.pi * np.arange(9) / 9)
 
     original = smallmat.eig_small
     seen = []
@@ -833,7 +866,7 @@ def test_circle_split_perturbs_only_the_flagged_nodes(monkeypatch):
         return original(stack)
 
     monkeypatch.setattr(smallmat, "eig_small", fail_once_at_node_5)
-    dec, nus = fastcq._circle_split(tab, alpha, 9, 0.8, fold=False)
+    _, dec, nus = fastcq._circle_split(tab, alpha, 9, 21, fold=False)
     assert len(seen) == 2
     moved = [k for k in range(9) if not np.array_equal(seen[0][k], seen[1][k])]
     assert moved == [5]
@@ -855,7 +888,7 @@ def test_circle_split_gives_up_after_one_perturbation(monkeypatch):
 
     monkeypatch.setattr(smallmat, "eig_small", always_fail)
     with pytest.raises(DecompositionError):
-        fastcq._circle_split(radau_iia(3), 0.5, 9, 0.8, fold=False)
+        fastcq._circle_split(radau_iia(3), 0.5, 9, 21, fold=False)
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -866,9 +899,8 @@ def test_circle_split_does_not_depend_on_h(s):
     relative."""
     from fraccq.tableau import delta
     tab, alpha, J = radau_iia(s), 0.5, 160
-    rho = fastcq.circle_radius(J, 21)
+    rho, dec, d_alpha = fastcq._circle_split(tab, alpha, J, 21, fold=True)
     zetas = rho * np.exp(2j * np.pi * np.arange(J // 2 + 1) / J)
-    dec, d_alpha = fastcq._circle_split(tab, alpha, J, rho, fold=True)
     def by_imag(x):
         return np.take_along_axis(x, np.argsort(x.imag, axis=-1), axis=-1)
 

@@ -42,6 +42,12 @@ def test_eig_defective_raises():
         eig_small(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_eig_refuses_non_square_stacks():
+    for shape in ((2, 3), (4, 3, 2), (3,), (2, 0, 0)):
+        with pytest.raises(DomainError, match="square"):
+            eig_small(np.ones(shape))
+
+
 def test_power_alpha_values():
     assert power_alpha(np.array([1.0 + 0j]), 0.5) == pytest.approx([1.0])
     assert power_alpha(np.array([4.0 + 0j]), 0.5) == pytest.approx([2.0])
