@@ -8,7 +8,7 @@ from .caputo import (
     example2_problem,
     example3_problem,
 )
-from .contour import ContourLevel, ContourParams, level_nodes, mu_level, select_parameters, theta1
+from .contour import ContourParams, level_nodes, mu_level, select_parameters, theta1
 from .errors import FracCQError
 from .fastcq import (
     CQConfig,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CQConfig",
-    "ContourLevel",
     "ContourParams",
     "FracCQError",
     "LevelPlan",

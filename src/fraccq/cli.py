@@ -188,11 +188,21 @@ def _validate(spec, experiment):
             raise ConfigError(f"{key} must {rule}, got {value}")
     if "J" in spec and spec["J"] < spec["kappa"] + 1:
         raise ConfigError(f"J must be >= kappa+1, got J={spec['J']} kappa={spec['kappa']}")
-    if "h" in spec and not spec["t_end"] / spec["h"] <= np.iinfo(np.intp).max:
-        raise ConfigError(f"t_end / h must be a step count in the index range, got "
-                          f"t_end={spec['t_end']}, h={spec['h']}")
+    if "h" in spec:
+        step_count(spec["t_end"], spec["h"], "t_end")
     if experiment.output == "json" and spec["format"] == "csv":
         raise ConfigError("the report is nested; only json is supported")
+
+
+def step_count(t, h, name):
+    """t / h as a step count: a whole number within 1e-9 relative, from 1 to
+    the index range; any other ratio raises ConfigError naming t and h."""
+    n = t / h
+    if not (np.isfinite(n) and 1 <= round(n) <= np.iinfo(np.intp).max
+            and abs(n - round(n)) <= 1e-9 * n):
+        raise ConfigError(f"{name}={t} is not a multiple of h={h} by a step count "
+                          "from 1 to the index range")
+    return round(n)
 
 
 def _write_csv(path, schema, header, rows):
@@ -314,10 +324,7 @@ def schrodinger_rows(spec):
     n_points, a_half, alpha = spec["grid"], spec["a_half"], spec["alpha"]
     h, t_end = spec["h"], spec["t_end"]
     snap_times = [t_end * (i + 1) / 20 for i in range(20)]
-    for t in snap_times:
-        n = t / h
-        if not np.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ConfigError(f"snapshot t={t} is not a multiple of h={h}")
+    snap_steps = [step_count(t, h, "snapshot t") for t in snap_times]
 
     problem, offset = caputo.example3_problem(n_points, a_half, alpha)
     grid_x = problem.family.x
@@ -342,8 +349,7 @@ def schrodinger_rows(spec):
         return fastcq.fast_solve(prob, _cq_config(spec, tab, n, h, **fixed))[0] + off
 
     rows = []
-    for t in [0.0, *snap_times]:
-        n = int(round(t / h))
+    for t, n in zip([0.0, *snap_times], [0, *snap_steps]):
         v = snapshot(problem, offset, n)
         err_col = [""] * n_points
         if spec["reference"]:
@@ -357,13 +363,13 @@ def schrodinger_rows(spec):
 def weights_rows(spec):
     """Rows (n, K, level, err_direct_vs_contour, note).
 
-    The plan is fixed by N = t_end / h; indices at or beyond N fall outside
-    every planned interval and are reported with a notice instead of data.
-    Below-cutoff indices are evaluated on the first hyperbola anyway, to
-    document why the direct block exists.
+    The plan is fixed by N = t_end / h (step_count); indices at or beyond N
+    fall outside every planned interval and are reported with a notice
+    instead of data. Below-cutoff indices are evaluated on the first
+    hyperbola anyway, to document why the direct block exists.
     """
     alpha, h, t_end = spec["alpha"], spec["h"], spec["t_end"]
-    N = int(round(t_end / h))
+    N = step_count(t_end, h, "t_end")
     tab = tableau_mod.by_name(spec["method"])
     kappa = spec["kappa"]
     family = operators.dense_operator(None, caputo.EXAMPLE1_MATRIX)
@@ -373,12 +379,11 @@ def weights_rows(spec):
     inside = [n for n in n_list if n < plan.m[-1]]
     w_direct = {}
     if inside and plan.L:  # a plan without levels reads no weight
-        blocks = fastcq.weight_rows_direct(family, tab, alpha, h, inside)
-        w_direct = dict(zip(inside, blocks))
+        w_direct = dict(zip(inside, fastcq.weight_rows_direct(family, tab, alpha, h, inside)))
     rows = []
     for K in k_values:
         _, lams, oms = contour.level_contours(
-            plan.L, K, spec["Lambda"], fastcq.CQConfig.resolved_theta(family), h, kappa)
+            plan.L, K, spec["Lambda"], fastcq.CQConfig.resolved_theta(family, alpha), h, kappa)
         for n in n_list:
             if n >= plan.m[-1]:
                 rows.append((n, K, "", "", "beyond-plan"))
@@ -386,13 +391,8 @@ def weights_rows(spec):
             if plan.L == 0:
                 rows.append((n, K, "", "", "direct-only"))
                 continue
-            note = ""
-            ell = 1
-            if n < plan.m[0]:
-                note = "below-cutoff"
-            else:
-                while plan.m[ell] <= n:
-                    ell += 1
+            note = "below-cutoff" if n < plan.m[0] else ""
+            ell = max(1, int(np.searchsorted(plan.m, n, side="right")))  # m[ell-1] <= n < m[ell]
             w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, lams[ell - 1], oms[ell - 1])
             err = float(np.max(np.abs(w_c - w_direct[n])))
             rows.append((n, K, ell, err, note))

@@ -1,8 +1,9 @@
 """Hyperbolic integration contours and their trapezoidal quadrature data.
 
 One hyperbola per history level: lambda(x) = mu * (1 + sin(i*x - phi)),
-sampled at x_k = k*tau for k = -K..K. The angle phi, the strip width d
-and the step tau come from a one-dimensional minimization balancing the
+sampled at x_k = k*tau for k = -K..K and scaled by level_nodes. The
+angle budget is theta1(alpha, theta0) for every operator family. phi, the
+strip width d and the step tau minimize an error model balancing the
 discretization and truncation errors against machine precision.
 """
 
@@ -21,6 +22,7 @@ _REFINE_TOL = 1e-6
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SIZED_K_MIN = 25
 _SIZED_K_TOL = 1e-7
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class ContourParams:
 
     @functools.cached_property
     def hyperbola(self):
-        """The factors of level_nodes that no mu scales, k = -K..K, read-only:
-        1 - sin(phi) cosh(k tau), sinh(k tau) and
+        """The unit hyperbola that level_nodes scales by mu, k = -K..K,
+        read-only: 1 - sin(phi) cosh(k tau), sinh(k tau) and
         cos(phi) cosh(k tau) + i sin(phi) sinh(k tau)."""
         x = self.tau * np.arange(-self.K, self.K + 1)
         ch, sh = np.cosh(x), np.sinh(x)
@@ -48,29 +50,13 @@ class ContourParams:
         return unit
 
 
-@dataclass(frozen=True)
-class ContourLevel:
-    """Nodes lambda_k and weights omega_k on one hyperbola, k = -K..K."""
-
-    ell: int
-    mu: float
-    lambdas: np.ndarray
-    omegas: np.ndarray
-    K: int
-
-    def __post_init__(self):
-        self.lambdas.setflags(write=False)
-        self.omegas.setflags(write=False)
-
-
 def theta1(alpha: float, theta0: float) -> float:
-    """Half-angle excess of the sector where the powered resolvent is analytic.
-
-    theta0 = 0 is admitted for boundary-case operators whose spectrum
-    touches the imaginary axis (the fractional Schroedinger setting).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    """Contour angle at order alpha for a spectrum in |arg(-z)| <= pi/2 - theta0:
+    (z^alpha M - A)^-1 is analytic for |arg z| < pi/2 + theta1, capped at
+    pi/2 (alpha = 1 gives theta0). theta0 = 0 admits a spectrum on the
+    imaginary axis (the fractional Schroedinger setting)."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 <= theta0 <= np.pi / 2:
         raise DomainError(f"theta0 must lie in [0, pi/2], got {theta0}")
     return min((np.pi * (1.0 - alpha) + 2.0 * theta0) / (2.0 * alpha), np.pi / 2)
@@ -80,15 +66,21 @@ def _a_of_rho(rho, Lambda, phi):
     return np.arccosh(Lambda / ((1.0 - rho) * np.sin(phi)))
 
 
+def _model(rho, K, Lambda, phi):
+    """Relative error of 2K+1 nodes at rho and d = phi: eps eps_K^(rho-1) +
+    eps_K^rho with eps_K = exp(-2 pi phi K / a(rho))."""
+    eps_k = np.exp(-2.0 * np.pi * phi * K / _a_of_rho(rho, Lambda, phi))
+    with np.errstate(over="ignore", divide="ignore"):  # inf near rho = 0 at large K
+        return _EPS * eps_k ** (rho - 1.0) + eps_k**rho
+
+
 @functools.lru_cache(maxsize=64)
 def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     """Pick phi, d, rho_opt and tau for 2K+1 nodes and growth factor Lambda.
 
-    phi = d = theta/2. rho_opt minimizes
-        eps * eps_K(rho)^(rho-1) + eps_K(rho)^rho,
-    with eps_K(rho) = exp(-2*pi*d*K / a(rho)) and
-    a(rho) = arccosh(Lambda / ((1-rho) sin(phi))), located by a dense scan
-    over (0,1) followed by golden-section refinement.
+    phi = d = theta/2. rho_opt minimizes the error model (_model) over
+    (0,1), with a(rho) = arccosh(Lambda / ((1-rho) sin(phi))), located by a
+    dense scan followed by golden-section refinement.
 
     Cached, since every solve with a level asks and the scan takes about
     0.14 ms; callers share the frozen ContourParams, and the warning for an
@@ -100,14 +92,8 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
         raise ConfigError(f"need an integer growth factor Lambda >= 2, got {Lambda}")
     if not 0.0 < theta < np.pi:
         raise ConfigError(f"contour angle budget must lie in (0, pi), got {theta}")
-    eps = np.finfo(float).eps
     phi = theta / 2.0
-
-    def objective(rho):
-        eps_k = np.exp(-2.0 * np.pi * phi * K / _a_of_rho(rho, Lambda, phi))
-        with np.errstate(over="ignore", divide="ignore"):  # inf near rho = 0 at large K
-            return eps * eps_k ** (rho - 1.0) + eps_k**rho
-
+    objective = functools.partial(_model, K=K, Lambda=Lambda, phi=phi)
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 2)[1:-1]
     values = objective(grid)
     if not np.isfinite(values).any():  # eps_K underflows to 0 at every scan point
@@ -150,20 +136,18 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
 
 def error_model(K: int, Lambda: int, theta: float) -> float:
     """Relative hyperbola quadrature error predicted for 2K+1 nodes: the
-    objective eps * eps_K^(rho-1) + eps_K^rho that select_parameters
-    minimises, evaluated at its returned parameters."""
+    model that select_parameters minimises (_model), at its returned
+    parameters."""
     params = select_parameters(K, Lambda, theta)
-    eps = np.finfo(float).eps
-    eps_k = np.exp(-2.0 * np.pi * params.d * params.K / params.a_rho)
-    return float(eps * eps_k ** (params.rho_opt - 1.0) + eps_k**params.rho_opt)
+    return float(_model(params.rho_opt, K, Lambda, params.phi))
 
 
 @functools.lru_cache(maxsize=64)
 def sized_K(Lambda: int, theta: float) -> int:
-    """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 for the
-    pi/2 sectors of the dense and spectral families, 64 for the pi/6 sector
-    of the transparent-boundary family at alpha = 3/4. Cached, since every
-    K = None solve asks and the search takes about 5 ms at K = 64."""
+    """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 at the
+    angle pi/2, 40 at pi/4 (example 1 at alpha = 1), 64 at pi/6 (the TBC
+    family at alpha = 3/4). Cached, since every K = None solve asks and the
+    search takes about 5 ms at K = 64."""
     K = _SIZED_K_MIN
     while error_model(K, Lambda, theta) > _SIZED_K_TOL:
         K += 1
@@ -191,36 +175,26 @@ def mu_level(ell: int, K: int, h: float, kappa: int, params: ContourParams) -> f
     return mu
 
 
-def level_nodes(mu: float, params: ContourParams, ell: int = 0) -> ContourLevel:
-    """Nodes and trapezoidal weights on the hyperbola with scale mu.
-
+def level_nodes(mu, params: ContourParams):
+    """Read-only (lambdas, omegas) on the hyperbola of scale mu, a float, or
+    on L at once for an (L, 1) array: (2K+1,) or (L, 2K+1) nodes
     lambda_k = mu (1 - sin(phi) cosh(k tau) + i cos(phi) sinh(k tau)) and
-    omega_k = tau mu (cos(phi) cosh(k tau) + i sin(phi) sinh(k tau)) / (2 pi),
-    the latter with the 1/i of the inverse transform already cancelled.
-    Conjugate symmetry in k holds to the last bit.
-    """
-    lam, om = _scaled_hyperbola(mu, params)
-    return ContourLevel(ell=ell, mu=mu, lambdas=lam, omegas=om, K=params.K)
-
-
-def _scaled_hyperbola(mu, params: ContourParams):
-    """(lambda_k, omega_k) of level_nodes for a scale mu, a float or an
-    (L, 1) array of them, from the unit hyperbola (ContourParams.hyperbola)."""
+    weights omega_k = tau mu (cos(phi) cosh(k tau) + i sin(phi) sinh(k tau)) / (2 pi),
+    with the 1/i of the inverse transform cancelled. Conjugate symmetry in
+    k holds to the last bit."""
     real, sh, unit_om = params.hyperbola
-    return (mu * real + 1j * (mu * np.cos(params.phi)) * sh,
-            (params.tau * mu / (2.0 * np.pi)) * unit_om)
+    lambdas = mu * real + 1j * (mu * np.cos(params.phi)) * sh
+    omegas = (params.tau * mu / (2.0 * np.pi)) * unit_om
+    for arr in (lambdas, omegas):
+        arr.setflags(write=False)
+    return lambdas, omegas
 
 
 def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int):
-    """The hyperbolas of levels 1..L: one parameter choice for all of them,
-    each scaled by its mu_level. Returns (mus, lambdas, omegas): the (L,)
-    scales and the read-only (L, 2K+1) nodes and weights, row l-1 bit for
-    bit level_nodes of mu_l. The unit hyperbola is computed once per
-    parameter choice (ContourParams.hyperbola) and all levels are scaled
-    in one step."""
+    """The hyperbolas of levels 1..L, one parameter choice scaled by each
+    mu_level in one level_nodes call: (mus, lambdas, omegas), the (L,)
+    scales and read-only (L, 2K+1) rows, row l-1 that of mu_l bit for bit."""
     params = select_parameters(K, Lambda, theta)
     mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])
-    lambdas, omegas = _scaled_hyperbola(mus[:, None], params)
-    for arr in (mus, lambdas, omegas):
-        arr.setflags(write=False)
-    return mus, lambdas, omegas
+    mus.setflags(write=False)
+    return (mus, *level_nodes(mus[:, None], params))

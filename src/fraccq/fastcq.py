@@ -92,13 +92,13 @@ def default_J(kappa: int) -> int:
 class CQConfig:
     """Run parameters of one convolution-quadrature solve.
 
-    K = None (the default) sizes the contours by the family's sector:
-    fast_solve takes the smallest K >= 25 at which the contour error model
-    (contour.error_model) predicts <= 1e-7 at resolved_theta, which is
-    K = 25 for the pi/2 sectors of the dense and spectral backends and
-    K = 64 for the pi/6 sector of the transparent-boundary Schroedinger
-    family (at K = 25 its fast solve differs from direct_cq by about 3e-4
-    relative). An explicit K runs as given; RunStats.K reports the K used.
+    K = None (the default) takes the smallest K >= 25 at which the contour
+    error model (contour.error_model) predicts <= 1e-7 at the contour angle
+    of the problem's order (resolved_theta): K = 25 for the spectral family
+    and for example 1 up to alpha = 3/4, 40 for example 1 at alpha = 1 and
+    64 for the transparent-boundary family at alpha = 3/4 (at K = 25 its
+    fast solve differs from direct_cq by about 3e-4 relative). An explicit
+    K runs as given; RunStats.K reports the K used.
     J = None (the default) takes default_J(kappa) = 2 kappa circle nodes for
     the first block; an explicit J >= kappa+1 runs as given, and RunStats.J
     reports the J used. direct_cq uses no contour and its own J, and reads
@@ -152,15 +152,17 @@ class CQConfig:
             )
 
     @staticmethod
-    def resolved_theta(family: OperatorFamily) -> float:
-        """Contour angle budget, just inside the family's sector angle."""
-        return family.theta1_hint * (1.0 - 1e-9)
+    def resolved_theta(family: OperatorFamily, alpha: float | None = None) -> float:
+        """Just inside contour.theta1(alpha, family.theta0); alpha defaults to
+        family.alpha, or to 1 (the narrowest angle) for a family of every order."""
+        alpha = (family.alpha or 1.0) if alpha is None else alpha
+        return contour.theta1(alpha, family.theta0) * (1.0 - 1e-9)
 
-    def resolved_K(self, family: OperatorFamily) -> int:
-        """K as given, or sized by the family's sector when K is None."""
+    def resolved_K(self, family: OperatorFamily, alpha: float) -> int:
+        """K as given, or sized by the contour angle at order alpha."""
         if self.K is not None:
             return self.K
-        return contour.sized_K(self.Lambda, self.resolved_theta(family))
+        return contour.sized_K(self.Lambda, self.resolved_theta(family, alpha))
 
     def resolved_J(self) -> int:
         """J as given, or default_J(kappa) when J is None."""
@@ -526,10 +528,11 @@ class StagePlan:
 def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
     """The problem's stage plan for the solve's parameters: the kept one,
     or a new one that replaces it (_kept)."""
-    fam, tab = problem.family, config.tableau
+    fam, tab, alpha = problem.family, config.tableau, problem.alpha
     # a tableau's arrays are read-only, so equal tableaux share a plan
-    key = (tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(), config.resolved_K(fam),
-           config.Lambda, config.resolved_theta(fam), config.kappa, config.resolved_J(), fold)
+    key = (tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(), config.resolved_K(fam, alpha),
+           config.Lambda, config.resolved_theta(fam, alpha), config.kappa, config.resolved_J(),
+           fold)
     return _kept(problem, "plan", key, lambda: StagePlan(tab, problem.alpha, *key[3:]))
 
 
@@ -553,7 +556,7 @@ def fast_solve(problem: Problem, config: CQConfig):
     N, h = config.N, config.h
 
     t_start = time.perf_counter()
-    stats = RunStats(K=config.resolved_K(fam), J=config.resolved_J())
+    stats = RunStats(K=config.resolved_K(fam, problem.alpha), J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
     t_phase = time.perf_counter()
     table = _stage_table(problem, config)

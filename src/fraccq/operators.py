@@ -3,13 +3,15 @@
 A family answers solve(nu, y) for the system (nu*M - A) x = y at complex
 frequencies nu = lambda^alpha, one frequency or a batch of them, and
 solve(nu, y, weights=W) for a weighted sum of a batch of solves, and states
-whether A and M are real (is_real). Three backends: dense matrices, a 3D
-periodic compact-finite-difference Laplacian solved spectrally, and a 1D
-free-space Schroedinger operator closed with transparent boundary rows.
+whether A and M are real (is_real) and the sector of its spectrum (theta0).
+Three backends: dense matrices, a 3D periodic compact-finite-difference
+Laplacian solved spectrally, and a 1D free-space Schroedinger operator
+closed with transparent boundary rows.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,11 +19,11 @@ from typing import Callable
 import numpy as np
 from numpy import fft
 
-from . import contour
 from .errors import ConfigError, DomainError, SolverError, SupportError
 
 _SUPPORT_ABS = 1e-20
 _INDEX_MAX = int(np.iinfo(np.intp).max)
+_EPS = float(np.finfo(float).eps)
 
 
 class OperatorFamily(ABC):
@@ -29,12 +31,13 @@ class OperatorFamily(ABC):
 
     solve() keeps no state between calls. is_real states that A and M have
     no imaginary part, so that with real data the resolvents at conjugate
-    frequencies give conjugate solutions. alpha is the fractional order the
-    family was built for, or None when it serves every order.
+    frequencies give conjugate solutions. The spectrum of M^-1 A lies in
+    |arg(-z)| <= pi/2 - theta0; contour.theta1 turns theta0 into the contour
+    angle at an order. alpha is the order the family was built for, or None.
     """
 
     dim: int
-    theta1_hint: float
+    theta0: float
     is_real: bool
     alpha: float | None = None
 
@@ -97,19 +100,37 @@ class DenseOperator(OperatorFamily):
     """(nu*M - A) with explicit matrices; a batch of frequencies is one
     stacked LAPACK solve, which factors each matrix on its own."""
 
-    def __init__(self, A, M=None, theta1_hint=np.pi / 2):
+    def __init__(self, A, M=None):
         self.A = np.asarray(A, dtype=complex)
         n = self.A.shape[0] if self.A.ndim else 0
         if self.A.shape != (n, n):
             raise ConfigError(f"A must be a square matrix, got shape {self.A.shape}")
+        self._identity_mass = M is None
         self.M = np.eye(n, dtype=complex) if M is None else np.asarray(M, dtype=complex)
         if self.M.shape != (n, n):
             raise ConfigError(f"M must match A, got shape {self.M.shape}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.M))):
             raise ConfigError("A and M must have finite entries")
         self.dim = n
-        self.theta1_hint = float(theta1_hint)
         self.is_real = not (np.any(self.A.imag) or np.any(self.M.imag))
+
+    @functools.cached_property
+    def theta0(self) -> float:
+        """Least |arg z| - pi/2 over the eigenvalues z of M^-1 A, taken at the
+        first solve that sizes a contour; z within a relative dim*eps of 0
+        has no angle. A singular M raises ConfigError, and a z right of the
+        imaginary axis DomainError."""
+        try:
+            op = self.A if self._identity_mass else np.linalg.solve(self.M, self.A)
+            eigs = np.linalg.eigvals(op)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("M is singular: M^-1 A sets the contour angle") from exc
+        tiny = self.dim * _EPS * np.max(np.abs(eigs), initial=0.0)
+        eigs = eigs[np.abs(eigs) > tiny]
+        if np.any(eigs.real > tiny):
+            raise DomainError(f"M^-1 A has the eigenvalue {eigs[np.argmax(eigs.real)]:.6g} "
+                              "right of the imaginary axis")
+        return max(float(np.min(np.abs(np.angle(eigs)), initial=np.pi)) - np.pi / 2, 0.0)
 
     def _solve_batch(self, nu, y):
         nu = np.asarray(nu, dtype=complex)
@@ -127,9 +148,9 @@ class DenseOperator(OperatorFamily):
         return self.M @ np.asarray(y, dtype=complex)
 
 
-def dense_operator(M, A, theta1_hint=np.pi / 2) -> DenseOperator:
+def dense_operator(M, A) -> DenseOperator:
     """Dense backend; pass M=None for an identity mass matrix."""
-    return DenseOperator(A, M=M, theta1_hint=theta1_hint)
+    return DenseOperator(A, M=M)
 
 
 class PeriodicCompactFD3D(OperatorFamily):
@@ -149,7 +170,7 @@ class PeriodicCompactFD3D(OperatorFamily):
     """
 
     is_real = True
-    theta1_hint = np.pi / 2
+    theta0 = np.pi / 2  # a real nonpositive spectrum
 
     def __init__(self, n_per_dim: int):
         if (not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 4
@@ -235,6 +256,7 @@ class SchrodingerTBC1D(OperatorFamily):
     """
 
     is_real = False
+    theta0 = 0.0  # a spectrum on the imaginary axis
 
     def __init__(self, a_half: float, n_points: int, alpha: float):
         if not isinstance(n_points, (int, np.integer)) or not 5 <= n_points <= _INDEX_MAX:
@@ -251,7 +273,6 @@ class SchrodingerTBC1D(OperatorFamily):
         if not 1e-150 < self.eta < 1e150:  # so that eta^2 and 1/eta^2 are finite floats
             raise ConfigError(f"grid spacing eta={self.eta:g} outside [1e-150, 1e150]")
         self.x = np.linspace(-self.a_half, self.a_half, self.n)
-        self.theta1_hint = contour.theta1(alpha, 0.0)
         # scipy is imported here, at set-up, and only by this backend
         from scipy.linalg import solve_banded
 

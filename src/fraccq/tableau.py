@@ -99,18 +99,19 @@ def by_name(name: str) -> Tableau:
 def stability(z, t: Tableau):
     """Stability function r(z) and the row vector q(z) = b^T (Id - z A)^-1.
 
-    For an array z, r has z's shape and q one more axis of length s. For
-    stiffly accurate tableaux r is evaluated through the e_s^T (Id - z A)^-1 1
-    form, which stays accurate as |z| grows; the 1 + z q(z) 1 form is
-    used otherwise.
+    For an array z, r has z's shape and q one more axis of length s. r is
+    e_s^T (Id - z A)^-1 1, which stays accurate as |z| grows; a tableau
+    that is not stiffly accurate raises ConfigError, as CQConfig does.
     """
+    if not t.stiffly_accurate:
+        raise ConfigError("stability needs a stiffly accurate tableau (b = last row of A)")
     z = np.asarray(z, dtype=complex)
     try:
         m_inv = np.linalg.inv(np.eye(t.s) - z[..., None, None] * t.A)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"Id - z*A singular at z={z}", where=z) from exc
     q = t.b @ m_inv
-    r = m_inv[..., -1, :].sum(axis=-1) if t.stiffly_accurate else 1.0 + z * q.sum(axis=-1)
+    r = m_inv[..., -1, :].sum(axis=-1)
     return (complex(r), q) if z.ndim == 0 else (r, q)
 
 

@@ -113,7 +113,7 @@ def test_criterion_2_fast_direct_equivalence(example1, example2_small, tbc_probl
     failures = []
     for name, prob, tab, t_end in cases:
         probe = CQConfig(tableau=tab, h=t_end, N=1)
-        theta = probe.resolved_theta(prob.family)
+        theta = probe.resolved_theta(prob.family, prob.alpha)
         k_sized = contour.sized_K(probe.Lambda, theta)
         # (K, relative bound): the criterion at the sector-sized K, plus the
         # model-bounded K=25 run where the sector forces a larger K

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +168,38 @@ def test_weights_table(tmp_path):
     assert rows[45][4] == "beyond-plan"
     # below-cutoff indices carry a visibly larger quadrature error
     assert float(rows[5][3]) > float(rows[25][3])
+
+
+@pytest.mark.parametrize("t_end, h", [("0.015", "0.01"), ("10", "0.3"), ("0.001", "0.01")])
+def test_weights_refuses_a_t_end_that_is_no_multiple_of_h(t_end, h, capsys):
+    """t_end / h = 1.5, 33.3 and 0.1 are no step counts: they ran N = 2
+    (reporting direct-only), ran N = 33, or failed on an "N >= 1" that no
+    flag names. Each exits 2 with one line naming t_end and h."""
+    assert run_cli(["weights", "--t-end", t_end, "--h", h]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
+    assert f"t_end={float(t_end)} is not a multiple of h={float(h)}" in lines[0]
+
+
+def test_weights_alpha_one_runs_on_the_narrower_sector(monkeypatch, tmp_path):
+    """Example 1's spectrum has theta0 = pi/4, so at alpha = 1 the weights
+    contours take the angle theta1(1, pi/4) = pi/4, not pi/2."""
+    from fraccq import contour
+    thetas = []
+    original = contour.level_contours
+
+    def recording(L, K, Lambda, theta, h, kappa):
+        thetas.append(theta)
+        return original(L, K, Lambda, theta, h, kappa)
+
+    monkeypatch.setattr(contour, "level_contours", recording)
+    out = tmp_path / "w.csv"
+    assert run_cli(["weights", "--alpha", "1", "--steps", "25", "--K", "25",
+                    "--t-end", "0.4", "--h", "0.01", "--out", str(out)]) == 0
+    assert thetas == [np.pi / 4 * (1 - 1e-9)]
+    err = float(out.read_text().splitlines()[2].split(",")[3])
+    assert np.isfinite(err)
 
 
 def test_schrodinger_snapshots(tmp_path):

@@ -15,12 +15,14 @@ from fraccq import (
     transform_initial,
 )
 from fraccq import caputo, contour, fastcq, smallmat, tableau
-from fraccq.errors import ConfigError, PoleError
+from fraccq.errors import ConfigError, DomainError, PoleError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
     SeparableInhomogeneity,
     dense_operator,
+    periodic_compact_fd_3d,
+    schrodinger_tbc_1d,
 )
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -198,7 +200,9 @@ def test_config_builds_and_solves_or_raises_config_error(tab, h, N, K, Lambda, k
 def test_tableau_checks_run_once_per_tableau(monkeypatch):
     """CQConfig and the spectrum clearance of fast_solve read the checks the
     tableau keeps (Tableau.assumptions): two solves at one tableau take the
-    eigenvalues of A once, not once per config and once per solve."""
+    eigenvalues of A once, not once per config and once per solve. (The
+    dense family takes the eigenvalues of its own M^-1 A, which are not
+    counted.)"""
     calls = []
     original = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or original(m))
@@ -206,7 +210,8 @@ def test_tableau_checks_run_once_per_tableau(monkeypatch):
     prob = scalar_problem()
     for n_steps in (40, 80):
         fast_solve(prob, CQConfig(tableau=tab, h=0.05, N=n_steps, K=10))
-    assert len(calls) == 1 and np.array_equal(calls[0], tab.A)
+    on_tab = [m for m in calls if np.array_equal(m, tab.A)]
+    assert len(on_tab) == 1
     assert not tab.assumptions.eigenvalues.flags.writeable
 
 
@@ -1022,3 +1027,67 @@ def test_pole_error_leaves_no_partial_plan(example1, monkeypatch):
     u, stats = fast_solve(example1, ladder_config(tab, 640))
     assert stats.levels_built == 2
     assert np.array_equal(u, fast_solve(dataclasses.replace(example1), ladder_config(tab, 640))[0])
+
+
+# ---------------------------------------------------------------------------
+# the contour angle: contour.theta1 of the order and the family's sector
+
+
+def test_sized_K_follows_the_order_on_example_1(example1):
+    """Example 1's spectrum, -1 +- i, has theta0 = pi/4: the contour angle
+    is pi/2 up to alpha = 3/4 and pi/4 at alpha = 1, where the sized K is
+    40. There fast_solve agrees with direct_cq within 1e-6 max(1, |u|)
+    (t = 10, N = 200); with the pi/2 angle at every order it read 1.0e-4."""
+    assert example1.family.theta0 == np.pi / 4
+    for alpha, k_sized in ((0.5, 25), (1.0, 40)):
+        prob = dataclasses.replace(example1, alpha=alpha)
+        cfg = CQConfig(tableau=radau_iia(3), h=10.0 / 200, N=200)
+        u, stats = fast_solve(prob, cfg)
+        assert stats.K == k_sized
+        u_dir = direct_cq(prob, cfg)
+        assert np.max(np.abs(u - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
+
+
+def test_contour_angles_keep_their_bits_where_the_order_leaves_them():
+    """The angles of the spectral family at alpha = 1/2 (and at every order),
+    example 1 at 1/2 and the transparent-boundary family at 3/4 equal, bit
+    for bit, the values the families stated before the angle came from
+    contour.theta1: pi/2, pi/2 and theta1(3/4, 0) = pi/6, each times
+    1 - 1e-9. The one-argument form reads the family's own order, or 1."""
+    spectral = periodic_compact_fd_3d(4)
+    dense = dense_operator(None, caputo.EXAMPLE1_MATRIX)
+    tbc = schrodinger_tbc_1d(2.0, 11, 0.75)
+    half_pi = np.pi / 2 * (1.0 - 1e-9)
+    for alpha in (0.5, 0.8, 1.0):
+        assert CQConfig.resolved_theta(spectral, alpha) == half_pi
+    assert CQConfig.resolved_theta(spectral) == half_pi
+    assert CQConfig.resolved_theta(dense, 0.5) == half_pi
+    tbc_theta = min((np.pi * (1.0 - 0.75) + 2.0 * 0.0) / (2.0 * 0.75), np.pi / 2) * (1.0 - 1e-9)
+    assert CQConfig.resolved_theta(tbc, 0.75) == CQConfig.resolved_theta(tbc) == tbc_theta
+
+
+def test_dense_sector_of_a_zero_eigenvalue():
+    """An eigenvalue at zero carries no angle: A = diag(0, -1) has theta0 =
+    pi/2, and its problem solves, in agreement with direct_cq."""
+    fam = dense_operator(None, np.diag([0.0, -1.0]))
+    prob = Problem(family=fam, alpha=0.5, g=ConstantInhomogeneity(np.array([1.0, 1.0])))
+    cfg = CQConfig(tableau=radau_iia(2), h=0.05, N=100)
+    u, stats = fast_solve(prob, cfg)
+    assert fam.theta0 == np.pi / 2 and stats.K == 25
+    assert np.max(np.abs(u - direct_cq(prob, cfg))) <= 1e-6 * max(1.0, np.max(np.abs(u)))
+    assert dense_operator(None, np.zeros((2, 2))).theta0 == np.pi / 2
+
+
+def test_dense_sector_refusals_come_at_the_solve():
+    """A family outside the paper's assumption builds and solves resolvents;
+    the solve that sizes its contour refuses it with a typed error naming the
+    cause: an eigenvalue right of the imaginary axis (DomainError) or a
+    singular M, which leaves M^-1 A undefined (ConfigError)."""
+    g = ConstantInhomogeneity(np.array([1.0, 1.0]))
+    cfg = CQConfig(tableau=radau_iia(2), h=0.05, N=100)
+    for M, A, error, match in ((None, np.diag([0.5, -1.0]), DomainError, "right of the imaginary"),
+                               (np.diag([1.0, 0.0]), A22, ConfigError, "M is singular")):
+        fam = dense_operator(M, A)
+        assert fam.solve(2.0 + 1j, np.ones(2)).shape == (2,)
+        with pytest.raises(error, match=match):
+            fast_solve(Problem(family=fam, alpha=0.5, g=g), cfg)

@@ -170,11 +170,11 @@ def test_tbc_roots_refuse_an_overflowing_discriminant(nu):
 def test_tbc_root_moduli_on_contour_frequencies():
     alpha = 0.75
     fam = schrodinger_tbc_1d(2.0, 101, alpha)
-    theta = fam.theta1_hint * (1 - 1e-9)
+    theta = contour.theta1(alpha, fam.theta0) * (1 - 1e-9)
     params = contour.select_parameters(25, 5, theta)
-    lev = contour.level_nodes(contour.mu_level(1, 25, 0.001, 20, params), params, 1)
+    lambdas, _ = contour.level_nodes(contour.mu_level(1, 25, 0.001, 20, params), params)
     count = 0
-    for lam in lev.lambdas:
+    for lam in lambdas:
         nu = smallmat.power_alpha(lam, alpha)
         z1, z2 = fam.roots(nu)
         assert abs(z1) < 1.0 < abs(z2)

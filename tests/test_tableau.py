@@ -209,3 +209,16 @@ def test_array_delta_and_stability_equal_the_scalar_results(s):
 def test_array_delta_pole_at_one():
     with pytest.raises(PoleError):
         delta(np.array([0.5, 1.0, 0.5j]), radau_iia(2))
+
+
+def test_stability_refuses_a_tableau_that_is_not_stiffly_accurate():
+    """stability has one form, e_s^T (Id - z A)^-1 1, which is r(z) only
+    when b is the last row of A: the 2-stage Gauss tableau is refused, as
+    CQConfig and rk_march_scalar refuse it."""
+    r3 = np.sqrt(3.0)
+    a = np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]])
+    gauss = Tableau(2, a, np.array([1 / 2, 1 / 2]), np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]),
+                    4, 2)
+    for z in (-1.0, np.array([-1.0, -2.0j])):
+        with pytest.raises(ConfigError, match="stiffly accurate"):
+            stability(z, gauss)
