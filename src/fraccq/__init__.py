@@ -29,7 +29,7 @@ from .operators import (
     sector_probe,
     transform_initial,
 )
-from .tableau import Tableau, check_assumptions, delta, radau_iia, stability
+from .tableau import Tableau, delta, radau_iia, stability
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "RunStats",
     "Tableau",
     "caputo_oracle",
-    "check_assumptions",
     "delta",
     "dense_operator",
     "direct_cq",

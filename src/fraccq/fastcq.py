@@ -97,13 +97,14 @@ class CQConfig:
     of the problem's order (resolved_theta): K = 25 for the spectral family
     and for example 1 up to alpha = 3/4, 40 for example 1 at alpha = 1 and
     64 for the transparent-boundary family at alpha = 3/4 (at K = 25 its
-    fast solve differs from direct_cq by about 3e-4 relative). An explicit
-    K runs as given; RunStats.K reports the K used.
+    fast solve differs from direct_cq by about 3e-4 relative). An angle
+    that needs a K above 10,000 raises ConfigError (contour.sized_K). An
+    explicit K runs as given; RunStats.K reports the K used.
     J = None (the default) takes default_J(kappa) = 2 kappa circle nodes for
     the first block; an explicit J >= kappa+1 runs as given, and RunStats.J
     reports the J used. direct_cq uses no contour and its own J, and reads
-    neither K nor J. The tableau's structural checks run once per tableau
-    (Tableau.assumptions).
+    neither K nor J. Every Tableau is admissible by construction, so the
+    config checks only that it is one.
     """
 
     tableau: tableau_mod.Tableau
@@ -144,12 +145,6 @@ class CQConfig:
             raise ConfigError(f"need 16 N s bytes, 2K+1 and J in the index range and a finite "
                               f"N h, got N={self.N}, s={self.tableau.s}, K={self.K}, J={self.J}, "
                               f"h={h!r}")
-        report = self.tableau.assumptions
-        if not report.all_pass:
-            raise ConfigError(
-                "tableau violates the structural assumptions (stiffly accurate, "
-                f"invertible matrix, right-half-plane spectrum): {report}"
-            )
 
     @staticmethod
     def resolved_theta(family: OperatorFamily, alpha: float | None = None) -> float:
@@ -392,10 +387,7 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
     One inverse of the s x s stage matrix (Id - h lam A) serves the whole
     march; g enters through the stage-sample table. Returns the terminal
     value, one entry per inhomogeneity column. Each step takes the last
-    stage, like _march_window: a tableau that is not stiffly accurate
-    raises ConfigError, as CQConfig does."""
-    if not tab.stiffly_accurate:
-        raise ConfigError("rk_march_scalar needs a stiffly accurate tableau (b = last row of A)")
+    stage, like _march_window, since every Tableau is stiffly accurate."""
     try:
         stage_inv = np.linalg.inv(np.eye(tab.s) - (h * lam) * tab.A)
     except np.linalg.LinAlgError as exc:
@@ -451,7 +443,7 @@ def _check_spectrum_clearance(z, tab, first_level=1):
     in an (levels, 2K+1) array, that lie within a relative 1e-8 of a pole
     1/eig(A) of the stage matrix: one test over the nodes of all these
     levels, naming the first offending level and node."""
-    poles = 1.0 / tab.assumptions.eigenvalues
+    poles = 1.0 / tab.eigenvalues
     dist = np.min(np.abs(z[..., None] - poles), axis=-1)
     bad = dist < _SPECTRUM_CLEARANCE * np.maximum(1.0, np.abs(z))
     if np.any(bad):

@@ -1,19 +1,20 @@
-"""Radau IIA tableaux, stability data and structural checks.
+"""Radau IIA tableaux and the tableau algebra of the convolution quadrature.
 
 The convolution quadrature machinery needs stiffly accurate, L-stable
-schemes whose Runge-Kutta matrix is invertible with spectrum in the open
-right half-plane. The three Radau IIA members shipped here satisfy all of
-that; check_assumptions re-verifies it for any user-supplied tableau.
+schemes (b^T = e_s^T A) whose Runge-Kutta matrix is invertible with
+spectrum in the open right half-plane (Lubich & Ostermann, Math. Comp.
+60, 1993). A Tableau is admissible by construction: Tableau refuses any
+other with ConfigError, so stability, delta and the solvers take every
+Tableau as it is. The three Radau IIA members shipped here qualify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PoleError, SolverError
+from .errors import ConfigError, PoleError
 
 _DET_FLOOR = 1e-12
 
@@ -23,9 +24,12 @@ class Tableau:
     """Butcher data of an s-stage implicit Runge-Kutta scheme.
 
     A is the s x s Runge-Kutta matrix, b the weight row, c the nodes,
-    p the classical order and p_stage the stage order. The arrays are
-    read-only, so the structural checks are computed once per tableau
-    (assumptions).
+    p the classical order and p_stage the stage order. The tableau keeps
+    read-only float copies of A, b and c and the read-only eigenvalues of
+    A. Construction raises ConfigError for s not a positive integer, A not
+    (s, s), b or c not (s,), a non-finite entry, and, naming each failed
+    assumption, for b not the last row of A (not stiffly accurate),
+    |det A| <= 1e-12 or an eigenvalue of A off the open right half-plane.
     """
 
     s: int
@@ -35,43 +39,37 @@ class Tableau:
     p: int
     p_stage: int
     name: str = ""
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.A, self.b, self.c):
+        s = self.s
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1:
+            raise ConfigError(f"need a positive integer stage count s, got s={s!r}")
+        object.__setattr__(self, "s", int(s))  # a narrow numpy integer would wrap around
+        for name, shape in (("A", (s, s)), ("b", (s,)), ("c", (s,))):
+            given = getattr(self, name)
+            try:
+                arr = np.array(given)
+            except ValueError:  # a ragged nested sequence
+                arr = np.array(None)
+            if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise ConfigError(f"need a real finite {name} of shape {shape} for s={s}, "
+                                  f"got {given!r}")
+            arr = arr.astype(float)
             arr.setflags(write=False)
-
-    @property
-    def stiffly_accurate(self) -> bool:
-        return bool(np.array_equal(self.b, self.A[-1]))
-
-    @cached_property
-    def assumptions(self) -> AssumptionReport:
-        """check_assumptions of this tableau, computed on first use."""
-        return check_assumptions(self)
-
-
-def _radau1():
-    a = np.array([[1.0]])
-    return Tableau(1, a, a[-1].copy(), np.array([1.0]), 1, 1, "radau1")
-
-
-def _radau3():
-    a = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
-    c = np.array([1.0 / 3.0, 1.0])
-    return Tableau(2, a, a[-1].copy(), c, 3, 2, "radau3")
-
-
-def _radau5():
-    r6 = np.sqrt(6.0)
-    a = np.array(
-        [
-            [(88 - 7 * r6) / 360, (296 - 169 * r6) / 1800, (-2 + 3 * r6) / 225],
-            [(296 + 169 * r6) / 1800, (88 + 7 * r6) / 360, (-2 - 3 * r6) / 225],
-            [(16 - r6) / 36, (16 + r6) / 36, 1.0 / 9.0],
-        ]
-    )
-    c = np.array([(4 - r6) / 10, (4 + r6) / 10, 1.0])
-    return Tableau(3, a, a[-1].copy(), c, 5, 3, "radau5")
+            object.__setattr__(self, name, arr)
+        eigs, abs_det = np.linalg.eigvals(self.A), abs(np.linalg.det(self.A))
+        eigs.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", eigs)
+        failed = []
+        if not np.array_equal(self.b, self.A[-1]):
+            failed.append("not stiffly accurate (b is not the last row of A)")
+        if abs_det <= _DET_FLOOR:
+            failed.append(f"|det A| = {abs_det:.3g} <= {_DET_FLOOR:g}")
+        failed += [f"eigenvalue {e:.6g} of A off the open right half-plane"
+                   for e in eigs if not e.real > 0]
+        if failed:
+            raise ConfigError(f"tableau {self.name!r} is not admissible: " + "; ".join(failed))
 
 
 def radau_iia(s: int) -> Tableau:
@@ -79,13 +77,19 @@ def radau_iia(s: int) -> Tableau:
 
     Order 2s-1, stage order s; s=1 is the backward Euler scheme.
     """
+    r6 = np.sqrt(6.0)
     if s == 1:
-        return _radau1()
-    if s == 2:
-        return _radau3()
-    if s == 3:
-        return _radau5()
-    raise ConfigError(f"Radau IIA is shipped for s in {{1, 2, 3}}, got s={s}")
+        a, c = [[1.0]], [1.0]
+    elif s == 2:
+        a, c = [[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]], [1.0 / 3.0, 1.0]
+    elif s == 3:
+        a = [[(88 - 7 * r6) / 360, (296 - 169 * r6) / 1800, (-2 + 3 * r6) / 225],
+             [(296 + 169 * r6) / 1800, (88 + 7 * r6) / 360, (-2 - 3 * r6) / 225],
+             [(16 - r6) / 36, (16 + r6) / 36, 1.0 / 9.0]]
+        c = [(4 - r6) / 10, (4 + r6) / 10, 1.0]
+    else:
+        raise ConfigError(f"Radau IIA is shipped for s in {{1, 2, 3}}, got s={s}")
+    return Tableau(s, a, a[-1], c, 2 * s - 1, s, f"radau{2 * s - 1}")
 
 
 def by_name(name: str) -> Tableau:
@@ -100,11 +104,11 @@ def stability(z, t: Tableau):
     """Stability function r(z) and the row vector q(z) = b^T (Id - z A)^-1.
 
     For an array z, r has z's shape and q one more axis of length s. r is
-    e_s^T (Id - z A)^-1 1, which stays accurate as |z| grows; a tableau
-    that is not stiffly accurate raises ConfigError, as CQConfig does.
+    e_s^T (Id - z A)^-1 1, which stays accurate as |z| grows, since every
+    Tableau is stiffly accurate; one LAPACK inverse of Id - z A per node,
+    which stays exact when A is defective. Raises PoleError where
+    Id - z A is singular.
     """
-    if not t.stiffly_accurate:
-        raise ConfigError("stability needs a stiffly accurate tableau (b = last row of A)")
     z = np.asarray(z, dtype=complex)
     try:
         m_inv = np.linalg.inv(np.eye(t.s) - z[..., None, None] * t.A)
@@ -117,46 +121,14 @@ def stability(z, t: Tableau):
 
 def delta(zeta, t: Tableau) -> np.ndarray:
     """Generating-function matrix Delta(zeta) = (A + zeta/(1-zeta) 1 b^T)^-1,
-    stacked along zeta's shape when zeta is an array."""
+    stacked along zeta's shape when zeta is an array.
+
+    With b^T = e_s^T A, Sherman-Morrison gives the closed form
+    A^-1 - zeta (A^-1 1) e_s^T: one inverse of A per call, linear in zeta,
+    and finite at the removable point zeta = 1.
+    """
     zeta = np.asarray(zeta, dtype=complex)
-    if np.any(zeta == 1):
-        raise PoleError("Delta has a pole at zeta = 1", where=1.0)
-    inner = t.A + (zeta / (1.0 - zeta))[..., None, None] * np.outer(np.ones(t.s), t.b)
-    try:
-        return np.linalg.inv(inner)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Delta(zeta) inner matrix singular at zeta={zeta}") from exc
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Pass/fail record of the structural assumptions on a tableau."""
-
-    weights_equal_last_row: bool
-    matrix_invertible: bool
-    spectrum_in_right_half_plane: bool
-    abs_det: float
-    eigenvalues: np.ndarray
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.weights_equal_last_row
-            and self.matrix_invertible
-            and self.spectrum_in_right_half_plane
-        )
-
-
-def check_assumptions(t: Tableau) -> AssumptionReport:
-    """Verify (a) b = last row of A, (b) A invertible, (c) Re(eig A) > 0."""
-    weights_ok = t.stiffly_accurate
-    abs_det = abs(np.linalg.det(t.A))
-    eigs = np.linalg.eigvals(t.A)
-    eigs.setflags(write=False)
-    return AssumptionReport(
-        weights_equal_last_row=weights_ok,
-        matrix_invertible=abs_det > _DET_FLOOR,
-        spectrum_in_right_half_plane=bool(np.all(eigs.real > 0)),
-        abs_det=float(abs_det),
-        eigenvalues=eigs,
-    )
+    a_inv = np.linalg.inv(t.A)
+    out = np.broadcast_to(a_inv, zeta.shape + a_inv.shape).astype(complex)
+    out[..., :, -1] -= zeta[..., None] * a_inv.sum(axis=1)
+    return out

@@ -41,6 +41,16 @@ def tbc_problem_small():
 
 
 @pytest.fixture
+def sdirk2():
+    """The 2-stage, L-stable SDIRK scheme, g = 1 - 1/sqrt(2): stiffly
+    accurate, with the defective matrix A = [[g, 0], [1-g, g]] (one
+    eigenvalue g, one eigenvector)."""
+    g = 1.0 - 1.0 / np.sqrt(2.0)
+    a = np.array([[g, 0.0], [1.0 - g, g]])
+    return fraccq.Tableau(2, a, a[-1], np.array([g, 1.0]), 2, 1, "sdirk2")
+
+
+@pytest.fixture
 def eig_calls(monkeypatch):
     """Shapes of the stacks handed to np.linalg.eig during the test."""
     calls = []

@@ -222,7 +222,8 @@ def test_scalar_weight_sum_matches_direct_oracle():
 
 def test_sized_K_is_cached_with_a_bound(monkeypatch):
     """A second sized_K call with the same arguments runs no error_model
-    search, and the cache keeps a finite number of answers."""
+    search, and the cache keeps a finite number of answers. The first
+    doubles K from 25 to 100 and bisects to 64: 9 error_model calls."""
     calls = []
     original = contour.error_model
 
@@ -234,10 +235,31 @@ def test_sized_K_is_cached_with_a_bound(monkeypatch):
     contour.sized_K.cache_clear()
     theta = np.pi / 6 * (1 - 1e-9)
     assert contour.sized_K(5, theta) == 64
-    assert len(calls) == 64 - 25 + 1
+    assert len(calls) == 9
     assert contour.sized_K(5, theta) == 64
-    assert len(calls) == 64 - 25 + 1
+    assert len(calls) == 9
     assert contour.sized_K.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("theta, k_sized", [
+    (np.pi / 2, 25), (np.pi / 4, 40), (np.pi / 6, 64), (0.3, 123), (0.1, 433), (0.05, 946),
+    (0.03, 1674), (0.01, 5643)])
+def test_sized_K_is_the_smallest_K_that_holds_the_model(theta, k_sized):
+    """The doubling and bisection search finds the K a one-by-one search
+    from 25 finds: the model holds at K and fails at K - 1."""
+    assert contour.sized_K(5, theta) == k_sized
+    assert contour.error_model(k_sized, 5, theta) <= 1e-7
+    if k_sized > 25:
+        assert contour.error_model(k_sized - 1, 5, theta) > 1e-7
+
+
+@pytest.mark.parametrize("theta", [0.005, 1e-3, 1e-6])
+def test_sized_K_refuses_a_K_above_its_ceiling(theta):
+    """An angle that needs K > 10,000 raises ConfigError naming the angle
+    and Lambda, after at most a dozen scans."""
+    with pytest.raises(ConfigError, match=f"theta={theta!r} at Lambda=5 needs K > 10000"):
+        contour.sized_K(5, theta)
+    assert contour.sized_K(5, 0.006) == 9885  # just below the ceiling
 
 
 def test_select_parameters_is_cached_with_a_bound():

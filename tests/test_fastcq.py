@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
 def _gauss2():
     """The 2-stage Gauss tableau: its weights differ from the last row of
-    its matrix, so it is not stiffly accurate."""
+    its matrix, so it is not stiffly accurate and building it raises."""
     r3 = np.sqrt(3.0)
     return tableau.Tableau(2, np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]]),
                            np.array([1 / 2, 1 / 2]),
@@ -198,9 +199,9 @@ def test_config_builds_and_solves_or_raises_config_error(tab, h, N, K, Lambda, k
 
 
 def test_tableau_checks_run_once_per_tableau(monkeypatch):
-    """CQConfig and the spectrum clearance of fast_solve read the checks the
-    tableau keeps (Tableau.assumptions): two solves at one tableau take the
-    eigenvalues of A once, not once per config and once per solve. (The
+    """The spectrum clearance of fast_solve reads the eigenvalues the
+    tableau keeps (Tableau.eigenvalues): building the tableau and two solves
+    at it take the eigenvalues of A once, not once per solve. (The
     dense family takes the eigenvalues of its own M^-1 A, which are not
     counted.)"""
     calls = []
@@ -212,7 +213,7 @@ def test_tableau_checks_run_once_per_tableau(monkeypatch):
         fast_solve(prob, CQConfig(tableau=tab, h=0.05, N=n_steps, K=10))
     on_tab = [m for m in calls if np.array_equal(m, tab.A)]
     assert len(on_tab) == 1
-    assert not tab.assumptions.eigenvalues.flags.writeable
+    assert not tab.eigenvalues.flags.writeable
 
 
 def test_runstats_counters(example1, example1_complex):
@@ -296,7 +297,7 @@ def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
     tab, h, K = radau_iia(3), 0.01, 25
     z = h * contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)[1]
     fastcq._check_spectrum_clearance(z, tab)
-    pole = 1.0 / tab.assumptions.eigenvalues[1]
+    pole = 1.0 / tab.eigenvalues[1]
     for hits, named in ((((0, -25),), (1, -25)), (((1, 3),), (2, 3)), (((2, 25),), (3, 25)),
                         (((2, -7), (1, 4), (1, 0)), (2, 0))):
         z_hit = z.copy()
@@ -581,12 +582,11 @@ def test_march_pole_error():
 
 
 def test_march_refuses_a_tableau_that_is_not_stiffly_accurate():
-    """The march steps to the last stage, like _march_window, so a tableau
-    that is not stiffly accurate is refused, as CQConfig refuses it."""
-    gauss = _gauss2()
-    table = ConstantInhomogeneity(np.array([1.0])).table(4, 0.25, gauss.c)
+    """The march steps to the last stage, like _march_window, so it needs
+    a stiffly accurate tableau: Tableau refuses the others when built, so
+    none reaches the march."""
     with pytest.raises(ConfigError, match="stiffly accurate"):
-        rk_march_scalar(-1.0, table, 0, 4, gauss, 0.25)
+        _gauss2()
 
 
 def test_march_exponential_forcing_order():
@@ -652,6 +652,17 @@ def test_fast_matches_direct_dense(example1):
     u_dir = direct_cq(example1, cfg)
     bound = 1e-6 * max(1.0, np.max(np.abs(u_dir)))
     assert np.max(np.abs(u_fast - u_dir)) <= bound
+
+
+@pytest.mark.parametrize("n_steps", [200, 640])
+def test_fast_matches_direct_on_a_defective_tableau(example1, sdirk2, n_steps):
+    """The SDIRK tableau's A is defective, but Delta(zeta) at the circle
+    nodes is not, and stability inverts Id - z A per node: fast_solve
+    agrees with direct_cq on example 1 at t = 10."""
+    cfg = CQConfig(tableau=sdirk2, h=10.0 / n_steps, N=n_steps)
+    u_fast, _ = fast_solve(example1, cfg)
+    u_dir = direct_cq(example1, cfg)
+    assert np.max(np.abs(u_fast - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
 
 
 def test_fast_linearity(rng):
@@ -847,7 +858,8 @@ def test_transform_initial_reconstruction_consistency():
 
 
 def test_config_rejects_nonconforming_tableau():
-    with pytest.raises(ConfigError):
+    """No config sees a tableau that is not stiffly accurate: building it raises."""
+    with pytest.raises(ConfigError, match="not admissible"):
         CQConfig(tableau=_gauss2(), h=0.1, N=10)
 
 
@@ -1046,6 +1058,18 @@ def test_sized_K_follows_the_order_on_example_1(example1):
         assert stats.K == k_sized
         u_dir = direct_cq(prob, cfg)
         assert np.max(np.abs(u - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
+
+
+def test_a_spectrum_near_the_imaginary_axis_is_refused_in_milliseconds():
+    """Eigenvalues -1e-3 +- i leave alpha = 1 the angle 1e-3, which needs a
+    K above 10,000: the default-K solve raises ConfigError at once instead
+    of sizing K = 69,297 and solving for seconds."""
+    prob = Problem(family=dense_operator(None, np.array([[-1e-3, 1.0], [-1.0, -1e-3]])),
+                   alpha=1.0, g=ConstantInhomogeneity(np.array([1.0, 0.0])))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="pass an explicit K"):
+        fast_solve(prob, CQConfig(tableau=radau_iia(3), h=0.05, N=200))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_contour_angles_keep_their_bits_where_the_order_leaves_them():

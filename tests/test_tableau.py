@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from fraccq import radau_iia, stability, delta, check_assumptions
+from fraccq import radau_iia, stability, delta
 from fraccq.errors import ConfigError, PoleError
 from fraccq.tableau import Tableau, by_name
 
@@ -153,34 +155,43 @@ def test_delta_identity_random_unit_disk():
 
 
 def test_delta_pole_at_one():
-    with pytest.raises(PoleError):
-        delta(1.0, radau_iia(2))
-
-
-def test_check_assumptions_radau_pass():
+    """The pole of (A + zeta/(1-zeta) 1 b^T)^-1 at zeta = 1 is removable:
+    the closed form gives the finite A^-1 (Id - 1 e_s^T) there."""
     for s in (1, 2, 3):
-        rep = check_assumptions(radau_iia(s))
-        assert rep.all_pass
-        assert rep.abs_det > 1e-12
-        assert np.all(rep.eigenvalues.real > 0)
+        t = radau_iia(s)
+        expected = np.linalg.inv(t.A) @ (np.eye(s) - np.outer(np.ones(s), np.eye(s)[-1]))
+        assert np.max(np.abs(delta(1.0, t) - expected)) <= 1e-13
 
 
-def test_check_assumptions_singular_matrix_fails_b():
-    t = Tableau(2, np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]),
+def test_tableau_assumptions_radau_pass():
+    for s in (1, 2, 3):
+        t = radau_iia(s)
+        assert abs(np.linalg.det(t.A)) > 1e-12
+        assert np.all(t.eigenvalues.real > 0)
+        assert not t.eigenvalues.flags.writeable
+
+
+def test_tableau_assumptions_singular_matrix_fails_b():
+    with pytest.raises(ConfigError, match=r"\|det A\| = 0 <= 1e-12") as exc:
+        Tableau(2, np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]),
                 np.array([0.0, 1.0]), 1, 1)
-    rep = check_assumptions(t)
-    assert not rep.matrix_invertible
-    assert not rep.all_pass
+    assert "right half-plane" in str(exc.value)  # its eigenvalue 0 fails as well
+    assert "stiffly accurate" not in str(exc.value)
 
 
-def test_check_assumptions_gauss_fails_a():
-    # 2-stage Gauss: weights do not equal the last row
+def _gauss2():
+    """The 2-stage Gauss tableau: its weights differ from the last row of
+    its (invertible, right-half-plane) matrix."""
     r3 = np.sqrt(3.0)
     a = np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]])
-    t = Tableau(2, a, np.array([1 / 2, 1 / 2]), np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]), 4, 2)
-    rep = check_assumptions(t)
-    assert not rep.weights_equal_last_row
-    assert rep.matrix_invertible  # Gauss matrix itself is invertible
+    return Tableau(2, a, np.array([1 / 2, 1 / 2]), np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]),
+                   4, 2, "gauss4")
+
+
+def test_tableau_assumptions_gauss_fails_a():
+    with pytest.raises(ConfigError, match="'gauss4' is not admissible: not stiffly accurate") as exc:
+        _gauss2()
+    assert "det" not in str(exc.value) and "half-plane" not in str(exc.value)
 
 
 def test_tableau_arrays_immutable():
@@ -207,18 +218,60 @@ def test_array_delta_and_stability_equal_the_scalar_results(s):
 
 
 def test_array_delta_pole_at_one():
-    with pytest.raises(PoleError):
-        delta(np.array([0.5, 1.0, 0.5j]), radau_iia(2))
+    """At the removable pole zeta = 1 the array form equals the scalar form."""
+    t = radau_iia(2)
+    stack = delta(np.array([0.5, 1.0, 0.5j]), t)
+    assert np.array_equal(stack[1], delta(1.0, t))
+    assert np.all(np.isfinite(stack))
 
 
 def test_stability_refuses_a_tableau_that_is_not_stiffly_accurate():
     """stability has one form, e_s^T (Id - z A)^-1 1, which is r(z) only
-    when b is the last row of A: the 2-stage Gauss tableau is refused, as
-    CQConfig and rk_march_scalar refuse it."""
-    r3 = np.sqrt(3.0)
-    a = np.array([[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]])
-    gauss = Tableau(2, a, np.array([1 / 2, 1 / 2]), np.array([1 / 2 - r3 / 6, 1 / 2 + r3 / 6]),
-                    4, 2)
-    for z in (-1.0, np.array([-1.0, -2.0j])):
-        with pytest.raises(ConfigError, match="stiffly accurate"):
-            stability(z, gauss)
+    when b is the last row of A: the 2-stage Gauss tableau is refused when
+    it is built, so no Tableau reaches stability without it."""
+    with pytest.raises(ConfigError, match="stiffly accurate"):
+        _gauss2()
+
+
+_A3 = np.array([[0.5, 0.0, 0.0], [0.25, 0.5, 0.0], [0.25, 0.25, 0.5]])
+
+
+@pytest.mark.parametrize("s, a, b, c, named", [
+    (2, _A3, _A3[-1], _A3.sum(axis=1), "A of shape (2, 2)"),
+    (3, _A3, _A3[-1], np.array([0.5, 1.0]), "c of shape (3,)"),
+    (3, _A3, _A3[-1, :2], _A3.sum(axis=1), "b of shape (3,)"),
+    (3, np.where(_A3 == 0.5, np.nan, _A3), _A3[-1], _A3.sum(axis=1), "finite A"),
+    (3, _A3, np.array([0.25, np.inf, 0.5]), _A3.sum(axis=1), "finite b"),
+    (1, np.array([1.0]), np.array([1.0]), np.array([1.0]), "A of shape (1, 1)"),
+    (2, [[1.0, 0.0], [1.0]], np.ones(2), np.ones(2), "A of shape (2, 2)"),
+    (1, np.array([[1.0 + 1.0j]]), np.array([1.0]), np.array([1.0]), "real finite A"),
+    (True, np.array([[1.0]]), np.array([1.0]), np.array([1.0]), "stage count"),
+    (0, np.zeros((0, 0)), np.zeros(0), np.zeros(0), "stage count"),
+    (2.0, np.eye(2), np.eye(2)[-1], np.ones(2), "stage count"),
+])
+def test_malformed_tableau_is_refused_at_construction(s, a, b, c, named):
+    """Each of these used to reach fast_solve and fail there with an
+    untyped broadcast or LinAlgError."""
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        Tableau(s, a, b, c, 1, 1)
+
+
+def test_tableau_keeps_read_only_copies():
+    a = np.array([[1.0]])
+    t = Tableau(np.int8(1), a, a[-1], np.array([1.0]), 1, 1)
+    assert type(t.s) is int and a.flags.writeable
+    assert not (t.A.flags.writeable or t.b.flags.writeable or t.c.flags.writeable)
+
+
+def test_stability_of_a_defective_tableau_matches_its_closed_form(sdirk2):
+    """r(z) = (1 + (1-2g) z)/(1 - g z)^2; an eigen-split of the defective A
+    (cond(V) near 1e16) would miss it by order one."""
+    t = sdirk2
+    g = t.A[0, 0]
+    rng = np.random.default_rng(5)
+    z = np.concatenate([20.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)),
+                        -np.logspace(-3, 6, 20), [0.0, 1j, -1j]])
+    r, q = stability(z, t)
+    exact = (1.0 + (1.0 - 2.0 * g) * z) / (1.0 - g * z) ** 2
+    assert np.max(np.abs(r - exact) / np.abs(exact)) <= 1e-14
+    assert np.max(np.abs(1.0 + z * q.sum(axis=1) - exact) / np.maximum(1, np.abs(exact))) <= 1e-13
