@@ -15,7 +15,8 @@ Runge-Kutta scheme applied to the resolvent. Two evaluation routes:
   resolvent solve per node: O(N) Runge-Kutta steps and
   O(log N * log(1/eps)) linear systems. The data are separable,
   g(t) = sum_r f_r(t) s_r, so the marches run on the r scalar time
-  factors.
+  factors, in blocks of up to 1024 steps, each one real matrix product
+  of the factors against descending powers of the nodes' r(z).
 
 A circle rule is one call, _circle_split(tab, alpha, J, terms, fold):
 its radius balances the aliasing error rho^J against the rounding that
@@ -39,9 +40,10 @@ starts the new problem without either. The hyperbola of level l has
 scale mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle nodes zeta_j
 depend only on J and kappa, so in the variable z = h lambda the plan's
 contour nodes, weights h omega, Runge-Kutta data r(z) and q(z), combine
-factors r^(m_(l-1)), powers z^alpha and split of Delta(zeta_j) with its
-d^alpha are the same at every h and N: the plan computes each once,
-level by level as N grows, and a solve only scales them by powers of h.
+factors r^(m_(l-1)), powers z^alpha, descending march powers r^(w-1-j)
+and split of Delta(zeta_j) with its d^alpha are the same at every h and
+N: the plan computes each once, level by level as N grows, and a solve
+only scales them by powers of h.
 The plan is the only holder of a circle split: direct_cq and
 weight_matrices_direct make their own, on every call.
 When the operator and the data are both real, both routes solve only the
@@ -269,7 +271,8 @@ def _circle_sum(problem: Problem, table, terms, J, rule, h):
     rho, dec, d_alpha = rule
     nus = d_alpha * h ** -problem.alpha
     blk = table.block(table.N - terms, table.N)  # factors of G_{N-terms}..G_{N-1}
-    rev = blk[::-1].real if fold else blk[::-1]
+    # unfolded, real factors are scaled as complex numbers, as complex factors are
+    rev = blk[::-1].real if fold else blk[::-1].astype(complex)
     seq = np.zeros((J, table.s, table.rank), dtype=rev.dtype)
     seq[:terms] = rev * (rho ** -np.arange(terms))[:, None, None] / J
     if fold:
@@ -404,7 +407,19 @@ def rk_march_scalar(lam, table, from_step, to_step, tab, h):
     return y
 
 
-def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
+def _descending_powers(r, width):
+    """The read-only (width, nodes) powers p[j] = r^(width-1-j) of a node
+    set, by one cumprod written in reverse. Row width-w on equals the
+    powers of a width-w block bit for bit, so one array serves every
+    block of a window."""
+    powers = np.empty((width, len(r)), dtype=complex)
+    powers[-1] = 1.0
+    np.cumprod(np.broadcast_to(r, (width - 1, len(r))), axis=0, out=powers[-2::-1])
+    powers.setflags(write=False)
+    return powers
+
+
+def _march_window(r, q, powers, table, n0, n1, h):
     """Terminal values of the scalar marches for a whole node set at once,
     in the rank space of the separable data.
 
@@ -412,26 +427,26 @@ def _march_window(r, q, table, n0, n1, h, block=_MARCH_BLOCK):
     time factors of the table, and row k of the returned (nodes, rank)
     array expands to the node's terminal value as row @ table.spatial.
     For a stiffly accurate scheme one step is y <- r_k y + h q_k . G_n, so
-    a block of w steps collapses into y <- r^w y + h sum_j r^(w-1-j) q.G;
-    the inner sum is one matrix product of the descending power matrix
-    (a cumprod written in reverse) against the time-factor block. The
-    scaling by r^w commutes with q, so q is applied once at the end.
+    a block of w steps collapses into y <- r^w y + h sum_j r^(w-1-j) q.G.
+    The blocks are len(powers) steps long, a shorter last one reading the
+    trailing rows of the descending powers (_descending_powers), and the
+    inner sum is one real matrix product of the factor columns against
+    the powers viewed as (re, im) column pairs. Complex factors enter as
+    their own (re, im) column pairs and are recombined once at the end.
+    The scaling by r^w commutes with q, so q is applied once at the end.
     """
-    nodes = len(r)
-    s, rank = table.s, table.rank
+    width, nodes = powers.shape
     factors = table.block(n0, n1)
-    hist = np.zeros((nodes, s * rank), dtype=complex)
-    for b0 in range(n0, n1, block):
-        b1 = min(b0 + block, n1)
-        w = b1 - b0
-        desc = np.empty((nodes, w), dtype=complex)  # desc[:, j] = r^(w-1-j)
-        desc[:, -1] = 1.0
-        if w > 1:
-            np.cumprod(np.broadcast_to(r[:, None], (nodes, w - 1)), axis=1,
-                       out=desc[:, -2::-1])
-        hist *= (desc[:, 0] * r)[:, None]
-        hist += desc @ factors[b0 - n0:b1 - n0].reshape(w, s * rank)
-    return h * np.einsum("ks,ksr->kr", q, hist.reshape(nodes, s, rank))
+    cols = factors.reshape(n1 - n0, -1).view(float)
+    hist = np.zeros((cols.shape[1], nodes), dtype=complex)
+    for b0 in range(0, n1 - n0, width):
+        blk = cols[b0:b0 + width]
+        desc = powers[width - len(blk):]  # desc[j] = r^(w-1-j) for this block's w
+        hist *= desc[0] * r
+        hist += (blk.T @ desc.view(float)).view(complex)
+    if np.iscomplexobj(factors):
+        hist = hist[0::2] + 1j * hist[1::2]
+    return h * np.einsum("ks,srk->kr", q, hist.reshape(table.s, table.rank, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +479,15 @@ class StagePlan:
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
     folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
     from contour.level_contours at h = 1 and z cleared of the stage
-    spectrum; for the first block, its circle rule (circle): the radius,
-    split and d^alpha of _circle_split. Levels are computed when a
+    spectrum; the descending powers r^(w-1-j) of its march blocks
+    (powers: one read-only (w, nodes) array, w = min(1024, the level's
+    full window (kappa+1)(Lambda-1)Lambda^(l-1))); and for the first
+    block its circle rule (circle): the radius, split and d^alpha of
+    _circle_split. Levels, their powers included, are computed when a
     solve first needs them, the split when a first block first asks;
-    built counts the pieces, the split as one.
+    built counts the pieces, the split as one. The powers take at most
+    1024 nodes 16 bytes per level: 1.1 MB for the N = 2e4 example-2
+    solve (K = 20, 5 levels), 5.3 MB for the default Schroedinger run.
     """
 
     def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
@@ -479,6 +499,7 @@ class StagePlan:
         self.q = np.empty((0, n_nodes, tab.s), dtype=complex)
         self.scale = np.empty((0, n_nodes), dtype=complex)
         self.z_alpha = np.empty((0, n_nodes), dtype=complex)
+        self.powers = []
         self.circle = None
         self.built = 0
 
@@ -503,6 +524,9 @@ class StagePlan:
         if self.fold:  # node k > 0 stands for itself and its conjugate
             scale[:, 1:] *= 2.0
         z_alpha = smallmat.power_alpha(z.ravel(), self.alpha).reshape(z.shape)
+        for i, level_r in enumerate(r):  # the full window of level have+i+1
+            width = (self.kappa + 1) * (self.Lambda - 1) * self.Lambda**(have + i)
+            self.powers.append(_descending_powers(level_r, min(_MARCH_BLOCK, width)))
         self.r, self.q = np.concatenate([self.r, r]), np.concatenate([self.q, q])
         self.scale = np.concatenate([self.scale, scale])
         self.z_alpha = np.concatenate([self.z_alpha, z_alpha])
@@ -521,11 +545,9 @@ def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
     """The problem's stage plan for the solve's parameters: the kept one,
     or a new one that replaces it (_kept)."""
     fam, tab, alpha = problem.family, config.tableau, problem.alpha
-    # a tableau's arrays are read-only, so equal tableaux share a plan
-    key = (tab.A.tobytes(), tab.b.tobytes(), tab.c.tobytes(), config.resolved_K(fam, alpha),
-           config.Lambda, config.resolved_theta(fam, alpha), config.kappa, config.resolved_J(),
-           fold)
-    return _kept(problem, "plan", key, lambda: StagePlan(tab, problem.alpha, *key[3:]))
+    key = (tab, config.resolved_K(fam, alpha), config.Lambda, config.resolved_theta(fam, alpha),
+           config.kappa, config.resolved_J(), fold)
+    return _kept(problem, "plan", key, lambda: StagePlan(tab, problem.alpha, *key[1:]))
 
 
 def fast_solve(problem: Problem, config: CQConfig):
@@ -565,7 +587,8 @@ def fast_solve(problem: Problem, config: CQConfig):
     coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.m[li], plan.m[li + 1]
-        coeffs.append(_march_window(stage.r[li], stage.q[li], table, N - m_hi, N - m_lo, h))
+        coeffs.append(_march_window(stage.r[li], stage.q[li], stage.powers[li], table,
+                                    N - m_hi, N - m_lo, h))
         stats.rk_steps += n_nodes * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase
 

@@ -369,17 +369,21 @@ class SeparableStageTable:
 
     Every reader works in the rank space of the data: block returns time
     factors, and a caller that needs full samples forms block @ spatial.
-    is_real states that the samples are real: the time factors were given
-    with a real dtype and the spatial factors have no imaginary part. The
-    time factors are judged by dtype because a scan of their values costs
-    time on every table: 0.18 ms for example 2 at N = 2e4 on a 2-vCPU host,
-    about 1 % of a solve.
+    The time factors keep their kind: float64 when given with a real
+    dtype, complex128 otherwise, so real data take half the memory and the
+    marches multiply them in real arithmetic. is_real states that the
+    samples are real: the time factors are float64 and the spatial factors
+    have no imaginary part. Complex time factors are judged by dtype, not
+    by a scan of their imaginary parts, which would cost time on every
+    table: 0.15 ms for example 2 at N = 2e4 on a 2-vCPU host, 1-2 % of a
+    solve.
     """
 
     def __init__(self, time_factors, spatial):
-        self.time = np.ascontiguousarray(time_factors, dtype=complex)
+        kind = complex if np.iscomplexobj(time_factors) else float
+        self.time = np.ascontiguousarray(time_factors, dtype=kind)
         self.spatial = np.ascontiguousarray(spatial, dtype=complex)
-        self.is_real = not np.iscomplexobj(time_factors) and not np.any(self.spatial.imag)
+        self.is_real = kind is float and not np.any(self.spatial.imag)
         self.N, self.s, self.rank = self.time.shape
         self.dim = self.spatial.shape[1]
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, PoleError
 _DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tableau:
     """Butcher data of an s-stage implicit Runge-Kutta scheme.
 
@@ -30,6 +30,8 @@ class Tableau:
     (s, s), b or c not (s,), a non-finite entry, and, naming each failed
     assumption, for b not the last row of A (not stiffly accurate),
     |det A| <= 1e-12 or an eigenvalue of A off the open right half-plane.
+    Tableaux compare and hash by value: s, p, p_stage, name and the bytes
+    of A, b and c.
     """
 
     s: int
@@ -70,6 +72,18 @@ class Tableau:
                    for e in eigs if not e.real > 0]
         if failed:
             raise ConfigError(f"tableau {self.name!r} is not admissible: " + "; ".join(failed))
+
+    def _key(self):
+        return (self.s, self.p, self.p_stage, self.name,
+                self.A.tobytes(), self.b.tobytes(), self.c.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, Tableau):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def radau_iia(s: int) -> Tableau:

@@ -611,7 +611,8 @@ def test_march_window_matches_step_loop(rng):
     """The blocked power-matrix evaluation in rank space, expanded against
     the spatial factors, equals the explicit step loop on full samples.
     The spatial factors are random and not square, so coefficients left
-    unexpanded cannot pass."""
+    unexpanded cannot pass. Powers of 64 rows march the 120 steps in a
+    full block and a shorter one."""
     tab = radau_iia(3)
     h, n_steps = 0.02, 150
     spatial = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
@@ -626,12 +627,49 @@ def test_march_window_matches_step_loop(rng):
     from fraccq.tableau import stability
     for i, lam in enumerate(lams):
         rs[i], qs[i] = stability(h * lam, tab)
-    batched = fastcq._march_window(rs, qs, table, 30, 150, h, block=64)
+    batched = fastcq._march_window(rs, qs, fastcq._descending_powers(rs, 64), table, 30, 150, h)
     assert batched.shape == (7, 2)
     for i, lam in enumerate(lams):
         ref = rk_march_scalar(lam, table, 30, 150, tab, h)
         assert ref.shape == (5,)
         assert np.max(np.abs(batched[i] @ table.spatial - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def _complex_factors(ts):
+    """Two complex time factors with nonzero imaginary parts."""
+    return np.stack([np.exp(1j * ts) * ts, np.sin(ts) - 0.5j * np.cos(2 * ts)], axis=-1)
+
+
+def test_march_window_on_complex_time_factors(rng):
+    """Complex time factors march through the real product as (re, im)
+    column pairs: over a window of 1,270 steps (a full 1024-step block and
+    a shorter one) the terminal values equal the explicit step loop."""
+    tab = radau_iia(3)
+    h, n_steps = 0.01, 1300
+    spatial = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    table = SeparableInhomogeneity(spatial, _complex_factors).table(n_steps, h, tab.c)
+    assert table.time.dtype == complex and np.any(table.time.imag)
+    lams = rng.standard_normal(5) * 4 + 1j * rng.standard_normal(5) * 40 - 2.0
+    rs, qs = tableau.stability(h * lams, tab)
+    batched = fastcq._march_window(rs, qs, fastcq._descending_powers(rs, 1024), table,
+                                   30, n_steps, h)
+    for i, lam in enumerate(lams):
+        ref = rk_march_scalar(lam, table, 30, n_steps, tab, h)
+        bound = 1e-10 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(batched[i] @ table.spatial - ref)) <= bound
+
+
+def test_fast_matches_direct_on_complex_time_factors():
+    """Complex time factors on the real example-1 operator: at N = 2000 the
+    last level's window is 1,475 steps, more than one march block, and
+    fast_solve agrees with direct_cq."""
+    prob = Problem(family=dense_operator(None, A22), alpha=0.5,
+                   g=SeparableInhomogeneity(np.array([[1.0, 0.5], [-0.3j, 1.0]]), _complex_factors))
+    cfg = CQConfig(tableau=radau_iia(3), h=5.0 / 2000, N=2000)
+    u_fast, _ = fast_solve(prob, cfg)
+    u_dir = direct_cq(prob, cfg)
+    assert np.iscomplexobj(prob._kept["table"][1].time)
+    assert np.max(np.abs(u_fast - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
 
 
 # ---------------------------------------------------------------------------
@@ -1023,6 +1061,39 @@ def test_solve_bits_do_not_depend_on_earlier_solves(example1, example1_complex):
         for n_steps in LADDER:
             after, stats = fast_solve(prob, ladder_config(tab, n_steps))
         assert stats.levels_built == 1 and np.array_equal(alone, after)
+
+
+def test_kept_powers_are_read_only_and_match_a_fresh_cumprod(example1):
+    """Each level of the plan keeps its descending powers once, read-only,
+    min(1024, (kappa+1)(Lambda-1)Lambda^(l-1)) rows by its nodes; they and
+    their trailing rows equal, bit for bit, the powers a per-block cumprod
+    builds for a full block and a shorter one."""
+    cfg = CQConfig(tableau=radau_iia(3), h=0.002, N=3000, K=25)
+    fast_solve(example1, cfg)
+    stage = example1._kept["plan"][1]
+    assert [p.shape for p in stage.powers] == [(84, 26), (420, 26), (1024, 26), (1024, 26)]
+    for r, powers in zip(stage.r, stage.powers):
+        assert not powers.flags.writeable
+        for w in {len(powers), len(powers) // 3}:
+            desc = np.empty((len(r), w), dtype=complex)  # desc[:, j] = r^(w-1-j)
+            desc[:, -1] = 1.0
+            np.cumprod(np.broadcast_to(r[:, None], (len(r), w - 1)), axis=1,
+                       out=desc[:, -2::-1])
+            assert np.array_equal(powers[len(powers) - w:], desc.T)
+
+
+def test_a_solve_at_a_new_N_and_h_builds_no_powers(example2_small):
+    """A second solve at another N and h, within the plan's levels, reads
+    the kept powers: it builds nothing and gives the bits of a fresh
+    problem."""
+    cfg = CQConfig(tableau=radau_iia(3), h=0.01, N=3000, K=20, kappa=12, J=14)
+    fast_solve(example2_small, cfg)
+    kept = list(example2_small._kept["plan"][1].powers)
+    other = dataclasses.replace(cfg, N=2000, h=0.015)
+    u, stats = fast_solve(example2_small, other)
+    assert stats.levels_built == 0
+    assert all(a is b for a, b in zip(example2_small._kept["plan"][1].powers, kept, strict=True))
+    assert np.array_equal(u, fast_solve(dataclasses.replace(example2_small), other)[0])
 
 
 def test_pole_error_leaves_no_partial_plan(example1, monkeypatch):

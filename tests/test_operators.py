@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraccq import contour, smallmat
+from fraccq import contour, example2_problem, smallmat
 from fraccq.errors import ConfigError, DomainError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
+    SeparableInhomogeneity,
     dense_operator,
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
@@ -335,8 +336,6 @@ def test_families_and_tables_state_whether_they_are_real():
     """A family is real when A and M have no imaginary part; a stage table
     when its time factors have a real dtype and its spatial factors no
     imaginary part. Shifting real data by a real offset keeps it real."""
-    from fraccq.operators import SeparableInhomogeneity
-
     assert dense_operator(None, A22).is_real
     assert dense_operator(np.eye(2) + 0j, A22 + 0j).is_real
     assert not dense_operator(None, A22 + 1e-3j).is_real
@@ -363,6 +362,19 @@ def test_families_and_tables_state_whether_they_are_real():
         assert g.table(5, 0.1, c).is_real is real, k
 
 
+def test_stage_tables_keep_the_kind_of_their_time_factors():
+    """Real time factors stay float64 (half the memory of complex), complex
+    ones are complex128; the spatial factors are complex either way."""
+    c = np.array([1 / 3, 1.0])
+    spatial = np.array([[1.0, 2.0]])
+    for factors, kind in ((lambda ts: np.sin(ts)[:, None], np.float64),
+                          (lambda ts: np.sin(ts)[:, None].astype(np.float32), np.float64),
+                          (lambda ts: np.exp(1j * ts)[:, None], np.complex128)):
+        table = SeparableInhomogeneity(spatial, factors).table(5, 0.1, c)
+        assert table.time.dtype == kind and table.spatial.dtype == np.complex128
+    assert example2_problem(8).problem.g.table(5, 0.1, c).time.dtype == np.float64
+
+
 def test_stage_table_refuses_overflowing_time_factors():
     """Time factors that overflow at the stage times raise DomainError
     naming [0, N h]: example 1 at t >= 1e307 (omega t overflows) and the
@@ -379,8 +391,6 @@ def test_stage_tables_agree_across_kinds(rng):
     """Separable and constant data: the time factors of table.block,
     expanded against table.spatial, equal pointwise sample at the stage
     times (n + c_k) h."""
-    from fraccq.operators import SeparableInhomogeneity
-
     c = np.array([1 / 3, 1.0])
     h = 0.2
     spatial = rng.standard_normal((2, 5))

@@ -263,6 +263,27 @@ def test_tableau_keeps_read_only_copies():
     assert not (t.A.flags.writeable or t.b.flags.writeable or t.c.flags.writeable)
 
 
+def test_tableaux_compare_and_hash_by_value():
+    """Two builds of one tableau are equal, hash alike and find each
+    other's dict entry; a change of name, order or stage order, of c, or
+    of A with its last row b makes another tableau."""
+    t = radau_iia(2)
+    twin = radau_iia(2)
+    assert t == twin and not t != twin and hash(t) == hash(twin)
+    assert {t: "kept"}[twin] == "kept"
+    a, b, c = np.array(t.A), np.array(t.b), np.array(t.c)
+    c_moved = c.copy()
+    c_moved[0] = np.nextafter(c[0], 1.0)
+    others = [radau_iia(3), radau_iia(1),
+              Tableau(2, a, b, c, 3, 2, "other"), Tableau(2, a, b, c, 2, 2, t.name),
+              Tableau(2, a, b, c, 3, 1, t.name), Tableau(2, a, b, c_moved, 3, 2, t.name),
+              Tableau(2, 2 * a, 2 * b, c, 3, 2, t.name)]
+    for other in others:
+        assert t != other and not t == other
+    assert len({t, twin, *others}) == 1 + len(others)
+    assert t != "radau3" and t != None  # noqa: E711
+
+
 def test_stability_of_a_defective_tableau_matches_its_closed_form(sdirk2):
     """r(z) = (1 + (1-2g) z)/(1 - g z)^2; an eigen-split of the defective A
     (cond(V) near 1e16) would miss it by order one."""
