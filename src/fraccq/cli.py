@@ -280,9 +280,9 @@ def subdiffusion_report(spec, problem=None):
 
     def timed_run(n, warm_up):
         cfg = _cq_config(spec, tab, n, t_end / n)
-        # an untimed first solve pays the process's one-off work (the
-        # contour-parameter caches and the stage plan with its circle
-        # split), which would otherwise flag the first rung of every run
+        # an untimed first solve pays the problem's one-off work (the
+        # stage plan with its contour parameters and circle split), which
+        # would otherwise flag the first rung of every run
         built = fastcq.fast_solve(problem, cfg)[1].levels_built if warm_up else 0
         runs = [fastcq.fast_solve(problem, cfg) for _ in range(repeats)]
         u, stats = runs[-1]
@@ -380,10 +380,11 @@ def weights_rows(spec):
     w_direct = {}
     if inside and plan.L:  # a plan without levels reads no weight
         w_direct = dict(zip(inside, fastcq.weight_rows_direct(family, tab, alpha, h, inside)))
+    theta = fastcq.CQConfig.resolved_theta(family, alpha)
     rows = []
     for K in k_values:
-        _, lams, oms = contour.level_contours(
-            plan.L, K, spec["Lambda"], fastcq.CQConfig.resolved_theta(family, alpha), h, kappa)
+        params = contour.select_parameters(K, spec["Lambda"], theta)
+        lams, oms = contour.level_contours(plan.L, params, h, kappa)
         for n in n_list:
             if n >= plan.m[-1]:
                 rows.append((n, K, "", "", "beyond-plan"))

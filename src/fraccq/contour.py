@@ -83,8 +83,9 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     (0,1), with a(rho) = arccosh(Lambda / ((1-rho) sin(phi))), located by a
     dense scan followed by golden-section refinement.
 
-    Cached, since every solve with a level asks and the scan takes about
-    0.14 ms; callers share the frozen ContourParams, and the warning for an
+    Cached, since the stage plan of every fresh problem asks (benchmark
+    passes, tests, convergence's three tableaux) and the scan takes 0.18-
+    0.25 ms; callers share the frozen ContourParams, and the warning for an
     objective monotone over (0,1) comes from the first call per arguments.
     """
     if not 2 <= K <= (np.iinfo(np.intp).max - 1) // 2:
@@ -143,14 +144,13 @@ def error_model(K: int, Lambda: int, theta: float) -> float:
     return float(_model(params.rho_opt, K, Lambda, params.phi))
 
 
-@functools.lru_cache(maxsize=64)
 def sized_K(Lambda: int, theta: float) -> int:
     """Smallest K >= 25 at which error_model predicts <= 1e-7: 25 at the
     angle pi/2, 40 at pi/4 (example 1 at alpha = 1), 64 at pi/6 (the TBC
     family at alpha = 3/4). The model falls with K, so the search doubles K
     from 25 until the model holds and then bisects, about 2 log2 K scans;
     an angle that needs a K above 10,000 (near 0.006 rad) raises
-    ConfigError. Cached, since every K = None solve asks."""
+    ConfigError. A stage plan with K = None calls it once, when it is made."""
     lo, hi = _SIZED_K_MIN - 1, _SIZED_K_MIN  # after doubling: fails at lo (or lo < 25), holds at hi
     while error_model(hi, Lambda, theta) > _SIZED_K_TOL:
         if hi == _SIZED_K_MAX:
@@ -163,7 +163,7 @@ def sized_K(Lambda: int, theta: float) -> int:
     return hi
 
 
-def mu_level(ell: int, K: int, h: float, kappa: int, params: ContourParams) -> float:
+def mu_level(ell: int, h: float, kappa: int, params: ContourParams) -> float:
     """Scale mu_ell = 2 pi d K (1 - rho_opt) / (Lambda^ell (kappa+1) h a(rho_opt))."""
     if h <= 0.0:
         raise DomainError(f"step size must be positive, got {h}")
@@ -176,7 +176,7 @@ def mu_level(ell: int, K: int, h: float, kappa: int, params: ContourParams) -> f
     if not np.isfinite(growth):
         raise ParameterRangeError(f"Lambda^ell overflows for ell={ell}")
     mu = (
-        2.0 * np.pi * params.d * K * (1.0 - params.rho_opt)
+        2.0 * np.pi * params.d * params.K * (1.0 - params.rho_opt)
         / (growth * (kappa + 1) * h * params.a_rho)
     )
     if mu == 0.0 or not np.isfinite(mu):
@@ -199,11 +199,9 @@ def level_nodes(mu, params: ContourParams):
     return lambdas, omegas
 
 
-def level_contours(L: int, K: int, Lambda: int, theta: float, h: float, kappa: int):
+def level_contours(L: int, params: ContourParams, h: float, kappa: int):
     """The hyperbolas of levels 1..L, one parameter choice scaled by each
-    mu_level in one level_nodes call: (mus, lambdas, omegas), the (L,)
-    scales and read-only (L, 2K+1) rows, row l-1 that of mu_l bit for bit."""
-    params = select_parameters(K, Lambda, theta)
-    mus = np.array([mu_level(ell, K, h, kappa, params) for ell in range(1, L + 1)])
-    mus.setflags(write=False)
-    return (mus, *level_nodes(mus[:, None], params))
+    mu_level in one level_nodes call: read-only (L, 2K+1) (lambdas, omegas),
+    row l-1 that of mu_l bit for bit."""
+    mus = np.array([mu_level(ell, h, kappa, params) for ell in range(1, L + 1)])
+    return level_nodes(mus[:, None], params)

@@ -34,16 +34,16 @@ nodes of all levels.
 A solve takes only the problem and the config; the problem keeps what
 its solves derive from it alone, one entry each (_kept): the stage table
 of its data at the last N, h and stage nodes c, and the stage plan
-(StagePlan) of the last tableau, K, Lambda, theta, kappa, J and fold. A
-solve with other parameters replaces an entry, and dataclasses.replace
-starts the new problem without either. The hyperbola of level l has
-scale mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle nodes zeta_j
-depend only on J and kappa, so in the variable z = h lambda the plan's
-contour nodes, weights h omega, Runge-Kutta data r(z) and q(z), combine
-factors r^(m_(l-1)), powers z^alpha, descending march powers r^(w-1-j)
-and split of Delta(zeta_j) with its d^alpha are the same at every h and
-N: the plan computes each once, level by level as N grows, and a solve
-only scales them by powers of h.
+(StagePlan) of the last tableau, K as given, Lambda, theta, kappa, J and
+fold. A solve with other parameters replaces an entry, and
+dataclasses.replace starts the new problem without either. The hyperbola
+of level l has scale mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle
+nodes zeta_j depend only on J and kappa, so in the variable z = h lambda
+the plan's contour nodes, weights h omega, Runge-Kutta data r(z) and
+q(z), combine factors r^(m_(l-1)), powers z^alpha, descending march
+powers r^(w-1-j) and split of Delta(zeta_j) with its d^alpha are the
+same at every h and N: the plan computes each once, level by level as N
+grows, and a solve only scales them by powers of h.
 The plan is the only holder of a circle split: direct_cq and
 weight_matrices_direct make their own, on every call.
 When the operator and the data are both real, both routes solve only the
@@ -99,9 +99,10 @@ class CQConfig:
     of the problem's order (resolved_theta): K = 25 for the spectral family
     and for example 1 up to alpha = 3/4, 40 for example 1 at alpha = 1 and
     64 for the transparent-boundary family at alpha = 3/4 (at K = 25 its
-    fast solve differs from direct_cq by about 3e-4 relative). An angle
-    that needs a K above 10,000 raises ConfigError (contour.sized_K). An
-    explicit K runs as given; RunStats.K reports the K used.
+    fast solve differs from direct_cq by about 3e-4 relative), sized once
+    per stage plan (StagePlan); an angle that needs a K above 10,000 raises
+    ConfigError (contour.sized_K). An explicit K runs as given; RunStats.K
+    reports the K used.
     J = None (the default) takes default_J(kappa) = 2 kappa circle nodes for
     the first block; an explicit J >= kappa+1 runs as given, and RunStats.J
     reports the J used. direct_cq uses no contour and its own J, and reads
@@ -155,12 +156,6 @@ class CQConfig:
         alpha = (family.alpha or 1.0) if alpha is None else alpha
         return contour.theta1(alpha, family.theta0) * (1.0 - 1e-9)
 
-    def resolved_K(self, family: OperatorFamily, alpha: float) -> int:
-        """K as given, or sized by the contour angle at order alpha."""
-        if self.K is not None:
-            return self.K
-        return contour.sized_K(self.Lambda, self.resolved_theta(family, alpha))
-
     def resolved_J(self) -> int:
         """J as given, or default_J(kappa) when J is None."""
         return default_J(self.kappa) if self.J is None else self.J
@@ -190,11 +185,11 @@ def plan_levels(N: int, kappa: int, Lambda: int) -> LevelPlan:
 
 @dataclass
 class RunStats:
-    """Operation counters, the contour size K and circle size J used and
-    per-phase wall-clock times of one solve: wall_times holds "prepare"
-    (which includes "table", the stage-table build, near zero when the
-    problem keeps the table), "rk_marches", "combine", "resolvent_solves",
-    "first_block" and "total". levels_built counts the stage-plan pieces
+    """Operation counters, the contour size K (the stage plan's) and circle
+    size J used and per-phase wall-clock times of one solve: wall_times
+    holds "prepare" (which includes "table", the stage-table build, near
+    zero when the problem keeps the table), "rk_marches", "combine",
+    "resolvent_solves", "first_block" and "total". levels_built counts the stage-plan pieces
     this solve computed (StagePlan.built): one per new contour level, one
     for the circle split; 0 when the problem's plan already held them."""
 
@@ -474,6 +469,8 @@ class StagePlan:
     """Stage-space data of a problem's solves at one tableau, K, Lambda,
     theta, kappa, J and fold, in z = h lambda (module docstring).
 
+    K = None is sized once, when the plan is made (contour.sized_K), and
+    the first level selects the contour parameters (params) of all levels.
     For each contour level l = 1..L it keeps, over the solved nodes
     (k = 0..K when folded, all 2K+1 otherwise): r(z) and q(z) of the
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
@@ -492,9 +489,10 @@ class StagePlan:
 
     def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
         self.tab, self.alpha = tab, alpha
-        self.K, self.Lambda, self.theta, self.kappa, self.J, self.fold = (
-            K, Lambda, theta, kappa, J, fold)
-        n_nodes = K + 1 if fold else 2 * K + 1
+        self.K = contour.sized_K(Lambda, theta) if K is None else K
+        self.Lambda, self.theta, self.kappa, self.J, self.fold = Lambda, theta, kappa, J, fold
+        self.params = None
+        n_nodes = self.K + 1 if fold else 2 * self.K + 1
         self.r = np.empty((0, n_nodes), dtype=complex)
         self.q = np.empty((0, n_nodes, tab.s), dtype=complex)
         self.scale = np.empty((0, n_nodes), dtype=complex)
@@ -511,8 +509,9 @@ class StagePlan:
         have, L = len(self.r), plan.L
         if L <= have:
             return
-        _, lambdas, omegas = contour.level_contours(L, self.K, self.Lambda, self.theta, 1.0,
-                                                    self.kappa)
+        if self.params is None:
+            self.params = contour.select_parameters(self.K, self.Lambda, self.theta)
+        lambdas, omegas = contour.level_contours(L, self.params, 1.0, self.kappa)
         z = lambdas[have:]  # (new, 2K+1): h lambda at every h
         _check_spectrum_clearance(z, self.tab, first_level=have + 1)
         used = slice(self.K, None) if self.fold else slice(None)  # folding needs k = 0..K
@@ -544,10 +543,10 @@ class StagePlan:
 def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
     """The problem's stage plan for the solve's parameters: the kept one,
     or a new one that replaces it (_kept)."""
-    fam, tab, alpha = problem.family, config.tableau, problem.alpha
-    key = (tab, config.resolved_K(fam, alpha), config.Lambda, config.resolved_theta(fam, alpha),
+    tab, alpha = config.tableau, problem.alpha
+    key = (tab, config.K, config.Lambda, config.resolved_theta(problem.family, alpha),
            config.kappa, config.resolved_J(), fold)
-    return _kept(problem, "plan", key, lambda: StagePlan(tab, problem.alpha, *key[1:]))
+    return _kept(problem, "plan", key, lambda: StagePlan(tab, alpha, *key[1:]))
 
 
 def fast_solve(problem: Problem, config: CQConfig):
@@ -570,14 +569,14 @@ def fast_solve(problem: Problem, config: CQConfig):
     N, h = config.N, config.h
 
     t_start = time.perf_counter()
-    stats = RunStats(K=config.resolved_K(fam, problem.alpha), J=config.resolved_J())
+    stats = RunStats(J=config.resolved_J())
     plan = plan_levels(N, config.kappa, config.Lambda)
     t_phase = time.perf_counter()
     table = _stage_table(problem, config)
     stats.wall_times["table"] = time.perf_counter() - t_phase
     fold = _folds(problem, table)
     stage = _stage_plan(problem, config, fold)
-    built = stage.built
+    stats.K, built = stage.K, stage.built
     stage.add_levels(plan)
     n_nodes = stage.r.shape[1]
     stats.wall_times["prepare"] = time.perf_counter() - t_start

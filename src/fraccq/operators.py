@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError, SolverError, SupportError
 _SUPPORT_ABS = 1e-20
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 _EPS = float(np.finfo(float).eps)
+_TABLE_CHUNK = 1 << 16  # least stage times per evaluation of a table's time factors
 
 
 class OperatorFamily(ABC):
@@ -412,13 +413,31 @@ class SeparableInhomogeneity:
         return fac[0] @ self.spatial
 
     def table(self, N, h, c) -> SeparableStageTable:
-        """Stage samples at times (n + c_k) h, n = 0..N-1. Time factors
-        that overflow or are undefined there raise DomainError."""
+        """Stage samples at times (n + c_k) h, n = 0..N-1. The time factors
+        are evaluated in chunks of whole steps, at least 2^16 stage times
+        each, so that their temporaries stay a chunk's size (example 2 at
+        N = 1e6 peaked at five times its 48 MB table in one call); a table
+        of one chunk is that call's array, and a longer one turns complex
+        when a chunk does. Time factors that overflow or are undefined there
+        raise DomainError."""
         c = np.asarray(c, dtype=float)
+        steps = -(-_TABLE_CHUNK // len(c))
+
+        def factors(n0):
+            times = ((np.arange(n0, min(n0 + steps, N))[:, None] + c[None, :]) * h).ravel()
+            return np.asarray(self._time_factors(times))
+
         try:
             with np.errstate(over="raise", invalid="raise"):
-                times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
-                fac = np.asarray(self._time_factors(times))
+                fac = factors(0)
+                if N > steps:
+                    whole = np.empty((N * len(c), *fac.shape[1:]), dtype=fac.dtype)
+                    whole[:len(fac)] = fac
+                    fac = whole
+                    for n0 in range(steps, N, steps):
+                        part = factors(n0)
+                        fac = fac.astype(np.result_type(fac, part), copy=False)
+                        fac[n0 * len(c):n0 * len(c) + len(part)] = part
         except FloatingPointError as exc:
             raise DomainError(f"the data's time factors overflow on [0, {N * h:g}]: {exc}") from exc
         return SeparableStageTable(fac.reshape(N, len(c), self.rank), self.spatial)

@@ -12,11 +12,12 @@ from fraccq import contour  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts without cached contour parameters, so no call
-    count depends on which test ran before it. The caches memoise pure
-    functions; a circle split is kept only by a problem's stage plan."""
+    """Each test starts without cached contour parameters. The memo of
+    select_parameters warns once per set of arguments in a process, so
+    test_upper_edge_contour_fallback_still_solves needs it fresh, and no
+    call count depends on which test ran before. Everything else a solve
+    derives is kept by its problem."""
     contour.select_parameters.cache_clear()
-    contour.sized_K.cache_clear()
 
 
 # The problem fixtures are built per test: a Problem keeps the stage plan

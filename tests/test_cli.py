@@ -189,9 +189,9 @@ def test_weights_alpha_one_runs_on_the_narrower_sector(monkeypatch, tmp_path):
     thetas = []
     original = contour.level_contours
 
-    def recording(L, K, Lambda, theta, h, kappa):
-        thetas.append(theta)
-        return original(L, K, Lambda, theta, h, kappa)
+    def recording(L, params, h, kappa):
+        thetas.append(2.0 * params.phi)  # phi = theta/2
+        return original(L, params, h, kappa)
 
     monkeypatch.setattr(contour, "level_contours", recording)
     out = tmp_path / "w.csv"

@@ -84,15 +84,15 @@ def test_select_parameters_validation():
 
 def test_mu_level_ratio_and_h_scaling():
     p = select_parameters(20, 5, HALF_PI)
-    mus = [mu_level(ell, 20, 1e-3, 12, p) for ell in (1, 2, 3, 4)]
+    mus = [mu_level(ell, 1e-3, 12, p) for ell in (1, 2, 3, 4)]
     for a, b in zip(mus, mus[1:]):
         assert b / a == pytest.approx(1 / 5, rel=1e-12)
-    assert mu_level(1, 20, 2e-3, 12, p) == pytest.approx(mus[0] / 2, rel=1e-12)
+    assert mu_level(1, 2e-3, 12, p) == pytest.approx(mus[0] / 2, rel=1e-12)
 
 
 def test_mu_level_independent_recompute():
     p = select_parameters(20, 5, HALF_PI)
-    got = mu_level(1, 20, 1e-3, 12, p)
+    got = mu_level(1, 1e-3, 12, p)
     # same closed formula, different association order
     expect = (2 * np.pi * p.d) * (20 / 5.0) * ((1 - p.rho_opt) / ((12 + 1) * 1e-3)) / p.a_rho
     assert got == pytest.approx(expect, rel=1e-12)
@@ -101,16 +101,16 @@ def test_mu_level_independent_recompute():
 def test_mu_level_errors():
     p = select_parameters(20, 5, HALF_PI)
     with pytest.raises(DomainError):
-        mu_level(1, 20, -1.0, 12, p)
+        mu_level(1, -1.0, 12, p)
     with pytest.raises(ParameterRangeError):
-        mu_level(100000, 20, 1e-3, 12, p)
+        mu_level(100000, 1e-3, 12, p)
 
 
 def test_mu_level_refuses_level_zero():
     p = select_parameters(20, 5, HALF_PI)
     for ell in (0, -1):
         with pytest.raises(DomainError, match="level index"):
-            mu_level(ell, 20, 1e-3, 12, p)
+            mu_level(ell, 1e-3, 12, p)
 
 
 def test_underflowing_contour_objective_is_refused():
@@ -171,7 +171,7 @@ def test_trapezoid_inverts_laplace_of_one():
     # interval; the exact inverse transform of 1/lambda is the constant 1
     h, kappa = 0.01, 20
     p = select_parameters(25, 5, HALF_PI)
-    lambdas, omegas = level_nodes(mu_level(1, 25, h, kappa, p), p)
+    lambdas, omegas = level_nodes(mu_level(1, h, kappa, p), p)
     for t in np.linspace((kappa + 1) * h, 5 * (kappa + 1) * h, 7):
         val = np.sum(omegas * np.exp(lambdas * t) / lambdas)
         assert abs(val - 1.0) <= 1e-6
@@ -184,18 +184,16 @@ def test_trapezoid_inverts_laplace_of_one():
 def test_level_contours_equal_level_nodes(K, theta, h, kappa):
     """All levels scale one unit hyperbola, computed once per parameter
     choice, and each equals level_nodes of its mu bit for bit."""
-    mus, lambdas, omegas = level_contours(6, K, 5, theta, h, kappa)
     p = select_parameters(K, 5, theta)
+    lambdas, omegas = level_contours(6, p, h, kappa)
     assert p.hyperbola is p.hyperbola and not any(a.flags.writeable for a in p.hyperbola)
-    assert mus.shape == (6,) and lambdas.shape == omegas.shape == (6, 2 * K + 1)
+    assert lambdas.shape == omegas.shape == (6, 2 * K + 1)
     for ell in range(1, 7):
-        mu = mu_level(ell, K, h, kappa, p)
-        ref_lambdas, ref_omegas = level_nodes(mu, p)
-        assert mus[ell - 1] == mu
+        ref_lambdas, ref_omegas = level_nodes(mu_level(ell, h, kappa, p), p)
         assert (np.array_equal(lambdas[ell - 1], ref_lambdas)
                 and np.array_equal(omegas[ell - 1], ref_omegas))
         assert not (ref_lambdas.flags.writeable or ref_omegas.flags.writeable)
-    assert not any(a.flags.writeable for a in (mus, lambdas, omegas))
+    assert not any(a.flags.writeable for a in (lambdas, omegas))
 
 
 def test_scalar_weight_sum_matches_direct_oracle():
@@ -206,7 +204,7 @@ def test_scalar_weight_sum_matches_direct_oracle():
     fam = operators.dense_operator(None, np.array([[-1.0]]))
     h, kappa, K = 0.01, 20, 25
     plan = fastcq.plan_levels(525, kappa, 5)
-    _, lambdas, omegas = level_contours(plan.L, K, 5, HALF_PI, h, kappa)
+    lambdas, omegas = level_contours(plan.L, select_parameters(K, 5, HALF_PI), h, kappa)
     ns = [21, 50, 104, 105, 200, 524]
     for alpha in (0.5, 0.75):
         blocks = fastcq.weight_rows_direct(fam, tab, alpha, h, ns)
@@ -220,10 +218,9 @@ def test_scalar_weight_sum_matches_direct_oracle():
 
 
 
-def test_sized_K_is_cached_with_a_bound(monkeypatch):
-    """A second sized_K call with the same arguments runs no error_model
-    search, and the cache keeps a finite number of answers. The first
-    doubles K from 25 to 100 and bisects to 64: 9 error_model calls."""
+def test_sized_K_scans_nine_times_at_pi_over_6(monkeypatch):
+    """sized_K doubles K from 25 to 100 and bisects to 64: 9 error_model
+    calls."""
     calls = []
     original = contour.error_model
 
@@ -232,13 +229,9 @@ def test_sized_K_is_cached_with_a_bound(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(contour, "error_model", counting_error_model)
-    contour.sized_K.cache_clear()
     theta = np.pi / 6 * (1 - 1e-9)
     assert contour.sized_K(5, theta) == 64
     assert len(calls) == 9
-    assert contour.sized_K(5, theta) == 64
-    assert len(calls) == 9
-    assert contour.sized_K.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("theta, k_sized", [

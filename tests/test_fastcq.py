@@ -278,7 +278,8 @@ def test_stacked_stage_space_equals_the_per_level_calls(s):
     tab = radau_iia(s)
     h, K = 10.0 / 3000, 25
     plan = plan_levels(3000, 20, 5)
-    _, lams, oms = contour.level_contours(plan.L, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)
+    params = contour.select_parameters(K, 5, np.pi / 2 * (1 - 1e-9))
+    lams, oms = contour.level_contours(plan.L, params, h, 20)
     for used in (slice(K, None), slice(None)):
         r, q = tableau.stability(h * lams[:, used].ravel(), tab)
         r, q = r.reshape(plan.L, -1), q.reshape(plan.L, -1, s)
@@ -295,7 +296,8 @@ def test_clearance_hit_names_the_level_and_node(example1, monkeypatch):
     fast_solve runs it when it adds levels to a problem's stage plan, so
     on a fresh problem over all the solve's levels."""
     tab, h, K = radau_iia(3), 0.01, 25
-    z = h * contour.level_contours(3, K, 5, np.pi / 2 * (1 - 1e-9), h, 20)[1]
+    params = contour.select_parameters(K, 5, np.pi / 2 * (1 - 1e-9))
+    z = h * contour.level_contours(3, params, h, 20)[0]
     fastcq._check_spectrum_clearance(z, tab)
     pole = 1.0 / tab.eigenvalues[1]
     for hits, named in ((((0, -25),), (1, -25)), (((1, 3),), (2, 3)), (((2, 25),), (3, 25)),
@@ -1129,6 +1131,37 @@ def test_sized_K_follows_the_order_on_example_1(example1):
         assert stats.K == k_sized
         u_dir = direct_cq(prob, cfg)
         assert np.max(np.abs(u - u_dir)) <= 1e-6 * max(1.0, np.max(np.abs(u_dir)))
+
+
+def test_a_problem_sizes_its_contour_once(tbc_problem_small, monkeypatch):
+    """The stage plan of a K = None problem sizes K (contour.sized_K) when
+    it is made and selects its contour parameters when it adds its first
+    level: solves at N = 200, 1000 and 5000 and a repeat make one call of
+    each, all at the sized K = 64, and a fresh problem sizes again."""
+    calls, sizing = {"sized_K": 0, "select_parameters": 0}, []
+    sized_K, select_parameters = contour.sized_K, contour.select_parameters
+
+    def counting_sized_K(*args):
+        calls["sized_K"] += 1
+        sizing.append(args)  # its own error_model scans are not the plan's
+        try:
+            return sized_K(*args)
+        finally:
+            sizing.pop()
+
+    def counting_select_parameters(*args):
+        calls["select_parameters"] += not sizing
+        return select_parameters(*args)
+
+    monkeypatch.setattr(contour, "sized_K", counting_sized_K)
+    monkeypatch.setattr(contour, "select_parameters", counting_select_parameters)
+    for N in (200, 1000, 5000, 5000):
+        _, stats = fast_solve(tbc_problem_small, CQConfig(tableau=radau_iia(3), h=0.5 / N, N=N))
+        assert stats.K == 64
+    assert calls == {"sized_K": 1, "select_parameters": 1}
+    _, stats = fast_solve(dataclasses.replace(tbc_problem_small),
+                          CQConfig(tableau=radau_iia(3), h=0.5 / 200, N=200))
+    assert stats.K == 64 and calls == {"sized_K": 2, "select_parameters": 2}
 
 
 def test_a_spectrum_near_the_imaginary_axis_is_refused_in_milliseconds():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraccq import contour, example2_problem, smallmat
+from fraccq import contour, example2_problem, radau_iia, smallmat
 from fraccq.errors import ConfigError, DomainError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
     ConstantInhomogeneity,
@@ -173,7 +175,7 @@ def test_tbc_root_moduli_on_contour_frequencies():
     fam = schrodinger_tbc_1d(2.0, 101, alpha)
     theta = contour.theta1(alpha, fam.theta0) * (1 - 1e-9)
     params = contour.select_parameters(25, 5, theta)
-    lambdas, _ = contour.level_nodes(contour.mu_level(1, 25, 0.001, 20, params), params)
+    lambdas, _ = contour.level_nodes(contour.mu_level(1, 0.001, 20, params), params)
     count = 0
     for lam in lambdas:
         nu = smallmat.power_alpha(lam, alpha)
@@ -373,6 +375,35 @@ def test_stage_tables_keep_the_kind_of_their_time_factors():
         table = SeparableInhomogeneity(spatial, factors).table(5, 0.1, c)
         assert table.time.dtype == kind and table.spatial.dtype == np.complex128
     assert example2_problem(8).problem.g.table(5, 0.1, c).time.dtype == np.float64
+
+
+def test_a_stage_table_is_built_in_bounded_chunks():
+    """Example 2 at N = 2e5 (radau5: 6e5 stage times, a 9.6 MB table) is
+    evaluated in chunks of at least 2^16 stage times: the table equals one
+    call of its time factors bit for bit, and its build peaks at no more
+    than twice the table's bytes (five times in one call)."""
+    g = example2_problem(8).problem.g
+    N, c = 200_000, radau_iia(3).c
+    h = 123.45 / N
+    tracemalloc.start()
+    try:
+        table = g.table(N, h, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
+    assert np.array_equal(table.time, g._time_factors(times).reshape(N, 3, 2))
+    assert peak <= 2 * table.time.nbytes, f"peak {peak / table.time.nbytes:.2f}x the table"
+
+
+def test_a_chunked_table_turns_complex_with_its_factors():
+    """Time factors that are real in the first chunk and complex in a later
+    one (np.emath.sqrt past t = 1) give the complex table of one call."""
+    g = SeparableInhomogeneity(np.eye(1), lambda ts: np.emath.sqrt(1.0 - ts)[:, None])
+    N, h = 2**17, 1e-5
+    table = g.table(N, h, np.array([1.0]))
+    assert table.time.dtype == np.complex128 and not table.is_real
+    assert np.array_equal(table.time[:, 0, 0], np.emath.sqrt(1.0 - (np.arange(N) + 1.0) * h))
 
 
 def test_stage_table_refuses_overflowing_time_factors():
