@@ -281,8 +281,8 @@ def subdiffusion_report(spec, problem=None):
     def timed_run(n, warm_up):
         cfg = _cq_config(spec, tab, n, t_end / n)
         # an untimed first solve pays the problem's one-off work (the
-        # stage plan with its contour parameters and circle split), which
-        # would otherwise flag the first rung of every run
+        # circle split and the stage plan with its contour parameters),
+        # which would otherwise flag the first rung of every run
         built = fastcq.fast_solve(problem, cfg)[1].levels_built if warm_up else 0
         runs = [fastcq.fast_solve(problem, cfg) for _ in range(repeats)]
         u, stats = runs[-1]

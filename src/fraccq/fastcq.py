@@ -32,20 +32,20 @@ weighted family.solve: one for the circle nodes, one for the contour
 nodes of all levels.
 
 A solve takes only the problem and the config; the problem keeps what
-its solves derive from it alone, one entry each (_kept): the stage table
-of its data at the last N, h and stage nodes c, and the stage plan
-(StagePlan) of the last tableau, K as given, Lambda, theta, kappa, J and
-fold. A solve with other parameters replaces an entry, and
-dataclasses.replace starts the new problem without either. The hyperbola
-of level l has scale mu_l ~ 1/(Lambda^l (kappa+1) h), and the circle
-nodes zeta_j depend only on J and kappa, so in the variable z = h lambda
-the plan's contour nodes, weights h omega, Runge-Kutta data r(z) and
-q(z), combine factors r^(m_(l-1)), powers z^alpha, descending march
-powers r^(w-1-j) and split of Delta(zeta_j) with its d^alpha are the
-same at every h and N: the plan computes each once, level by level as N
-grows, and a solve only scales them by powers of h.
-The plan is the only holder of a circle split: direct_cq and
-weight_matrices_direct make their own, on every call.
+its solves derive from it alone, one entry per slot (_kept), each keyed
+by what it reads: the stage table of its data at N, h and the stage
+nodes c; the first block's circle rule at the tableau, J, kappa and
+fold; the stage plan (StagePlan) of the contour levels at the tableau,
+K as given, Lambda, kappa and fold. A solve with other parameters
+replaces the entries whose key moves; dataclasses.replace starts the
+new problem without any. The circle nodes zeta_j depend only on J and
+kappa, and the hyperbola of level l has scale mu_l ~ 1/(Lambda^l
+(kappa+1) h), so in z = h lambda the split of Delta(zeta_j) with its
+d^alpha and the plan's contour nodes, weights h omega, r(z) and q(z),
+combine factors r^(m_(l-1)), powers z^alpha and march powers r^(w-1-j)
+are the same at every h and N: each is computed once, the levels as N
+grows, and a solve only scales them by powers of h. direct_cq and
+weight_matrices_direct split their own circle on every call.
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -189,9 +189,10 @@ class RunStats:
     size J used and per-phase wall-clock times of one solve: wall_times
     holds "prepare" (which includes "table", the stage-table build, near
     zero when the problem keeps the table), "rk_marches", "combine",
-    "resolvent_solves", "first_block" and "total". levels_built counts the stage-plan pieces
-    this solve computed (StagePlan.built): one per new contour level, one
-    for the circle split; 0 when the problem's plan already held them."""
+    "resolvent_solves", "first_block" and "total". levels_built counts the
+    pieces this solve computed: one per new level of the stage plan
+    (StagePlan.built), one for a new circle split of the first block; 0
+    when the problem already held them."""
 
     K: int = 0
     J: int = 0
@@ -299,19 +300,22 @@ def _stage_table(problem: Problem, config: CQConfig):
 
 def first_block(problem: Problem, config: CQConfig):
     """Contribution of the first m_0 = min(N, kappa+1) weights via the
-    circle rule of the problem's stage plan (StagePlan.circle_split): J
-    nodes, its radius balanced for the term budget kappa+1 rather than
-    m_0, so that the circle nodes are the same at every h and N, L = 0
-    solves (m_0 = N <= kappa+1) included. The plan makes the split at
-    h = 1 for the first solve that asks; _circle_sum scales it to the
-    solve's h. Returns the length-dim vector, real when the operator and
-    the data are, and the system count: s*(J//2+1) when _circle_sum folds
-    the conjugate nodes, s*J otherwise.
+    circle rule (_circle_split) at J nodes, its radius balanced for the
+    term budget kappa+1 rather than m_0, so that the circle nodes are the
+    same at every h and N, L = 0 solves (m_0 = N <= kappa+1) included.
+    The problem keeps the rule, split at h = 1, per tableau, J, kappa and
+    fold (_kept); _circle_sum scales it to the solve's h. It reads the
+    stage table and no stage plan, so it sizes no contour and needs no
+    sector. Returns the length-dim vector, real when the operator and the
+    data are, and the system count: s*(J//2+1) when _circle_sum folds the
+    conjugate nodes, s*J otherwise.
     """
     table = _stage_table(problem, config)
-    plan = _stage_plan(problem, config, _folds(problem, table))
-    return _circle_sum(problem, table, min(config.N, config.kappa + 1), plan.J,
-                       plan.circle_split(), config.h)
+    tab, J, terms = config.tableau, config.resolved_J(), config.kappa + 1
+    fold = _folds(problem, table)
+    rule = _kept(problem, "circle", (tab, J, config.kappa, fold),
+                 lambda: _circle_split(tab, problem.alpha, J, terms, fold))
+    return _circle_sum(problem, table, min(config.N, terms), J, rule, config.h)
 
 
 def direct_cq(problem: Problem, config: CQConfig):
@@ -466,8 +470,9 @@ def _check_spectrum_clearance(z, tab, first_level=1):
 
 
 class StagePlan:
-    """Stage-space data of a problem's solves at one tableau, K, Lambda,
-    theta, kappa, J and fold, in z = h lambda (module docstring).
+    """Contour-level data of a problem's solves at one tableau, K, Lambda,
+    kappa and fold, at its order alpha and contour angle theta, in
+    z = h lambda (module docstring).
 
     K = None is sized once, when the plan is made (contour.sized_K), and
     the first level selects the contour parameters (params) of all levels.
@@ -478,19 +483,17 @@ class StagePlan:
     from contour.level_contours at h = 1 and z cleared of the stage
     spectrum; the descending powers r^(w-1-j) of its march blocks
     (powers: one read-only (w, nodes) array, w = min(1024, the level's
-    full window (kappa+1)(Lambda-1)Lambda^(l-1))); and for the first
-    block its circle rule (circle): the radius, split and d^alpha of
-    _circle_split. Levels, their powers included, are computed when a
-    solve first needs them, the split when a first block first asks;
-    built counts the pieces, the split as one. The powers take at most
-    1024 nodes 16 bytes per level: 1.1 MB for the N = 2e4 example-2
-    solve (K = 20, 5 levels), 5.3 MB for the default Schroedinger run.
+    full window (kappa+1)(Lambda-1)Lambda^(l-1))). Levels, their powers
+    included, are computed when a solve first needs them; built counts
+    them. The powers take at most 1024 nodes 16 bytes per level: 1.1 MB
+    for the N = 2e4 example-2 solve (K = 20, 5 levels), 5.3 MB for the
+    default Schroedinger run.
     """
 
-    def __init__(self, tab, alpha, K, Lambda, theta, kappa, J, fold):
+    def __init__(self, tab, K, Lambda, kappa, fold, alpha, theta):
         self.tab, self.alpha = tab, alpha
         self.K = contour.sized_K(Lambda, theta) if K is None else K
-        self.Lambda, self.theta, self.kappa, self.J, self.fold = Lambda, theta, kappa, J, fold
+        self.Lambda, self.theta, self.kappa, self.fold = Lambda, theta, kappa, fold
         self.params = None
         n_nodes = self.K + 1 if fold else 2 * self.K + 1
         self.r = np.empty((0, n_nodes), dtype=complex)
@@ -498,7 +501,6 @@ class StagePlan:
         self.scale = np.empty((0, n_nodes), dtype=complex)
         self.z_alpha = np.empty((0, n_nodes), dtype=complex)
         self.powers = []
-        self.circle = None
         self.built = 0
 
     def add_levels(self, plan: LevelPlan):
@@ -531,22 +533,15 @@ class StagePlan:
         self.z_alpha = np.concatenate([self.z_alpha, z_alpha])
         self.built += L - have
 
-    def circle_split(self):
-        """The first block's circle rule (rho, split of Delta(zeta_j),
-        d^alpha): J nodes, radius balanced for kappa+1 terms (_circle_split)."""
-        if self.circle is None:
-            self.circle = _circle_split(self.tab, self.alpha, self.J, self.kappa + 1, self.fold)
-            self.built += 1
-        return self.circle
-
 
 def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
-    """The problem's stage plan for the solve's parameters: the kept one,
-    or a new one that replaces it (_kept)."""
-    tab, alpha = config.tableau, problem.alpha
-    key = (tab, config.K, config.Lambda, config.resolved_theta(problem.family, alpha),
-           config.kappa, config.resolved_J(), fold)
-    return _kept(problem, "plan", key, lambda: StagePlan(tab, alpha, *key[1:]))
+    """The problem's stage plan for the solve's tableau, K as given,
+    Lambda, kappa and fold: the kept one, or a new one that replaces it
+    (_kept). A problem's family and order do not change, so the contour
+    angle (CQConfig.resolved_theta) is read only when a plan is made."""
+    key, alpha = (config.tableau, config.K, config.Lambda, config.kappa, fold), problem.alpha
+    return _kept(problem, "plan", key, lambda: StagePlan(
+        *key, alpha, config.resolved_theta(problem.family, alpha)))
 
 
 def fast_solve(problem: Problem, config: CQConfig):
@@ -559,7 +554,8 @@ def fast_solve(problem: Problem, config: CQConfig):
     resolvent solve sums the nodes of all levels; (4) circle-rule block
     for the first m_0 weights. "prepare" reads the stage table and the
     stage plan the problem keeps (module docstring) and extends the plan
-    to the solve's levels; RunStats.levels_built counts what it computed.
+    to the solve's levels; RunStats.levels_built counts what the solve
+    computed, a circle split of the first block included.
     Every solve, the first included, scales the plan in the same way:
     nu = z^alpha h^-alpha, omega r^m = (h omega r^m)/h and
     nu_circle = d^alpha h^-alpha, so its bits do not depend on which
@@ -576,7 +572,7 @@ def fast_solve(problem: Problem, config: CQConfig):
     stats.wall_times["table"] = time.perf_counter() - t_phase
     fold = _folds(problem, table)
     stage = _stage_plan(problem, config, fold)
-    stats.K, built = stage.K, stage.built
+    stats.K, built, circle = stage.K, stage.built, problem._kept.get("circle")
     stage.add_levels(plan)
     n_nodes = stage.r.shape[1]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
@@ -611,7 +607,8 @@ def fast_solve(problem: Problem, config: CQConfig):
     t_phase = time.perf_counter()
     u_first, stats.first_block_solves = first_block(problem, config)
     stats.wall_times["first_block"] = time.perf_counter() - t_phase
-    stats.levels_built = stage.built - built
+    # a circle split that first_block built is a new kept entry
+    stats.levels_built = stage.built - built + (problem._kept["circle"] is not circle)
     stats.wall_times["total"] = time.perf_counter() - t_start
     return u_first + u_levels, stats
 

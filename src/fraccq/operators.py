@@ -469,9 +469,9 @@ class Problem:
     family, fractional order, mass-form data and, if known, exact solution.
     transform_initial brings nonzero initial data into this form.
 
-    A problem also keeps the stage table and the stage plan of its last
-    solve parameters (fastcq._kept). They take no part in comparison or
-    repr, and dataclasses.replace starts the new problem without them.
+    A problem also keeps the stage table, circle rule and stage plan of
+    its last solve parameters (fastcq._kept). They take no part in
+    comparison or repr; dataclasses.replace starts without them.
     """
 
     family: OperatorFamily

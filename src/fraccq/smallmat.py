@@ -3,8 +3,8 @@
 The s x s matrices Delta(zeta) of the Runge-Kutta schemes, one per circle
 node, are split as one stack by LAPACK (numpy.linalg.eig and inv) into
 U diag(d) U^-1, with every split checked for eigenvalue gaps and
-reconstruction residual. The module keeps no state: a problem's stage
-plan (fastcq.StagePlan) is what holds a split for later solves.
+reconstruction residual. The module keeps no state: a problem keeps the
+first block's split for later solves (fastcq.first_block).
 Also here: principal-branch fractional powers.
 """
 

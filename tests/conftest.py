@@ -20,9 +20,9 @@ def fresh_caches():
     contour.select_parameters.cache_clear()
 
 
-# The problem fixtures are built per test: a Problem keeps the stage plan
-# of its solves, and a shared one would carry it from test to test. All
-# three are closed-form and cheap.
+# The problem fixtures are built per test: a Problem keeps the circle rule
+# and stage plan of its solves, and a shared one would carry them from
+# test to test. All three are closed-form and cheap.
 
 
 @pytest.fixture

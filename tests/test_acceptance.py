@@ -222,8 +222,7 @@ def test_criterion_4_scaling_shape():
     block about 0.5 ms at every N (its J = 14 circle rule splits 8 nodes,
     the upper half circle of this real problem; the split is of
     Delta(zeta_j), not of Delta(zeta_j)/h, so after the warm-up call every
-    timed first block reuses the split that its problem's stage plan
-    keeps). Each leg times phases of a millisecond or less, so the rungs
+    timed first block reuses the split that its problem keeps). Each leg times phases of a millisecond or less, so the rungs
     are interleaved, each solved 7 times, and each phase's minimum is
     taken: a disturbed host lengthens single phases but rarely all seven.
     """

@@ -976,8 +976,7 @@ def test_solve_ladder_splits_its_circle_nodes_once(example1, eig_calls):
     """fast_solve on one problem at N = 20, 40, 80, 160 with one J splits
     the circle stack once, the L = 0 solve at N = 20 included, since the
     radius is sized by kappa+1, not by m_0; at J = 160, 161, 160 three
-    times, since the problem's stage plan, the only holder of a split,
-    keeps one entry."""
+    times, since the problem keeps one circle rule."""
     tab = radau_iia(3)
     for n_steps in (20, 40, 80, 160):
         fast_solve(example1, CQConfig(tableau=tab, h=1.0 / n_steps, N=n_steps, K=25))
@@ -1033,8 +1032,9 @@ def test_replaced_problem_builds_a_new_plan(example1, stage_calls, eig_calls):
     """dataclasses.replace starts the new problem without a plan, and the
     plan takes no part in comparison or repr; an equal tableau built
     afresh finds the kept plan, and a solve with other parameters
-    replaces it. The new problem splits its circle nodes itself: no split
-    is kept outside a plan."""
+    replaces it. The new problem splits its circle nodes itself: each
+    problem keeps its own split. The return to K = 25 after K = 30 builds
+    the plan's 3 levels but keeps the circle split, whose key has no K."""
     tab = radau_iia(3)
     cfg = ladder_config(tab, 640)
     assert fast_solve(example1, cfg)[1].levels_built == 4
@@ -1050,7 +1050,24 @@ def test_replaced_problem_builds_a_new_plan(example1, stage_calls, eig_calls):
     assert fast_solve(example1, dataclasses.replace(cfg, tableau=radau_iia(3)))[1].levels_built == 0
     assert fast_solve(example1, dataclasses.replace(cfg, tableau=radau_iia(2)))[1].levels_built == 4
     assert fast_solve(example1, dataclasses.replace(cfg, K=30))[1].levels_built == 4
+    assert fast_solve(example1, cfg)[1].levels_built == 3
+
+
+def test_each_kept_value_rebuilds_only_for_its_own_key(example1):
+    """The circle rule is kept per tableau, J, kappa and fold, the stage plan
+    per tableau, K, Lambda, kappa and fold: once the problem holds both, a
+    solve at another J builds only the circle split and keeps the plan,
+    and one at another K builds only the plan's 3 levels and keeps the
+    split."""
+    cfg = ladder_config(radau_iia(3), 640)
     assert fast_solve(example1, cfg)[1].levels_built == 4
+    plan = example1._kept["plan"][1]
+    cfg = dataclasses.replace(cfg, J=30)
+    assert fast_solve(example1, cfg)[1].levels_built == 1
+    assert example1._kept["plan"][1] is plan
+    circle = example1._kept["circle"][1]
+    assert fast_solve(example1, dataclasses.replace(cfg, K=30))[1].levels_built == 3
+    assert example1._kept["circle"][1] is circle
 
 
 def test_solve_bits_do_not_depend_on_earlier_solves(example1, example1_complex):
@@ -1162,6 +1179,40 @@ def test_a_problem_sizes_its_contour_once(tbc_problem_small, monkeypatch):
     _, stats = fast_solve(dataclasses.replace(tbc_problem_small),
                           CQConfig(tableau=radau_iia(3), h=0.5 / 200, N=200))
     assert stats.K == 64 and calls == {"sized_K": 2, "select_parameters": 2}
+
+
+def test_first_block_sizes_no_contour(tbc_problem_small, monkeypatch):
+    """The first block reads the stage table and its circle rule, no stage
+    plan: on a fresh K = None problem it calls neither contour.sized_K nor
+    contour.select_parameters."""
+    calls = {"sized_K": 0, "select_parameters": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(contour, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(contour, name, counting)
+    first_block(tbc_problem_small, CQConfig(tableau=radau_iia(3), h=0.5 / 200, N=200))
+    assert calls == {"sized_K": 0, "select_parameters": 0}
+
+
+def test_first_block_needs_no_sector(example1):
+    """A = [[0.5, 1], [-1, 0.2]] has the eigenvalues 0.35 +- 0.99i, right of
+    the imaginary axis, so no contour angle exists and fast_solve raises
+    DomainError. The first block needs none: with example 1's data it
+    equals, bit for bit, the circle sum of a fresh split at the same J
+    and kappa+1 terms."""
+    prob = Problem(family=dense_operator(None, np.array([[0.5, 1.0], [-1.0, 0.2]])),
+                   alpha=example1.alpha, g=example1.g)
+    cfg = CQConfig(tableau=radau_iia(3), h=0.5, N=20)
+    u, solves = first_block(prob, cfg)
+    table = prob.g.table(cfg.N, cfg.h, cfg.tableau.c)
+    J, fold = cfg.resolved_J(), fastcq._folds(prob, table)
+    rule = fastcq._circle_split(cfg.tableau, prob.alpha, J, cfg.kappa + 1, fold)
+    want, want_solves = fastcq._circle_sum(prob, table, cfg.N, J, rule, cfg.h)
+    assert np.array_equal(u, want) and solves == want_solves
+    with pytest.raises(DomainError, match="right of the imaginary axis"):
+        fast_solve(prob, cfg)
 
 
 def test_a_spectrum_near_the_imaginary_axis_is_refused_in_milliseconds():
