@@ -474,7 +474,10 @@ def selftest_checks():
         fam = operators.schrodinger_tbc_1d(2.0, 61, 0.75)
         nu = 3.0 + 2.0j
         z1, z2 = fam.roots(nu)
-        ok = abs(z1 * z2 - 1) < 1e-12 and abs(z1) < 1 < abs(z2)
+        phi, diag = fam.closed_rows(nu)  # the closed system, as a matrix for the residual
+        y = np.linspace(0.0, 1.0, 61) + 0j
+        resid = (np.diag(diag) + phi * (np.eye(61, k=1) + np.eye(61, k=-1))) @ fam.solve(nu, y) - y
+        ok = abs(z1 * z2 - 1) < 1e-12 and abs(z1) < 1 < abs(z2) and np.max(np.abs(resid)) <= 1e-12
         return ok, f"|z1|={abs(z1):.3f} |z2|={abs(z2):.3f}"
 
     checks = [

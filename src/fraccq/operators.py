@@ -4,9 +4,11 @@ A family answers solve(nu, y) for the system (nu*M - A) x = y at complex
 frequencies nu = lambda^alpha, one frequency or a batch of them, and
 solve(nu, y, weights=W) for a weighted sum of a batch of solves, and states
 whether A and M are real (is_real) and the sector of its spectrum (theta0).
-Three backends: dense matrices, a 3D periodic compact-finite-difference
-Laplacian solved spectrally, and a 1D free-space Schroedinger operator
-closed with transparent boundary rows.
+Each family answers one hook, _solve_batch; a scalar nu is the batch of one.
+Three backends: dense matrices (one stacked LAPACK solve), a 3D periodic
+compact-finite-difference Laplacian solved spectrally, and a 1D free-space
+Schroedinger operator closed with transparent boundary rows, solved by its
+Green's function. None of them needs scipy.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ _SUPPORT_ABS = 1e-20
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 _EPS = float(np.finfo(float).eps)
 _TABLE_CHUNK = 1 << 16  # least stage times per evaluation of a table's time factors
+_TBC_CHUNK = 1024  # most nodes per batch of a TBC weighted sum, which bounds its (B, dim) arrays
 
 
 class OperatorFamily(ABC):
@@ -45,11 +48,11 @@ class OperatorFamily(ABC):
     def solve(self, nu, y, weights=None):
         """Solve (nu*M - A) x = y; x has the shape of y.
 
-        A scalar nu takes y of shape (dim,) or (dim, m). An array nu of
-        shape (B,) solves B systems: y is (B, dim) or (B, dim, m), and
-        x[k] solves the system at nu[k], bit for bit as solve(nu[k], y[k])
-        would. A singular system or a solution with a non-finite entry
-        raises SolverError.
+        A scalar nu takes y of shape (dim,) or (dim, m) and is solved as a
+        batch of one. An array nu of shape (B,) solves B systems: y is
+        (B, dim) or (B, dim, m), and x[k] solves the system at nu[k], bit
+        for bit as solve(nu[k], y[k]) would. A singular system or a solution
+        with a non-finite entry raises SolverError.
 
         With weights W of shape (B, m), y is one (dim, m) block shared by
         every node and the result is the weighted sum
@@ -60,8 +63,10 @@ class OperatorFamily(ABC):
             if weights is not None:
                 x = self._weighted_sum(nu, np.asarray(y, dtype=complex),
                                        np.asarray(weights, dtype=complex))
+            elif nu.ndim == 0:  # the batch of one
+                x = self._solve_batch(nu[None], np.asarray(y)[None])[0]
             else:
-                x = self._solve_one(complex(nu), y) if nu.ndim == 0 else self._solve_batch(nu, y)
+                x = self._solve_batch(nu, y)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
         if not np.all(np.isfinite(x)):
@@ -69,15 +74,8 @@ class OperatorFamily(ABC):
         return x
 
     @abstractmethod
-    def _solve_one(self, nu, y):
-        """Solve (nu*M - A) x = y at one frequency; y is (dim,) or (dim, m)."""
-
     def _solve_batch(self, nu, y):
-        """The systems at nu of shape (B,), one after another."""
-        x = np.empty(np.shape(y), dtype=complex)
-        for k, n in enumerate(nu.tolist()):
-            x[k] = self._solve_one(n, y[k])
-        return x
+        """The systems at nu of shape (B,); y is (B, dim) or (B, dim, m)."""
 
     def _weighted_sum(self, nu, y, weights):
         """sum_k (nu_k M - A)^-1 y W[k]: the pre-weighted right-hand sides
@@ -134,13 +132,10 @@ class DenseOperator(OperatorFamily):
         return max(float(np.min(np.abs(np.angle(eigs)), initial=np.pi)) - np.pi / 2, 0.0)
 
     def _solve_batch(self, nu, y):
-        nu = np.asarray(nu, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        vector = y.ndim == nu.ndim + 1
-        x = np.linalg.solve(nu[..., None, None] * self.M - self.A, y[..., None] if vector else y)
+        vector = y.ndim == 2
+        x = np.linalg.solve(nu[:, None, None] * self.M - self.A, y[..., None] if vector else y)
         return x[..., 0] if vector else x
-
-    _solve_one = _solve_batch  # a scalar nu is the one-frequency case
 
     def apply_op(self, y):
         return self.A @ np.asarray(y, dtype=complex)
@@ -230,8 +225,8 @@ class PeriodicCompactFD3D(OperatorFamily):
         total = (hat * np.take(mult, self._pair_index, axis=1)).sum(axis=0)
         return fft.ifftn(total.reshape(self.n, self.n, self.n)).ravel()
 
-    def _solve_one(self, nu, y):
-        return self._times_pairs(y, self._reciprocals(np.array([nu]))[0])
+    def _solve_batch(self, nu, y):
+        return np.stack([self._times_pairs(yk, r) for yk, r in zip(y, self._reciprocals(nu))])
 
     def apply_op(self, y):
         return self._times_pairs(y, self._pair_op)
@@ -251,9 +246,10 @@ class SchrodingerTBC1D(OperatorFamily):
     (phi, psi, phi) with phi = nu/12 - i/eta^2 and psi = 5 nu/6 + 2 i/eta^2
     (_interior). The exterior decaying solution u_out = z1 * u_boundary
     (|z1| < 1, root of phi z^2 + psi z + phi = 0) folds into the two corner
-    rows; solve() is one LAPACK tridiagonal solve of those closed rows per
-    frequency. apply_mass and apply_op are the interior stencils with zero
-    ghost values, which the closed rows match on data that vanish at both ends.
+    rows. The closed system's solution is the free-space Green's function
+    x_i = sum_j z1^|i-j| y_j / (psi + 2 phi z1) (_solve_batch). apply_mass and
+    apply_op are the interior stencils with zero ghost values, which the
+    closed rows match on data that vanish at both ends.
     """
 
     is_real = False
@@ -274,35 +270,33 @@ class SchrodingerTBC1D(OperatorFamily):
         if not 1e-150 < self.eta < 1e150:  # so that eta^2 and 1/eta^2 are finite floats
             raise ConfigError(f"grid spacing eta={self.eta:g} outside [1e-150, 1e150]")
         self.x = np.linspace(-self.a_half, self.a_half, self.n)
-        # scipy is imported here, at set-up, and only by this backend
-        from scipy.linalg import solve_banded
-
-        self._solve_banded = solve_banded
 
     def _interior(self, nu):
         """(phi, psi): the off-diagonal and the diagonal of the interior rows at nu."""
         return nu / 12.0 - 1j / self.eta**2, 5.0 * nu / 6.0 + 2j / self.eta**2
 
     def roots(self, nu):
-        """Both roots of phi z^2 + psi z + phi = 0, decaying one first.
+        """Both roots of phi z^2 + psi z + phi = 0, decaying one first, elementwise in nu.
 
         The larger-magnitude numerator of the quadratic formula gives one
         root accurately; the other follows from the unit product of roots.
-        An overflowing discriminant psi^2 - 4 phi^2 raises SolverError.
+        A vanishing phi, an overflowing discriminant psi^2 - 4 phi^2 or roots
+        on the unit circle raise SolverError naming the first such nu.
         """
-        phi, psi = self._interior(complex(nu))  # Python complex overflows to inf silently
-        if phi == 0.0:
-            raise SolverError(f"phi vanishes at nu={nu}", frequency=nu)
-        disc = psi * psi - 4.0 * phi * phi
-        if not np.isfinite(disc):
-            raise SolverError(f"boundary-root discriminant overflows at nu={nu}", frequency=nu)
-        disc = np.sqrt(disc)
-        num = -psi + disc if abs(-psi + disc) >= abs(-psi - disc) else -psi - disc
-        z_a = num / (2.0 * phi)
-        z_b = 1.0 / z_a
-        if abs(abs(z_a) - 1.0) < 1e-10 and abs(abs(z_b) - 1.0) < 1e-10:
-            raise SolverError(f"degenerate boundary roots |z| = 1 at nu={nu}", frequency=nu)
-        return (z_a, z_b) if abs(z_a) < 1.0 else (z_b, z_a)
+        nu = np.asarray(nu, dtype=complex)
+        with np.errstate(all="ignore"):
+            phi, psi = self._interior(nu)
+            disc = psi * psi - 4.0 * phi * phi
+            plus, minus = -psi + np.sqrt(disc), -psi - np.sqrt(disc)
+            z_a = np.where(abs(plus) >= abs(minus), plus, minus) / (2.0 * phi)
+            z_b = 1.0 / z_a
+            unit = (abs(abs(z_a) - 1.0) < 1e-10) & (abs(abs(z_b) - 1.0) < 1e-10)  # both |z| = 1
+        for bad, what in ((phi == 0.0, "phi vanishes"), (~np.isfinite(disc), "boundary-root "
+                          "discriminant overflows"), (unit, "degenerate boundary roots |z| = 1")):
+            if np.any(bad):
+                raise SolverError(f"{what} at nu={nu[bad][0]}", frequency=nu[bad][0])
+        inside = abs(z_a) < 1.0
+        return np.where(inside, z_a, z_b)[()], np.where(inside, z_b, z_a)[()]
 
     def closed_rows(self, nu):
         """(sub/super, diag) of the boundary-closed tridiagonal at nu."""
@@ -313,10 +307,30 @@ class SchrodingerTBC1D(OperatorFamily):
         diag[-1] += phi * z1
         return phi, diag
 
-    def _solve_one(self, nu, y):
-        phi, diag = self.closed_rows(nu)
-        bands = np.array([np.full(self.n, phi), diag, np.full(self.n, phi)])
-        return self._solve_banded((1, 1), bands, np.asarray(y, dtype=complex), check_finite=False)
+    def _solve_batch(self, nu, y):
+        """Two recurrences over the rows, with c = -z1/phi = (1 - z1^2)/(psi + 2 phi z1):
+        w_i = c y_i + z1 w_(i-1) forward, x_(n-1) = w_(n-1)/(1 - z1^2), x_i = w_i + z1 x_(i+1)
+        backward. Each step acts on one C-contiguous row of all columns, as in a batch of one."""
+        z1, _ = self.roots(nu)
+        y = np.moveaxis(np.asarray(y), 1, 0)  # (dim, B) or (dim, B, m)
+        x = np.empty(y.shape, dtype=complex)
+        rows = x.reshape(self.n, -1)  # a view: row i of every column
+        z = np.repeat(z1, int(np.prod(y.shape[2:])))
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite solution
+            np.multiply(y, (-z1 / self._interior(nu)[0]).reshape(-1, *[1] * (y.ndim - 2)), out=x)
+            for i in range(1, self.n):
+                rows[i] += z * rows[i - 1]
+            rows[-1] = 1.0 / (1.0 - z * z) * rows[-1]  # not *=, which rounds one column apart
+            for i in range(self.n - 2, -1, -1):
+                rows[i] += z * rows[i + 1]
+        return np.moveaxis(x, 0, 1)
+
+    def _weighted_sum(self, nu, y, weights):
+        """The base class's sum over even chunks of at most _TBC_CHUNK nodes."""
+        total = np.zeros(self.n, dtype=complex)
+        for part in np.array_split(np.arange(len(nu)), max(1, -(-len(nu) // _TBC_CHUNK))):
+            total += super()._weighted_sum(nu[part], y, weights[part])
+        return total
 
     def apply_op(self, y):
         u = np.asarray(y, dtype=complex)

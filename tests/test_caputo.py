@@ -251,28 +251,30 @@ def test_half_derivatives_match_scipy_fresnel():
 
 
 def test_example_paths_import_no_scipy():
-    """Importing fraccq, building examples 1 and 2 with their stage tables
-    and one fast solve of each load no scipy module; the oracle and the
-    TBC backend, which import scipy themselves, work afterwards."""
+    """Importing fraccq, building examples 1, 2 and 3 with their stage
+    tables and one fast solve of each load no scipy module, and the TBC
+    family solves its closed rows; the oracle, which imports scipy itself
+    when it is called, works afterwards."""
     script = textwrap.dedent("""
         import json, sys
         import numpy as np
         import fraccq
 
         tab = fraccq.radau_iia(3)
-        for problem in (fraccq.example1_problem().problem, fraccq.example2_problem(8).problem):
+        for problem in (fraccq.example1_problem().problem, fraccq.example2_problem(8).problem,
+                        fraccq.example3_problem(41, 2.0)[0]):
             cfg = fraccq.CQConfig(tableau=tab, h=0.02, N=50)
             u, _ = fraccq.fast_solve(problem, cfg)
             assert np.all(np.isfinite(u))
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        pools = sorted(m for m in sys.modules if m.startswith("concurrent"))
-
-        oracle = fraccq.caputo_oracle(lambda t: 2.0 * t, 0.5, 1.0)
         family = fraccq.schrodinger_tbc_1d(2.0, 41, 0.75)
         nu, y = 3.0 + 1.0j, np.linspace(0.0, 1.0, 41) + 0j
         phi, diag = family.closed_rows(nu)
         matrix = np.diag(diag) + phi * (np.eye(41, k=1) + np.eye(41, k=-1))
         resid = np.max(np.abs(matrix @ family.solve(nu, y) - y))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        pools = sorted(m for m in sys.modules if m.startswith("concurrent"))
+
+        oracle = fraccq.caputo_oracle(lambda t: 2.0 * t, 0.5, 1.0)
         print(json.dumps({"scipy": loaded, "concurrent": pools, "oracle": oracle,
                           "tbc_resid": resid}))
     """)

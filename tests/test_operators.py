@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraccq import contour, example2_problem, radau_iia, smallmat
+from fraccq import CQConfig, contour, direct_cq, example2_problem, example3_problem, fast_solve
+from fraccq import radau_iia, smallmat
 from fraccq.errors import ConfigError, DomainError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
     SeparableInhomogeneity,
+    _TBC_CHUNK,
     dense_operator,
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
@@ -147,12 +149,15 @@ def test_spectral_weighted_solve_keeps_the_bits_of_real_symbols(rng):
 
 
 def test_tbc_vieta_and_characteristic_residual(rng):
+    """Roots of 30 frequencies taken as one array equal, bit for bit, the
+    roots of each frequency taken alone."""
     fam = schrodinger_tbc_1d(2.0, 101, 0.75)
-    for _ in range(30):
-        nu = rng.standard_normal() + 1j * rng.standard_normal()
-        if nu == 0:
-            continue
+    nus = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    z1s, z2s = fam.roots(nus)
+    assert z1s.shape == z2s.shape == (30,)
+    for nu, z1_k, z2_k in zip(nus, z1s, z2s):
         z1, z2 = fam.roots(nu)
+        assert z1 == z1_k and z2 == z2_k
         assert abs(z1 * z2 - 1.0) <= 1e-12
         phi = nu / 12 - 1j / fam.eta**2
         psi = 5 * nu / 6 + 2j / fam.eta**2
@@ -185,16 +190,44 @@ def test_tbc_root_moduli_on_contour_frequencies():
     assert count == 51
 
 
-def test_tbc_small_system_matches_dense_assembly(rng):
-    n = 6
-    fam = schrodinger_tbc_1d(2.0, n, 0.5)
-    nu = 1.7 - 0.4j
+def _closed_rows_solve(fam, nu, y):
+    """LAPACK's dense solve of the assembled closed rows at nu."""
     phi, diag = fam.closed_rows(nu)
-    dense = np.diag(diag) + np.diag(np.full(n - 1, phi), 1) + np.diag(np.full(n - 1, phi), -1)
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = fam.solve(nu, y)
-    x_dense = np.linalg.solve(dense, y)
-    assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
+    n = fam.n
+    return np.linalg.solve(np.diag(diag) + phi * (np.eye(n, k=1) + np.eye(n, k=-1)), y)
+
+
+def test_tbc_small_system_matches_dense_assembly(rng, monkeypatch):
+    """The solve equals the dense solve of the closed rows: at one node on
+    n = 6, and on n = 801 at plan nodes of a default schrodinger solve
+    (radau5, N = 4000): every fourth of its 120 circle nodes and every 32nd
+    of its 516 level nodes, with the problem's own data, each node within
+    1e-12 relative (at most 5e-13 on a 2-vCPU host, 4e-13 for a banded
+    LAPACK solve). The last level's smallest nodes have |z1| near 0.998:
+    on random data there any two of these solvers differ by up to 5e-12."""
+    fam = schrodinger_tbc_1d(2.0, 6, 0.5)
+    nu = 1.7 - 0.4j
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x_dense = _closed_rows_solve(fam, nu, y)
+    assert np.max(np.abs(fam.solve(nu, y) - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
+
+    problem = example3_problem(801, 2.0)[0]
+    fam, batches = problem.family, []
+    solve = fam.solve
+
+    def recording(nu, y, weights=None):
+        batches.append(np.asarray(nu))
+        return solve(nu, y, weights)
+
+    monkeypatch.setattr(fam, "solve", recording)
+    fast_solve(problem, CQConfig(tableau=radau_iia(3), h=0.00025, N=4000))
+    levels, circle = batches
+    assert (len(levels), len(circle)) == (516, 120)
+    nus = np.concatenate((circle[::4], levels[::32]))
+    y = problem.g.spatial[0]
+    for nu, x in zip(nus, solve(nus, np.broadcast_to(y, (len(nus), 801)))):
+        x_dense = _closed_rows_solve(fam, nu, y)
+        assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
 
 def test_tbc_closure_residual_with_ghost_cells(rng):
@@ -396,6 +429,22 @@ def test_a_stage_table_is_built_in_bounded_chunks():
     assert peak <= 2 * table.time.nbytes, f"peak {peak / table.time.nbytes:.2f}x the table"
 
 
+def test_a_tbc_weighted_solve_is_summed_in_bounded_chunks():
+    """direct_cq on TBC-801 at N = 200 (radau5, J = 800: 2,400 nodes in one
+    weighted solve) peaks below 40 MB under tracemalloc: the family sums
+    chunks of at most _TBC_CHUNK nodes. One batch of all nodes peaked at
+    62 MB, its right-hand sides and its solutions; the chunks read 21 MB."""
+    problem = example3_problem(801, 2.0)[0]
+    tracemalloc.start()
+    try:
+        u = direct_cq(problem, CQConfig(tableau=radau_iia(3), h=0.5 / 200, N=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(u))
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_a_chunked_table_turns_complex_with_its_factors():
     """Time factors that are real in the first chunk and complex in a later
     one (np.emath.sqrt past t = 1) give the complex table of one call."""
@@ -497,6 +546,11 @@ def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
     ref = sum(fam.solve(nu, y @ wk) for nu, wk in zip(nus, w))
     assert got.shape == (fam.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if backend == "tbc":  # a batch longer than one chunk against its node solves
+        nus = np.resize(nus, _TBC_CHUNK + 5) * rng.uniform(1.0, 2.0, _TBC_CHUNK + 5)
+        w = rng.standard_normal((len(nus), m)) + 1j * rng.standard_normal((len(nus), m))
+        ref = fam.solve(nus, w @ y.T).sum(axis=0)  # node k's system bit for bit (batched test)
+        assert np.max(np.abs(fam.solve(nus, y, weights=w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-5", "tbc"])
@@ -559,6 +613,9 @@ def test_non_finite_solutions_raise_solver_error(backend, nu, rng):
         fam.solve(nu, np.ones(fam.dim))
     with np.errstate(all="ignore"), pytest.raises(SolverError):
         fam.solve(np.array([1.0 + 1.0j, nu]), np.ones((2, fam.dim)))
+    if backend == "tbc":  # an overflowing recurrence, with RuntimeWarning an error under pytest
+        with pytest.raises(SolverError):
+            fam.solve(1e-6 + 1e-6j, np.full(fam.dim, 1e307))
 
 
 # Hypothesis draws: finite, non-finite, non-integer, zero and negative
