@@ -276,12 +276,16 @@ class SchrodingerTBC1D(OperatorFamily):
         return nu / 12.0 - 1j / self.eta**2, 5.0 * nu / 6.0 + 2j / self.eta**2
 
     def roots(self, nu):
-        """Both roots of phi z^2 + psi z + phi = 0, decaying one first, elementwise in nu.
+        """Both roots of phi z^2 + psi z + phi = 0, decaying one first, elementwise in nu."""
+        return self._boundary(nu)[1:]
+
+    def _boundary(self, nu):
+        """(phi, z1, z2) at nu: the interior off-diagonal and roots(nu).
 
         The larger-magnitude numerator of the quadratic formula gives one
         root accurately; the other follows from the unit product of roots.
         A vanishing phi, an overflowing discriminant psi^2 - 4 phi^2 or roots
-        on the unit circle raise SolverError naming the first such nu.
+        on the unit circle raise SolverError at the first node with any.
         """
         nu = np.asarray(nu, dtype=complex)
         with np.errstate(all="ignore"):
@@ -291,12 +295,17 @@ class SchrodingerTBC1D(OperatorFamily):
             z_a = np.where(abs(plus) >= abs(minus), plus, minus) / (2.0 * phi)
             z_b = 1.0 / z_a
             unit = (abs(abs(z_a) - 1.0) < 1e-10) & (abs(abs(z_b) - 1.0) < 1e-10)  # both |z| = 1
-        for bad, what in ((phi == 0.0, "phi vanishes"), (~np.isfinite(disc), "boundary-root "
-                          "discriminant overflows"), (unit, "degenerate boundary roots |z| = 1")):
-            if np.any(bad):
-                raise SolverError(f"{what} at nu={nu[bad][0]}", frequency=nu[bad][0])
+        bad = np.flatnonzero((phi == 0.0) | ~np.isfinite(disc) | unit)
+        if bad.size:
+            k = bad[0]
+            at = nu.flat[k]
+            if phi.flat[k] == 0.0:
+                raise SolverError(f"phi vanishes at nu={at}", frequency=at)
+            if not np.isfinite(disc.flat[k]):
+                raise SolverError(f"boundary-root discriminant overflows at nu={at}", frequency=at)
+            raise SolverError(f"degenerate boundary roots |z| = 1 at nu={at}", frequency=at)
         inside = abs(z_a) < 1.0
-        return np.where(inside, z_a, z_b)[()], np.where(inside, z_b, z_a)[()]
+        return phi, np.where(inside, z_a, z_b)[()], np.where(inside, z_b, z_a)[()]
 
     def closed_rows(self, nu):
         """(sub/super, diag) of the boundary-closed tridiagonal at nu."""
@@ -311,18 +320,18 @@ class SchrodingerTBC1D(OperatorFamily):
         """Two recurrences over the rows, with c = -z1/phi = (1 - z1^2)/(psi + 2 phi z1):
         w_i = c y_i + z1 w_(i-1) forward, x_(n-1) = w_(n-1)/(1 - z1^2), x_i = w_i + z1 x_(i+1)
         backward. Each step acts on one C-contiguous row of all columns, as in a batch of one."""
-        z1, _ = self.roots(nu)
+        phi, z1, _ = self._boundary(nu)
         y = np.moveaxis(np.asarray(y), 1, 0)  # (dim, B) or (dim, B, m)
         x = np.empty(y.shape, dtype=complex)
-        rows = x.reshape(self.n, -1)  # a view: row i of every column
+        rows = list(x.reshape(self.n, -1))  # views: row i of every column, made once
         z = np.repeat(z1, int(np.prod(y.shape[2:])))
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite solution
-            np.multiply(y, (-z1 / self._interior(nu)[0]).reshape(-1, *[1] * (y.ndim - 2)), out=x)
-            for i in range(1, self.n):
-                rows[i] += z * rows[i - 1]
-            rows[-1] = 1.0 / (1.0 - z * z) * rows[-1]  # not *=, which rounds one column apart
-            for i in range(self.n - 2, -1, -1):
-                rows[i] += z * rows[i + 1]
+            np.multiply(y, (-z1 / phi).reshape(-1, *[1] * (y.ndim - 2)), out=x)
+            for prev, row in zip(rows, rows[1:]):
+                row += z * prev
+            rows[-1][...] = 1.0 / (1.0 - z * z) * rows[-1]  # not *=, which rounds one column apart
+            for nxt, row in zip(rows[::-1], rows[-2::-1]):
+                row += z * nxt
         return np.moveaxis(x, 0, 1)
 
     def _weighted_sum(self, nu, y, weights):

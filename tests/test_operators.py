@@ -169,9 +169,14 @@ def test_tbc_vieta_and_characteristic_residual(rng):
 def test_tbc_roots_refuse_an_overflowing_discriminant(nu):
     """psi^2 - 4 phi^2 beyond the float range (|nu| above about 1e155, or
     h below about 1e-220 at alpha = 3/4) raises SolverError naming nu; it
-    raised a RuntimeWarning from the overflow."""
+    raised a RuntimeWarning from the overflow. In a batch the first failing
+    node is named, here before a later node whose phi vanishes."""
+    fam = schrodinger_tbc_1d(2.0, 101, 0.75)
     with pytest.raises(SolverError, match="nu=") as err:
-        schrodinger_tbc_1d(2.0, 101, 0.75).roots(nu)
+        fam.roots(nu)
+    assert err.value.frequency == nu
+    with pytest.raises(SolverError, match="discriminant overflows") as err:
+        fam.roots(np.array([nu, 12j / fam.eta**2]))
     assert err.value.frequency == nu
 
 
