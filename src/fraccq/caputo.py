@@ -28,7 +28,7 @@ exactly against those of omega t:
 so large arguments need no further trig calls and lose nothing to
 rounding of the angle. The inhomogeneities are evaluated in one
 vectorized call per stage table; the oracle is the independent check of
-that data. Only the oracle needs scipy, and imports it when called.
+that data. Only the oracle imports scipy (the oracle extra), when called.
 
 Example 1's nine frequencies are harmonics of two base frequencies,
 omega = 4 (1, 2, 3) and sqrt5 (1..6). Its tables therefore take
@@ -73,7 +73,10 @@ def caputo_oracle(u_prime, alpha: float, t: float, tol: float = 1e-12):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not tol >= 1e-12:
         raise DomainError(f"tolerances below 1e-12 are not supported, got {tol}")
-    from scipy.integrate import quad_vec  # most of a second to import; only the oracle needs it
+    try:  # most of a second to import; only the oracle needs it
+        from scipy.integrate import quad_vec
+    except ImportError as exc:
+        raise ConfigError("the Caputo oracle needs scipy: install fraccq[oracle]") from exc
 
     p = 1.0 / (1.0 - alpha)
     s_max = t ** (1.0 - alpha)

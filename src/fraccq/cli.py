@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import caputo, contour, fastcq, operators, tableau as tableau_mod
+from . import caputo, fastcq, operators, tableau as tableau_mod
 from .errors import ConfigError, FracCQError
 
 SCHEMA_PREFIX = "fraccq"
@@ -239,8 +239,8 @@ def _emit_rows(spec, schema, header, rows):
 
 def _cq_config(spec, tab, N, h, **fixed):
     """The CQConfig of one solve: N steps of size h with the spec's K,
-    Lambda, kappa and J, each unless fixed here."""
-    params = {key: spec[key] for key in ("K", "Lambda", "kappa", "J")} | fixed
+    Lambda, kappa and J (None if it has none), each unless fixed here."""
+    params = {key: spec.get(key) for key in ("K", "Lambda", "kappa", "J")} | fixed
     return fastcq.CQConfig(tableau=tab, h=h, N=N, **params)
 
 
@@ -363,7 +363,10 @@ def schrodinger_rows(spec):
 def weights_rows(spec):
     """Rows (n, K, level, err_direct_vs_contour, note).
 
-    The plan is fixed by N = t_end / h (step_count); indices at or beyond N
+    The contour weights are the ones fast_solve sums: for each K, those of
+    the stage plan (fastcq.StagePlan) of an N = t_end / h step solve
+    (step_count) on a zero-data example-1 problem, all levels in one
+    batched solve, real parts as the plan folds. Indices at or beyond N
     fall outside every planned interval and are reported with a notice
     instead of data. Below-cutoff indices are evaluated on the first
     hyperbola anyway, to document why the direct block exists.
@@ -371,32 +374,33 @@ def weights_rows(spec):
     alpha, h, t_end = spec["alpha"], spec["h"], spec["t_end"]
     N = step_count(t_end, h, "t_end")
     tab = tableau_mod.by_name(spec["method"])
-    kappa = spec["kappa"]
     family = operators.dense_operator(None, caputo.EXAMPLE1_MATRIX)
+    dim = family.dim
+    problem = operators.Problem(family, alpha, operators.ConstantInhomogeneity(np.zeros(dim)))
     n_list = spec["steps"]
     k_values = (10, 15, 20, 25) if spec["K"] is None else (spec["K"],)
-    plan = fastcq.plan_levels(N, kappa, spec["Lambda"])
+    plan = fastcq.plan_levels(N, spec["kappa"], spec["Lambda"])
     inside = [n for n in n_list if n < plan.m[-1]]
     w_direct = {}
     if inside and plan.L:  # a plan without levels reads no weight
         w_direct = dict(zip(inside, fastcq.weight_rows_direct(family, tab, alpha, h, inside)))
-    theta = fastcq.CQConfig.resolved_theta(family, alpha)
     rows = []
     for K in k_values:
-        params = contour.select_parameters(K, spec["Lambda"], theta)
-        lams, oms = contour.level_contours(plan.L, params, h, kappa)
+        if w_direct:
+            stage = fastcq._stage_plan(problem, _cq_config(spec, tab, N, h, K=K), family.is_real)
+            stage.add_levels(plan)
+            nus = stage.z_alpha[:plan.L] * h ** -alpha
+            x = family.solve(nus.ravel(), np.broadcast_to(np.eye(dim), (nus.size, dim, dim)))
+            x = x.reshape(*nus.shape, dim, dim) / h
         for n in n_list:
-            if n >= plan.m[-1]:
-                rows.append((n, K, "", "", "beyond-plan"))
-                continue
-            if plan.L == 0:
-                rows.append((n, K, "", "", "direct-only"))
+            if n >= plan.m[-1] or plan.L == 0:
+                rows.append((n, K, "", "", "beyond-plan" if n >= plan.m[-1] else "direct-only"))
                 continue
             note = "below-cutoff" if n < plan.m[0] else ""
-            ell = max(1, int(np.searchsorted(plan.m, n, side="right")))  # m[ell-1] <= n < m[ell]
-            w_c = fastcq.weight_rows_contour(family, tab, alpha, h, n, lams[ell - 1], oms[ell - 1])
-            err = float(np.max(np.abs(w_c - w_direct[n])))
-            rows.append((n, K, ell, err, note))
+            li = max(0, int(np.searchsorted(plan.m, n, side="right")) - 1)  # m[li] <= n < m[li+1]
+            coef = stage.scale[li] * stage.r[li] ** (n - plan.m[li])  # a negative power below m[0]
+            w_c = np.einsum("k,ki,kab->aib", coef, stage.q[li], x[li]).reshape(dim, -1)
+            rows.append((n, K, li + 1, float(np.max(np.abs(w_c.real - w_direct[n]))), note))
     return rows
 
 

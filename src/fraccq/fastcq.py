@@ -45,7 +45,8 @@ d^alpha and the plan's contour nodes, weights h omega, r(z) and q(z),
 combine factors r^(m_(l-1)), powers z^alpha and march powers r^(w-1-j)
 are the same at every h and N: each is computed once, the levels as N
 grows, and a solve only scales them by powers of h. direct_cq and
-weight_matrices_direct split their own circle on every call.
+weight_matrices_direct split their own circle on every call; the weights
+experiment reads its contour weights from the stage plan (StagePlan).
 When the operator and the data are both real, both routes solve only the
 upper half of each node set (contour nodes k >= 0, circle nodes
 j = 0..J//2) and fold the conjugate halves in as doubled real parts.
@@ -367,18 +368,6 @@ def weight_rows_direct(family, tab, alpha, h, n_list):
     return w_full[:, (tab.s - 1) * family.dim:, :]
 
 
-def weight_rows_contour(family, tab, alpha, h, n, lambdas, omegas):
-    """Hyperbola-quadrature approximation of w_n as a (dim, s*dim) block on
-    one level's nodes lam_k and weights omega_k (level_contours' rows):
-    sum_k omega_k r(h lam_k)^n q(h lam_k) x (lam_k^alpha M - A)^-1."""
-    s, dim = tab.s, family.dim
-    r, q = tableau_mod.stability(h * lambdas, tab)
-    nus = smallmat.power_alpha(lambdas, alpha)
-    x = family.solve(nus, np.broadcast_to(np.eye(dim), (len(nus), dim, dim)))
-    coef = omegas * r ** int(n)
-    return np.einsum("k,ki,kab->aib", coef, q, x).reshape(dim, s * dim)
-
-
 # ---------------------------------------------------------------------------
 # scalar Runge-Kutta marches
 
@@ -481,7 +470,10 @@ class StagePlan:
     tableau (r, q), the combine factor h omega r^(m_(l-1)), doubled on
     folded nodes k > 0 (scale), and z^alpha (z_alpha), with z and h omega
     from contour.level_contours at h = 1 and z cleared of the stage
-    spectrum; the descending powers r^(w-1-j) of its march blocks
+    spectrum. The weight rows a solve sums are, for m_(l-1) <= n < m_l,
+    w_n = (1/h) sum_k scale_k r_k^(n-m_(l-1)) q_k x (nu_k M - A)^-1 at
+    nu_k = z_alpha_k h^-alpha, real parts when folded. It also keeps
+    the descending powers r^(w-1-j) of its march blocks
     (powers: one read-only (w, nodes) array, w = min(1024, the level's
     full window (kappa+1)(Lambda-1)Lambda^(l-1))). Levels, their powers
     included, are computed when a solve first needs them; built counts

@@ -44,6 +44,20 @@ def test_selftest_reports_a_failing_check(monkeypatch, capsys, fails):
     assert "selftest passed" not in out
 
 
+def test_selftest_without_scipy_fails_only_the_oracle_checks(monkeypatch, capsys):
+    """Without scipy (the oracle extra) the Caputo oracle raises ConfigError
+    naming the extra, and selftest fails exactly its two oracle checks."""
+    import sys
+    from fraccq import caputo
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ConfigError, match=r"fraccq\[oracle\]"):
+        caputo.caputo_oracle(lambda t: 2 * t, 0.5, 1.0)
+    assert run_cli(["selftest"]) == 4
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    reason = "exception: the Caputo oracle needs scipy: install fraccq[oracle]"
+    assert fails == [f"FAIL caputo-power-rule: {reason}", f"FAIL half-order-data: {reason}"]
+
+
 def test_convergence_schema_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -401,7 +415,7 @@ def test_weights_without_levels_computes_no_weights(tmp_path, monkeypatch):
         raise AssertionError("weights computed for a plan without levels")
 
     monkeypatch.setattr(fastcq, "weight_rows_direct", never)
-    monkeypatch.setattr(fastcq, "weight_rows_contour", never)
+    monkeypatch.setattr(fastcq, "_stage_plan", never)
     out = tmp_path / "w.csv"
     assert run_cli(["weights", "--t-end", "0.1", "--h", "0.01", "--steps", "0,4,9,10",
                     "--out", str(out)]) == 0
@@ -410,6 +424,25 @@ def test_weights_without_levels_computes_no_weights(tmp_path, monkeypatch):
     notes = {(int(r[0]), r[4]) for r in rows}
     assert notes == {(0, "direct-only"), (4, "direct-only"), (9, "direct-only"),
                      (10, "beyond-plan")}
+
+
+def test_weights_solves_once_per_K(monkeypatch, tmp_path):
+    """A default weights run makes one resolvent solve for the circle rule
+    and one batched solve over all contour levels of the stage plan of
+    each K of the ladder (10, 15, 20, 25): five family.solve calls, each
+    contour one over the folded nodes of the plan's three levels."""
+    from fraccq import operators
+    calls = []
+    original = operators.OperatorFamily.solve
+
+    def counting(self, nu, y, weights=None):
+        calls.append(np.shape(nu))
+        return original(self, nu, y, weights)
+
+    monkeypatch.setattr(operators.OperatorFamily, "solve", counting)
+    assert run_cli(["weights", "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(calls) == 1 + 4
+    assert calls[1:] == [(3 * (K + 1),) for K in (10, 15, 20, 25)]
 
 
 @pytest.mark.parametrize("args, code", [

@@ -197,25 +197,27 @@ def test_level_contours_equal_level_nodes(K, theta, h, kappa):
 
 
 def test_scalar_weight_sum_matches_direct_oracle():
-    """Hyperbola-quadrature weights agree with circle-rule weights within
+    """Hyperbola-quadrature weights, read from a stage plan as a solve sums
+    them (fastcq.StagePlan), agree with circle-rule weights within
     eps*(n h)^(alpha-1) for indices inside the level windows (frozen
     eps = 1e-9 at K = 25, measured headroom ~100x)."""
     tab = radau_iia(3)
     fam = operators.dense_operator(None, np.array([[-1.0]]))
     h, kappa, K = 0.01, 20, 25
     plan = fastcq.plan_levels(525, kappa, 5)
-    lambdas, omegas = level_contours(plan.L, select_parameters(K, 5, HALF_PI), h, kappa)
     ns = [21, 50, 104, 105, 200, 524]
     for alpha in (0.5, 0.75):
-        blocks = fastcq.weight_rows_direct(fam, tab, alpha, h, ns)
-        direct = dict(zip(ns, blocks))
-        for ell, (lams, oms) in enumerate(zip(lambdas, omegas), 1):
-            for n in ns:
-                if plan.m[ell - 1] <= n < plan.m[ell]:
-                    wc = fastcq.weight_rows_contour(fam, tab, alpha, h, n, lams, oms)
-                    err = np.max(np.abs(wc - direct[n]))
-                    assert err <= 1e-9 * (n * h) ** (alpha - 1)
-
+        stage = fastcq.StagePlan(tab, K, 5, kappa, True, alpha, HALF_PI)
+        stage.add_levels(plan)
+        x = fam.solve(stage.z_alpha.ravel() * h ** -alpha, np.ones((stage.z_alpha.size, 1, 1)))
+        x = x.reshape(stage.z_alpha.shape)
+        direct = dict(zip(ns, fastcq.weight_rows_direct(fam, tab, alpha, h, ns)))
+        for n in ns:
+            li = np.searchsorted(plan.m, n, side="right") - 1  # m[li] <= n < m[li+1]
+            coef = stage.scale[li] * stage.r[li] ** (n - plan.m[li]) * x[li] / h
+            wc = (coef @ stage.q[li]).real  # the plan folds
+            err = np.max(np.abs(wc - direct[n]))
+            assert err <= 1e-9 * (n * h) ** (alpha - 1)
 
 
 def test_sized_K_scans_nine_times_at_pi_over_6(monkeypatch):

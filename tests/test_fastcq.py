@@ -477,6 +477,36 @@ def test_direct_matches_weight_assembly(example1, example1_complex):
             assert np.max(np.abs(u - acc)) <= 1e-9
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [200, 640, 3000])
+def test_levels_match_weight_assembly(example1, example1_complex, s, n_steps):
+    """fast_solve minus its first block equals h sum_(n >= m_0) w_n G_(N-1-n)
+    with the weights w_n read from the stage plan the problem keeps
+    (StagePlan: one solve per node on the identity), folded (example 1)
+    and not (complex data), within 1e-12 relative."""
+    tab, h = radau_iia(s), 10.0 / n_steps
+    cfg = CQConfig(tableau=tab, h=h, N=n_steps, K=25)
+    plan = plan_levels(n_steps, cfg.kappa, cfg.Lambda)
+    for prob in (example1, example1_complex):
+        u = fast_solve(prob, cfg)[0] - first_block(prob, cfg)[0]
+        stage = prob._kept["plan"][1]
+        nus = stage.z_alpha[:plan.L].ravel() * h ** -prob.alpha
+        x = prob.family.solve(nus, np.broadcast_to(np.eye(2), (nus.size, 2, 2)))
+        x = x.reshape(plan.L, -1, 2, 2)
+        table = prob.g.table(n_steps, h, tab.c)
+        samples = (table.block(0, n_steps) @ table.spatial).reshape(n_steps, -1)
+        acc = 0.0
+        for li in range(plan.L):
+            ns = np.arange(plan.m[li], plan.m[li + 1])
+            coef = stage.scale[li] * stage.r[li] ** (ns - plan.m[li])[:, None] / h
+            w = np.einsum("nk,ki,kab->naib", coef, stage.q[li], x[li]).reshape(len(ns), 2, -1)
+            if stage.fold:
+                w = w.real
+            acc = acc + h * np.einsum("nab,nb->a", w, samples[n_steps - 1 - ns])
+        assert stage.fold == np.isrealobj(u) == (prob is example1)
+        assert np.max(np.abs(u - acc)) <= 1e-12 * np.max(np.abs(u))
+
+
 # ---------------------------------------------------------------------------
 # first block
 
