@@ -176,20 +176,18 @@ def _fresnel_half(wt, s, c, sin=True):
     return d_sin, d_cos
 
 
-def _half_derivatives(omega, t, sin=True, trig=False):
-    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) at times t >= 0,
-    in the broadcast shape of omega and t (Fresnel form: module docstring).
-    With sin=False the first entry is None and is not computed; with
-    trig=True sin(omega t) and cos(omega t), evaluated on the way, follow."""
+def _half_derivatives(omega, t):
+    """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .)), sin(omega .),
+    cos(omega .)) at times t >= 0, in the broadcast shape of omega and t
+    (Fresnel form: module docstring); the last two are evaluated on the way."""
     omega = np.asarray(omega, dtype=float)
     wt = omega * np.asarray(t, dtype=float)
     shape = wt.shape
     wt = wt.ravel()
     s, c = np.sin(wt), np.cos(wt)
     scale = np.sqrt(2.0 * omega)
-    out = tuple(None if col is None else col.reshape(shape) * scale
-                for col in _fresnel_half(wt, s, c, sin))
-    return out + (s.reshape(shape), c.reshape(shape)) if trig else out
+    d_sin, d_cos = (col.reshape(shape) * scale for col in _fresnel_half(wt, s, c))
+    return d_sin, d_cos, s.reshape(shape), c.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,7 @@ class HalfOrderTrigTable:
         """(f1(t), f2(t)) as an (m, 2) array, from one Fresnel evaluation:
         f1 = D^(1/2) sin(pi .) + sin(pi t) and
         f2 = D^(1/2) (1 - cos(pi .)) + 1 - cos(pi t)."""
-        d_sin, d_cos, s, c = _half_derivatives(np.pi, self._checked(t), trig=True)
+        d_sin, d_cos, s, c = _half_derivatives(np.pi, self._checked(t))
         return np.stack([d_sin + s, d_cos + 1.0 - c], axis=-1)
 
     def f1(self, t):

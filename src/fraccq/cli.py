@@ -8,8 +8,6 @@ fields in the timing report naturally are not.
 
 from __future__ import annotations
 
-from . import _env  # noqa: F401  (pin BLAS pools before numpy loads)
-
 import argparse
 import csv
 import json

@@ -372,29 +372,6 @@ def weight_rows_direct(family, tab, alpha, h, n_list):
 # scalar Runge-Kutta marches
 
 
-def rk_march_scalar(lam, table, from_step, to_step, tab, h):
-    """March y' = lam*y + g(t) from y(from_step*h) = 0 to t = to_step*h.
-
-    One inverse of the s x s stage matrix (Id - h lam A) serves the whole
-    march; g enters through the stage-sample table. Returns the terminal
-    value, one entry per inhomogeneity column. Each step takes the last
-    stage, like _march_window, since every Tableau is stiffly accurate."""
-    try:
-        stage_inv = np.linalg.inv(np.eye(tab.s) - (h * lam) * tab.A)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(
-            f"stage matrix singular at h*lambda={h * lam}; the contour "
-            "touches the spectrum of A^-1 (plan bug)",
-            where=lam,
-        ) from exc
-    y = np.zeros(table.dim, dtype=complex)
-    ones = np.ones(tab.s)
-    hA = h * tab.A
-    for g in table.block(from_step, to_step) @ table.spatial:
-        y = (stage_inv @ (np.outer(ones, y) + hA @ g))[-1]  # the last stage, stiffly accurate
-    return y
-
-
 def _descending_powers(r, width):
     """The read-only (width, nodes) powers p[j] = r^(width-1-j) of a node
     set, by one cumprod written in reverse. Row width-w on equals the

@@ -369,20 +369,6 @@ def schrodinger_tbc_1d(a_half: float, n_points: int, alpha: float) -> Schrodinge
     return SchrodingerTBC1D(a_half, n_points, alpha)
 
 
-def sector_probe(family: OperatorFamily, samples, trials: int = 4, seed: int = 0) -> float:
-    """Largest observed |nu| * ||solve(nu, y)|| / ||M y|| over the samples.
-
-    A finite, stable value across a wide |nu| sweep is the practical
-    sectoriality certificate used by the property tests.
-    """
-    rng = np.random.default_rng(seed)
-    nus = np.repeat(np.asarray(samples, dtype=complex), trials)
-    shape = (len(nus), family.dim)
-    ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    masses = np.linalg.norm(family.apply_mass(ys.T), axis=0)
-    return float(np.max(np.abs(nus) * np.linalg.norm(family.solve(nus, ys), axis=1) / masses))
-
-
 # ---------------------------------------------------------------------------
 # Inhomogeneity sampling
 
@@ -421,19 +407,20 @@ class SeparableInhomogeneity:
     """Mass-form inhomogeneity g(t) = sum_r time_factors(t)[r] * spatial[r, :].
 
     time_factors takes an array of times (m,) and returns (m, r); tables
-    never materialize the full (N, s, dim) block.
+    never materialize the full (N, s, dim) block. Spatial factors that are
+    not a finite numeric (r, dim) array raise ConfigError.
     """
 
     def __init__(self, spatial, time_factors: Callable[[np.ndarray], np.ndarray]):
+        spatial = np.asarray(spatial)
+        if (spatial.ndim != 2 or not np.issubdtype(spatial.dtype, np.number)
+                or not np.all(np.isfinite(spatial))):
+            raise ConfigError("spatial factors must be a finite numeric (rank, dim) array, "
+                              f"got {spatial.dtype} of shape {spatial.shape}")
         self.spatial = np.asarray(spatial, dtype=complex)
         self._time_factors = time_factors
         self.dim = self.spatial.shape[1]
         self.rank = self.spatial.shape[0]
-
-    def sample(self, t):
-        """Value at time t as a (dim,) array."""
-        fac = np.asarray(self._time_factors(np.array([float(t)])), dtype=complex)
-        return fac[0] @ self.spatial
 
     def table(self, N, h, c) -> SeparableStageTable:
         """Stage samples at times (n + c_k) h, n = 0..N-1. The time factors
@@ -442,13 +429,18 @@ class SeparableInhomogeneity:
         N = 1e6 peaked at five times its 48 MB table in one call); a table
         of one chunk is that call's array, and a longer one turns complex
         when a chunk does. Time factors that overflow or are undefined there
-        raise DomainError."""
+        raise DomainError, and a chunk that is not a numeric (stage times,
+        rank) array raises ConfigError; no entry is scanned."""
         c = np.asarray(c, dtype=float)
         steps = -(-_TABLE_CHUNK // len(c))
 
         def factors(n0):
             times = ((np.arange(n0, min(n0 + steps, N))[:, None] + c[None, :]) * h).ravel()
-            return np.asarray(self._time_factors(times))
+            fac = np.asarray(self._time_factors(times))
+            if fac.shape != (len(times), self.rank) or not np.issubdtype(fac.dtype, np.number):
+                raise ConfigError(f"time factors must be numeric of shape ({len(times)}, "
+                                  f"{self.rank}), got {fac.dtype} of shape {fac.shape}")
+            return fac
 
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -482,8 +474,7 @@ class SeparableInhomogeneity:
 
 def ConstantInhomogeneity(vec) -> SeparableInhomogeneity:
     """Time-constant data g(t) = vec: rank 1 with a unit time factor."""
-    vec = np.asarray(vec, dtype=complex)
-    return SeparableInhomogeneity(vec[None, :], lambda ts: np.ones((len(ts), 1)))
+    return SeparableInhomogeneity(np.asarray(vec)[None], lambda ts: np.ones((len(ts), 1)))
 
 
 @dataclass(frozen=True)
@@ -515,10 +506,6 @@ class Problem:
                 f"operator family built for alpha={self.family.alpha}, "
                 f"problem has alpha={self.alpha}"
             )
-
-    def g_stage(self, n: int, c, h: float):
-        """Stage sample vector G_n at times (n + c_k) h, shape (s, dim)."""
-        return np.stack([self.g.sample((n + ck) * h) for ck in np.asarray(c)])
 
 
 def transform_initial(problem: Problem, u0):

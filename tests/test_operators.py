@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,9 @@ from fraccq.operators import (
     dense_operator,
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
-    sector_probe,
     transform_initial,
 )
+from oracles import sample, sector_probe
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
@@ -311,11 +312,31 @@ def test_transform_initial_refuses_a_bad_u0_with_config_error(backend, rng):
 
 
 def test_every_public_name_resolves():
+    """fraccq.__all__ is exactly the README's public API sentence, every
+    name resolves, and the internals of a solve and the tests' oracles are
+    not top-level names: the internals stay attributes of their modules."""
+    from pathlib import Path
+
     import fraccq
+    from fraccq import fastcq, operators, tableau
 
     missing = [name for name in fraccq.__all__ if not hasattr(fraccq, name)]
     assert not missing
     assert "transform_initial" in fraccq.__all__ and "example3_initial" not in fraccq.__all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The public API is (.*?)\.\s", readme, flags=re.S).group(1)
+    stated = re.findall(r"`([A-Za-z_]\w*)`", sentence)
+    assert len(stated) == 18 and set(fraccq.__all__) == set(stated)
+    internals = {contour: ("level_nodes", "mu_level", "select_parameters", "ContourParams"),
+                 fastcq: ("LevelPlan", "plan_levels", "first_block"),
+                 tableau: ("delta", "stability")}
+    for module, names in internals.items():
+        for name in names:
+            assert hasattr(module, name) and not hasattr(fraccq, name), name
+    for name in ("rk_march_scalar", "sector_probe", "g_stage", "sample"):
+        assert not hasattr(fraccq, name), name
+    assert not hasattr(fastcq, "rk_march_scalar") and not hasattr(operators, "sector_probe")
+    assert not hasattr(Problem, "g_stage") and not hasattr(SeparableInhomogeneity, "sample")
 
 
 @pytest.mark.parametrize("backend", ["dense", "spectral", "tbc"])
@@ -402,6 +423,40 @@ def test_families_and_tables_state_whether_they_are_real():
         assert g.table(5, 0.1, c).is_real is real, k
 
 
+@pytest.mark.parametrize("spatial", [np.ones(3), np.ones((1, 2, 3)), np.array([[1.0, np.nan]]),
+                                     np.array([[np.inf, 0.0]]), np.array([["a", "b"]])],
+                         ids=["1-D", "3-D", "nan", "inf", "strings"])
+def test_separable_data_refuse_malformed_spatial_factors(spatial):
+    """Spatial factors that are not a finite numeric (rank, dim) array raise
+    ConfigError at construction: a 1-D array raised IndexError, a 3-D one
+    was accepted, and a NaN entry reached the solve, whose SolverError
+    blamed the solver."""
+    with pytest.raises(ConfigError, match="spatial factors"):
+        SeparableInhomogeneity(spatial, lambda ts: np.ones((len(ts), 1)))
+
+
+@pytest.mark.parametrize("vec", [1.0, np.ones((2, 2)), np.array([1.0, np.nan])],
+                         ids=["scalar", "2-D", "nan"])
+def test_constant_data_refuse_malformed_vectors(vec):
+    with pytest.raises(ConfigError, match="spatial factors"):
+        ConstantInhomogeneity(vec)
+
+
+@pytest.mark.parametrize("factors, shape", [
+    (lambda ts: np.ones((len(ts), 3)), (10, 3)),
+    (lambda ts: np.ones(len(ts)), (10,)),
+    (lambda ts: np.ones((len(ts) + 1, 2)), (11, 2)),
+    (lambda ts: np.full((len(ts), 2), "x"), (10, 2)),
+], ids=["rank+1", "1-D", "rows+1", "strings"])
+def test_stage_table_refuses_malformed_time_factors(factors, shape):
+    """A chunk of time factors that is not a numeric (stage times, rank)
+    array raises ConfigError naming the expected and the given shape; each
+    of these raised an untyped ValueError."""
+    g = SeparableInhomogeneity(np.ones((2, 4)), factors)
+    with pytest.raises(ConfigError, match=rf"\(10, 2\).*{re.escape(str(shape))}"):
+        g.table(5, 0.1, np.array([0.5, 1.0]))
+
+
 def test_stage_tables_keep_the_kind_of_their_time_factors():
     """Real time factors stay float64 (half the memory of complex), complex
     ones are complex128; the spatial factors are complex either way."""
@@ -484,7 +539,7 @@ def test_stage_tables_agree_across_kinds(rng):
         return np.stack([np.sin(ts), np.cos(ts)], axis=-1)
 
     def pointwise(g, n0, n1):
-        return np.array([[g.sample((n + ck) * h) for ck in c] for n in range(n0, n1)])
+        return np.array([[sample(g, (n + ck) * h) for ck in c] for n in range(n0, n1)])
 
     sep = SeparableInhomogeneity(spatial, factors)
     t_sep = sep.table(7, h, c)
@@ -498,13 +553,13 @@ def test_stage_tables_agree_across_kinds(rng):
     assert np.max(np.abs(samples(t_sep, 2, 5) - pointwise(sep, 2, 5))) < 1e-12
     assert np.max(np.abs(samples(t_sep, 4, 5)[0] - pointwise(sep, 4, 5)[0])) < 1e-12
     ref = np.sin(0.37) * spatial[0] + np.cos(0.37) * spatial[1]
-    assert np.max(np.abs(sep.sample(0.37) - ref)) < 1e-12
+    assert np.max(np.abs(sample(sep, 0.37) - ref)) < 1e-12
     # constant data is the rank-1 separable case with a unit time factor
     const = ConstantInhomogeneity(spatial[0])
     t_const = const.table(7, h, c)
     assert np.array_equal(samples(t_const, 0, 7), pointwise(const, 0, 7))
     assert np.array_equal(samples(t_const, 2, 5), pointwise(const, 2, 5))
-    assert np.array_equal(const.sample(0.37), spatial[0])
+    assert np.array_equal(sample(const, 0.37), spatial[0])
 
 
 @pytest.mark.parametrize("backend", ["dense", "spectral", "tbc"])

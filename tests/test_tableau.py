@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from fraccq import radau_iia, stability, delta
+from fraccq import radau_iia
 from fraccq.errors import ConfigError, PoleError
-from fraccq.tableau import Tableau, by_name
+from fraccq.tableau import Tableau, by_name, delta, stability
 
 
 def test_radau1_is_backward_euler():
