@@ -216,16 +216,6 @@ def _example1_u(t):
     )
 
 
-def _example1_u_prime(t):
-    q = 0.5 - 0.5 * np.cos(_SQRT5 * t)
-    return np.array(
-        [
-            12.0 * np.sin(2.0 * t) ** 5 * np.cos(2.0 * t),
-            3.0 * _SQRT5 * np.sin(_SQRT5 * t) * q**5,
-        ]
-    )
-
-
 EXAMPLE1_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 # g = D^(1/2) u - A u = d @ (sqrt(2 omega) b) - (1 - cos(omega t)) @ (b A^T), with d
 # the unscaled half derivatives of 1 - cos(omega t) (_fresnel_half)

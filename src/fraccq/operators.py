@@ -27,7 +27,7 @@ _SUPPORT_ABS = 1e-20
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 _EPS = float(np.finfo(float).eps)
 _TABLE_CHUNK = 1 << 16  # least stage times per evaluation of a table's time factors
-_TBC_CHUNK = 1024  # most nodes per batch of a TBC weighted sum, which bounds its (B, dim) arrays
+_SOLVE_CHUNK = 1024  # most nodes per hook call of a batched solve, which bounds its per-node arrays
 
 
 class OperatorFamily(ABC):
@@ -56,17 +56,26 @@ class OperatorFamily(ABC):
 
         With weights W of shape (B, m), y is one (dim, m) block shared by
         every node and the result is the weighted sum
-        sum_k (nu_k M - A)^-1 y W[k], of shape (dim,).
+        sum_k (nu_k M - A)^-1 y W[k], of shape (dim,). A batch of more than
+        _SOLVE_CHUNK nodes runs as np.array_split's even chunks of at most
+        that many: their weighted sums are added in order, their solutions
+        concatenated.
         """
         nu = np.asarray(nu, dtype=complex)
+        if weights is not None:
+            y, weights = np.asarray(y, dtype=complex), np.asarray(weights, dtype=complex)
         try:
-            if weights is not None:
-                x = self._weighted_sum(nu, np.asarray(y, dtype=complex),
-                                       np.asarray(weights, dtype=complex))
-            elif nu.ndim == 0:  # the batch of one
+            if nu.ndim == 0 and weights is None:  # the batch of one
                 x = self._solve_batch(nu[None], np.asarray(y)[None])[0]
-            else:
-                x = self._solve_batch(nu, y)
+            elif len(nu) <= _SOLVE_CHUNK:
+                x = (self._solve_batch(nu, y) if weights is None
+                     else self._weighted_sum(nu, y, weights))
+            else:  # the chunks are views of nu and of y or of the weights
+                k = -(-len(nu) // _SOLVE_CHUNK)
+                per_node = np.asarray(y) if weights is None else weights
+                parts = [self._solve_batch(n, b) if weights is None else self._weighted_sum(n, y, b)
+                         for n, b in zip(np.array_split(nu, k), np.array_split(per_node, k))]
+                x = np.concatenate(parts) if weights is None else sum(parts)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
         if not np.all(np.isfinite(x)):
@@ -334,13 +343,6 @@ class SchrodingerTBC1D(OperatorFamily):
                 row += z * nxt
         return np.moveaxis(x, 0, 1)
 
-    def _weighted_sum(self, nu, y, weights):
-        """The base class's sum over even chunks of at most _TBC_CHUNK nodes."""
-        total = np.zeros(self.n, dtype=complex)
-        for part in np.array_split(np.arange(len(nu)), max(1, -(-len(nu) // _TBC_CHUNK))):
-            total += super()._weighted_sum(nu[part], y, weights[part])
-        return total
-
     def apply_op(self, y):
         u = np.asarray(y, dtype=complex)
         lap = -2.0 * u.copy()
@@ -422,6 +424,14 @@ class SeparableInhomogeneity:
         self.dim = self.spatial.shape[1]
         self.rank = self.spatial.shape[0]
 
+    def _factors(self, times):
+        """The time factors at times, refused unless a numeric (times, rank) array."""
+        fac = np.asarray(self._time_factors(times))
+        if fac.shape != (len(times), self.rank) or not np.issubdtype(fac.dtype, np.number):
+            raise ConfigError(f"time factors must be numeric of shape ({len(times)}, "
+                              f"{self.rank}), got {fac.dtype} of shape {fac.shape}")
+        return fac
+
     def table(self, N, h, c) -> SeparableStageTable:
         """Stage samples at times (n + c_k) h, n = 0..N-1. The time factors
         are evaluated in chunks of whole steps, at least 2^16 stage times
@@ -435,12 +445,7 @@ class SeparableInhomogeneity:
         steps = -(-_TABLE_CHUNK // len(c))
 
         def factors(n0):
-            times = ((np.arange(n0, min(n0 + steps, N))[:, None] + c[None, :]) * h).ravel()
-            fac = np.asarray(self._time_factors(times))
-            if fac.shape != (len(times), self.rank) or not np.issubdtype(fac.dtype, np.number):
-                raise ConfigError(f"time factors must be numeric of shape ({len(times)}, "
-                                  f"{self.rank}), got {fac.dtype} of shape {fac.shape}")
-            return fac
+            return self._factors(((np.arange(n0, min(n0 + steps, N))[:, None] + c) * h).ravel())
 
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -463,10 +468,9 @@ class SeparableInhomogeneity:
         offset = np.asarray(offset, dtype=complex).reshape(1, -1)
         keep = np.flatnonzero(np.any(self.spatial != 0, axis=1))
         spatial = np.vstack([self.spatial[keep], offset])
-        base = self._time_factors
 
         def factors(ts):
-            f = np.asarray(base(ts))[:, keep]
+            f = self._factors(ts)[:, keep]
             return np.hstack([f, np.ones((f.shape[0], 1))])
 
         return SeparableInhomogeneity(spatial, factors)

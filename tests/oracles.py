@@ -3,11 +3,13 @@
 Each evaluates what the package computes in its own, slower way: the
 scalar march steps the stage equations one step at a time, the data
 samples call the time factors one time at a time, and the sector probe
-measures the resolvent bound that the contour relies on.
+measures the resolvent bound that the contour relies on. The derivative
+of example 1's exact solution feeds the quadrature of the Caputo oracle.
 """
 
 import numpy as np
 
+from fraccq.caputo import _SQRT5
 from fraccq.errors import PoleError
 
 
@@ -60,3 +62,13 @@ def g_stage(problem, n: int, c, h: float):
     """Stage sample vector G_n of a problem's data at times (n + c_k) h,
     shape (s, dim)."""
     return np.stack([sample(problem.g, (n + ck) * h) for ck in np.asarray(c)])
+
+
+def _example1_u_prime(t):
+    q = 0.5 - 0.5 * np.cos(_SQRT5 * t)
+    return np.array(
+        [
+            12.0 * np.sin(2.0 * t) ** 5 * np.cos(2.0 * t),
+            3.0 * _SQRT5 * np.sin(_SQRT5 * t) * q**5,
+        ]
+    )

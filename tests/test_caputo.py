@@ -12,10 +12,10 @@ import pytest
 import fraccq
 
 from fraccq import caputo, caputo_oracle, example1_problem, example3_problem
-from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u, _example1_u_prime
+from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u
 from fraccq.errors import ConfigError, DomainError, SupportError
 from fraccq.tableau import radau_iia
-from oracles import sample
+from oracles import _example1_u_prime, sample
 
 
 def test_power_rule_linear():

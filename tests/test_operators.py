@@ -12,7 +12,7 @@ from fraccq.operators import (
     ConstantInhomogeneity,
     Problem,
     SeparableInhomogeneity,
-    _TBC_CHUNK,
+    _SOLVE_CHUNK,
     dense_operator,
     periodic_compact_fd_3d,
     schrodinger_tbc_1d,
@@ -457,6 +457,20 @@ def test_stage_table_refuses_malformed_time_factors(factors, shape):
         g.table(5, 0.1, np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("factors, shape", [
+    (lambda ts: np.ones((len(ts), 3)), (10, 3)),
+    (lambda ts: np.ones(len(ts)), (10,)),
+    (lambda ts: np.full((len(ts), 2), "x"), (10, 2)),
+], ids=["rank+1", "1-D", "strings"])
+def test_shifted_data_refuse_malformed_time_factors(factors, shape):
+    """Shifted data check the time factors they shift as the data do: a
+    1-D array raised IndexError, an extra column was dropped unseen, and
+    strings were refused with the shifted rank (10, 3) in the message."""
+    g = SeparableInhomogeneity(np.ones((2, 4)), factors).shifted(np.ones(4))
+    with pytest.raises(ConfigError, match=rf"\(10, 2\).*{re.escape(str(shape))}"):
+        g.table(5, 0.1, np.array([0.5, 1.0]))
+
+
 def test_stage_tables_keep_the_kind_of_their_time_factors():
     """Real time factors stay float64 (half the memory of complex), complex
     ones are complex128; the spatial factors are complex either way."""
@@ -492,7 +506,7 @@ def test_a_stage_table_is_built_in_bounded_chunks():
 def test_a_tbc_weighted_solve_is_summed_in_bounded_chunks():
     """direct_cq on TBC-801 at N = 200 (radau5, J = 800: 2,400 nodes in one
     weighted solve) peaks below 40 MB under tracemalloc: the family sums
-    chunks of at most _TBC_CHUNK nodes. One batch of all nodes peaked at
+    chunks of at most _SOLVE_CHUNK nodes. One batch of all nodes peaked at
     62 MB, its right-hand sides and its solutions; the chunks read 21 MB."""
     problem = example3_problem(801, 2.0)[0]
     tracemalloc.start()
@@ -503,6 +517,24 @@ def test_a_tbc_weighted_solve_is_summed_in_bounded_chunks():
         tracemalloc.stop()
     assert np.all(np.isfinite(u))
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_a_dense_weighted_solve_is_summed_in_bounded_chunks():
+    """direct_cq on a real dense 60 x 60 problem at N = 400 (radau5, 801
+    folded circle nodes: 2,403 systems in one weighted solve) peaks below
+    150 MB under tracemalloc: the solve builds one 60 x 60 matrix per node
+    of a chunk of at most _SOLVE_CHUNK nodes. One batch of all nodes peaked
+    at 280 MB; the chunks read 94 MB."""
+    A = np.diag(np.ones(59), 1) + np.diag(np.ones(59), -1) - 2.0 * np.eye(60)
+    problem = Problem(dense_operator(None, A), 0.5, ConstantInhomogeneity(np.ones(60)))
+    tracemalloc.start()
+    try:
+        u = direct_cq(problem, CQConfig(tableau=radau_iia(3), h=1.0 / 400, N=400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(u))
+    assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_a_chunked_table_turns_complex_with_its_factors():
@@ -606,10 +638,13 @@ def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
     ref = sum(fam.solve(nu, y @ wk) for nu, wk in zip(nus, w))
     assert got.shape == (fam.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if backend == "tbc":  # a batch longer than one chunk against its node solves
-        nus = np.resize(nus, _TBC_CHUNK + 5) * rng.uniform(1.0, 2.0, _TBC_CHUNK + 5)
+    if backend in ("dense", "tbc"):  # batches longer than one chunk against their node solves
+        nus = np.resize(nus, _SOLVE_CHUNK + 5) * rng.uniform(1.0, 2.0, _SOLVE_CHUNK + 5)
         w = rng.standard_normal((len(nus), m)) + 1j * rng.standard_normal((len(nus), m))
-        ref = fam.solve(nus, w @ y.T).sum(axis=0)  # node k's system bit for bit (batched test)
+        rhs = w @ y.T
+        xs = fam.solve(nus, rhs)
+        assert all(np.array_equal(x, fam.solve(nu, r)) for nu, r, x in zip(nus, rhs, xs))
+        ref = xs.sum(axis=0)
         assert np.max(np.abs(fam.solve(nus, y, weights=w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
