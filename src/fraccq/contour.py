@@ -173,8 +173,6 @@ def mu_level(ell: int, h: float, kappa: int, params: ContourParams) -> float:
         growth = float(params.Lambda) ** ell
     except OverflowError as exc:
         raise ParameterRangeError(f"Lambda^ell overflows for ell={ell}") from exc
-    if not np.isfinite(growth):
-        raise ParameterRangeError(f"Lambda^ell overflows for ell={ell}")
     mu = (
         2.0 * np.pi * params.d * params.K * (1.0 - params.rho_opt)
         / (growth * (kappa + 1) * h * params.a_rho)

@@ -48,48 +48,51 @@ class OperatorFamily(ABC):
     def solve(self, nu, y, weights=None):
         """Solve (nu*M - A) x = y; x has the shape of y.
 
-        A scalar nu takes y of shape (dim,) or (dim, m) and is solved as a
-        batch of one. An array nu of shape (B,) solves B systems: y is
-        (B, dim) or (B, dim, m), and x[k] solves the system at nu[k], bit
-        for bit as solve(nu[k], y[k]) would. A singular system or a solution
-        with a non-finite entry raises SolverError.
-
-        With weights W of shape (B, m), y is one (dim, m) block shared by
-        every node and the result is the weighted sum
-        sum_k (nu_k M - A)^-1 y W[k], of shape (dim,). A batch of more than
-        _SOLVE_CHUNK nodes runs as np.array_split's even chunks of at most
-        that many: their weighted sums are added in order, their solutions
-        concatenated.
+        An array nu of shape (B,) solves B systems: y is (B, dim) or
+        (B, dim, m), and x[k] solves the system at nu[k], bit for bit as
+        solve(nu[k], y[k]) would; a scalar nu is the batch of one, with y
+        (dim,) or (dim, m). With weights W of shape (B, m), or (1, m) for a
+        scalar nu, y is one (dim, m) block shared by every node and x is the
+        weighted sum sum_k (nu_k M - A)^-1 y W[k], of shape (dim,). Other
+        shapes raise ConfigError; a singular system or a non-finite entry of
+        x raises SolverError. A batch of more than _SOLVE_CHUNK nodes runs
+        as np.array_split's even chunks of at most that many: their weighted
+        sums are added in order, their solutions concatenated.
         """
-        nu = np.asarray(nu, dtype=complex)
-        if weights is not None:
-            y, weights = np.asarray(y, dtype=complex), np.asarray(weights, dtype=complex)
+        nu, y = np.asarray(nu, dtype=complex), np.asarray(y, dtype=complex)
+        nus = nu.reshape(-1)
+        if weights is None:  # the hooks take (B,) and (B, dim, m)
+            ys = y if nu.ndim else y[None]
+            ys = ys[..., None] if ys.ndim == 2 else ys
+            fits = ys.ndim == 3 and ys.shape[:2] == (len(nus), self.dim)
+        else:
+            weights = np.asarray(weights, dtype=complex)
+            fits = y.ndim == 2 and y.shape[0] == self.dim and weights.shape == (len(nus), y.shape[1])
+        if nu.ndim > 1 or not fits:
+            raise ConfigError(f"malformed batch at dim={self.dim}: nu {nu.shape}, y {y.shape}, "
+                              f"weights {None if weights is None else weights.shape}")
+        k = -(-len(nus) // _SOLVE_CHUNK) or 1  # np.array_split's even boundaries, as slices
+        cuts = [i * (len(nus) // k) + min(i, len(nus) % k) for i in range(k + 1)]
         try:
-            if nu.ndim == 0 and weights is None:  # the batch of one
-                x = self._solve_batch(nu[None], np.asarray(y)[None])[0]
-            elif len(nu) <= _SOLVE_CHUNK:
-                x = (self._solve_batch(nu, y) if weights is None
-                     else self._weighted_sum(nu, y, weights))
-            else:  # the chunks are views of nu and of y or of the weights
-                k = -(-len(nu) // _SOLVE_CHUNK)
-                per_node = np.asarray(y) if weights is None else weights
-                parts = [self._solve_batch(n, b) if weights is None else self._weighted_sum(n, y, b)
-                         for n, b in zip(np.array_split(nu, k), np.array_split(per_node, k))]
-                x = np.concatenate(parts) if weights is None else sum(parts)
+            parts = [self._solve_batch(nus[a:b], ys[a:b]) if weights is None
+                     else self._weighted_sum(nus[a:b], y, weights[a:b])
+                     for a, b in zip(cuts, cuts[1:])]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
+        x = (functools.reduce(np.add, parts) if weights is not None
+             else (np.concatenate(parts) if k > 1 else parts[0]).reshape(y.shape))
         if not np.all(np.isfinite(x)):
             raise SolverError(f"non-finite solution at nu={nu}", frequency=nu)
         return x
 
     @abstractmethod
     def _solve_batch(self, nu, y):
-        """The systems at nu of shape (B,); y is (B, dim) or (B, dim, m)."""
+        """The systems at nu of shape (B,); y is complex (B, dim, m)."""
 
     def _weighted_sum(self, nu, y, weights):
         """sum_k (nu_k M - A)^-1 y W[k]: the pre-weighted right-hand sides
-        W @ y.T solved as a batch and summed."""
-        return self._solve_batch(nu, weights @ y.T).sum(axis=0)
+        W @ y.T solved as a (B, dim, 1) batch and summed."""
+        return self._solve_batch(nu, (weights @ y.T)[..., None]).sum(axis=0)[:, 0]
 
     def apply_op(self, y):
         """A y (mass form) for y of shape (dim,) or (dim, m); it shifts the
@@ -141,10 +144,7 @@ class DenseOperator(OperatorFamily):
         return max(float(np.min(np.abs(np.angle(eigs)), initial=np.pi)) - np.pi / 2, 0.0)
 
     def _solve_batch(self, nu, y):
-        y = np.asarray(y, dtype=complex)
-        vector = y.ndim == 2
-        x = np.linalg.solve(nu[:, None, None] * self.M - self.A, y[..., None] if vector else y)
-        return x[..., 0] if vector else x
+        return np.linalg.solve(nu[:, None, None] * self.M - self.A, y)
 
     def apply_op(self, y):
         return self.A @ np.asarray(y, dtype=complex)
@@ -330,12 +330,12 @@ class SchrodingerTBC1D(OperatorFamily):
         w_i = c y_i + z1 w_(i-1) forward, x_(n-1) = w_(n-1)/(1 - z1^2), x_i = w_i + z1 x_(i+1)
         backward. Each step acts on one C-contiguous row of all columns, as in a batch of one."""
         phi, z1, _ = self._boundary(nu)
-        y = np.moveaxis(np.asarray(y), 1, 0)  # (dim, B) or (dim, B, m)
+        y = np.moveaxis(y, 1, 0)  # (dim, B, m)
         x = np.empty(y.shape, dtype=complex)
         rows = list(x.reshape(self.n, -1))  # views: row i of every column, made once
-        z = np.repeat(z1, int(np.prod(y.shape[2:])))
+        z = np.repeat(z1, y.shape[2])
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite solution
-            np.multiply(y, (-z1 / phi).reshape(-1, *[1] * (y.ndim - 2)), out=x)
+            np.multiply(y, (-z1 / phi)[:, None], out=x)
             for prev, row in zip(rows, rows[1:]):
                 row += z * prev
             rows[-1][...] = 1.0 / (1.0 - z * z) * rows[-1]  # not *=, which rounds one column apart

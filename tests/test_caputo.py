@@ -13,7 +13,7 @@ import fraccq
 
 from fraccq import caputo, caputo_oracle, example1_problem, example3_problem
 from fraccq.caputo import EXAMPLE1_MATRIX, HalfOrderTrigTable, _example1_u
-from fraccq.errors import ConfigError, DomainError, SupportError
+from fraccq.errors import AccuracyError, ConfigError, DomainError, SupportError
 from fraccq.tableau import radau_iia
 from oracles import _example1_u_prime, sample
 
@@ -67,6 +67,18 @@ def test_oracle_domain_errors():
         caputo_oracle(lambda tau: 1.0, 1.2, 1.0)
     with pytest.raises(DomainError):
         caputo_oracle(lambda tau: 1.0, 0.5, 1.0, tol=1e-14)
+
+
+@pytest.mark.parametrize("u_prime", [
+    pytest.param(lambda tau: np.nan, id="scalar"),
+    pytest.param(lambda tau: np.array([np.nan, 1.0]), id="one-component-of-two"),
+])
+def test_oracle_refuses_a_non_finite_value(u_prime):
+    """A NaN in u' returned NaN: a NaN error estimate passed the tolerance
+    check, which is False for NaN."""
+    with pytest.raises(AccuracyError) as err:
+        caputo_oracle(u_prime, 0.5, 1.0)
+    assert not np.isfinite(err.value.achieved)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])

@@ -181,6 +181,20 @@ def test_tbc_roots_refuse_an_overflowing_discriminant(nu):
     assert err.value.frequency == nu
 
 
+@pytest.mark.parametrize("nu, message", [
+    (48j, "phi vanishes at nu=48j"),
+    (complex(0.0, -24.0), r"degenerate boundary roots \|z\| = 1 at nu=-24j"),
+])
+def test_tbc_solve_refuses_a_vanishing_phi_and_a_double_unit_root(nu, message):
+    """On eta = 1/2, phi = nu/12 - 4i vanishes at nu = 48i, and at nu = -24i
+    psi = -12i = 2 phi gives the double root z = -1 on the unit circle."""
+    fam = schrodinger_tbc_1d(2.0, 9, 0.75)
+    assert fam.eta == 0.5
+    with pytest.raises(SolverError, match=f"^{message}$") as err:
+        fam.solve(nu, np.ones(fam.dim))
+    assert err.value.frequency == nu
+
+
 def test_tbc_root_moduli_on_contour_frequencies():
     alpha = 0.75
     fam = schrodinger_tbc_1d(2.0, 101, alpha)
@@ -646,6 +660,49 @@ def test_weighted_solve_equals_the_sum_of_node_solves(backend, m, rng):
         assert all(np.array_equal(x, fam.solve(nu, r)) for nu, r, x in zip(nus, rhs, xs))
         ref = xs.sum(axis=0)
         assert np.max(np.abs(fam.solve(nus, y, weights=w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+_TWO_NUS = np.array([1.1 + 0.7j, 0.3 - 2.0j])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda d: (_TWO_NUS, np.ones((1, d)), None), id="y-one-row-short"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((3, d)), None), id="y-one-row-long"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((1, d, 3)), None), id="y-block-one-row-short"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((3, d, 3)), None), id="y-block-one-row-long"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((d, 3)), np.ones((1, 3))), id="weights-one-row-short"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((d, 3)), np.ones((3, 3))), id="weights-one-row-long"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((d, 3)), np.ones((2, 4))), id="weights-wrong-m"),
+    pytest.param(lambda d: (_TWO_NUS[None], np.ones((2, d)), None), id="nu-2d"),
+    pytest.param(lambda d: (_TWO_NUS[None], np.ones((d, 3)), np.ones((2, 3))), id="nu-2d-weighted"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((2, d + 1)), None), id="y-wrong-dim"),
+    pytest.param(lambda d: (_TWO_NUS[0], np.ones(d + 1), None), id="scalar-nu-y-wrong-dim"),
+    pytest.param(lambda d: (_TWO_NUS, np.ones((d + 1, 3)), np.ones((2, 3))), id="weighted-y-wrong-dim"),
+    pytest.param(lambda d: (_TWO_NUS[0], np.ones((d, 3)), np.ones(3)), id="scalar-nu-weights-1d"),
+])
+@pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
+def test_a_malformed_batch_raises_config_error(backend, call, rng):
+    """solve checks the batch before any backend sees it. Unchecked, the
+    spectral family returned one solution for two nodes or dropped a row of
+    y (zip truncates), the dense family broadcast one right-hand side over
+    the batch, the TBC family solved a (1, 2) nu as two nodes, and every
+    family raised TypeError for a scalar nu with weights."""
+    fam = _family(backend, rng)
+    nu, y, weights = call(fam.dim)
+    with pytest.raises(ConfigError, match="malformed batch"):
+        fam.solve(nu, y, weights=weights)
+
+
+@pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
+def test_a_scalar_nu_with_weights_is_the_batch_of_one(backend, rng):
+    """A scalar nu takes weights of shape (1, m), bit for bit as the array
+    batch of its one node."""
+    fam = _family(backend, rng)
+    y = rng.standard_normal((fam.dim, 3)) + 1j * rng.standard_normal((fam.dim, 3))
+    w = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+    got = fam.solve(1.1 + 0.7j, y, weights=w)
+    assert got.shape == (fam.dim,)
+    assert np.array_equal(got, fam.solve(np.array([1.1 + 0.7j]), y, weights=w))
 
 
 @pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-5", "tbc"])
