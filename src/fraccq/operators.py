@@ -54,9 +54,10 @@ class OperatorFamily(ABC):
         (dim,) or (dim, m). With weights W of shape (B, m), or (1, m) for a
         scalar nu, y is one (dim, m) block shared by every node and x is the
         weighted sum sum_k (nu_k M - A)^-1 y W[k], of shape (dim,). Other
-        shapes raise ConfigError; a singular system or a non-finite entry of
-        x raises SolverError. A batch of more than _SOLVE_CHUNK nodes runs
-        as np.array_split's even chunks of at most that many: their weighted
+        shapes raise ConfigError, and a batch of no nodes gives zeros. A
+        singular system or a non-finite x raises SolverError naming the first
+        failing node. A batch of more than _SOLVE_CHUNK nodes runs as
+        np.array_split's even chunks of at most that many: their weighted
         sums are added in order, their solutions concatenated.
         """
         nu, y = np.asarray(nu, dtype=complex), np.asarray(y, dtype=complex)
@@ -71,18 +72,28 @@ class OperatorFamily(ABC):
         if nu.ndim > 1 or not fits:
             raise ConfigError(f"malformed batch at dim={self.dim}: nu {nu.shape}, y {y.shape}, "
                               f"weights {None if weights is None else weights.shape}")
-        k = -(-len(nus) // _SOLVE_CHUNK) or 1  # np.array_split's even boundaries, as slices
+        if not len(nus):  # no node reaches a hook
+            return np.zeros(y.shape if weights is None else self.dim, complex)
+
+        def hook(a, b):
+            return (self._solve_batch(nus[a:b], ys[a:b]) if weights is None
+                    else self._weighted_sum(nus[a:b], y, weights[a:b]))
+        k = -(-len(nus) // _SOLVE_CHUNK)  # np.array_split's even boundaries, as slices
         cuts = [i * (len(nus) // k) + min(i, len(nus) % k) for i in range(k + 1)]
         try:
-            parts = [self._solve_batch(nus[a:b], ys[a:b]) if weights is None
-                     else self._weighted_sum(nus[a:b], y, weights[a:b])
-                     for a, b in zip(cuts, cuts[1:])]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"nu*M - A singular at nu={nu}", frequency=nu) from exc
-        x = (functools.reduce(np.add, parts) if weights is not None
-             else (np.concatenate(parts) if k > 1 else parts[0]).reshape(y.shape))
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"non-finite solution at nu={nu}", frequency=nu)
+            parts = [hook(a, b) for a, b in zip(cuts, cuts[1:])]
+            x = (functools.reduce(np.add, parts) if weights is not None
+                 else (np.concatenate(parts) if k > 1 else parts[0]).reshape(y.shape))
+        except np.linalg.LinAlgError:
+            x = None
+        if x is None or not np.all(np.isfinite(x)):
+            for j, at in enumerate(nus):  # on failure only: solve node by node to name one
+                try:
+                    if not np.all(np.isfinite(hook(j, j + 1))):
+                        raise SolverError(f"non-finite solution at nu={at}", frequency=at)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverError(f"nu*M - A singular at nu={at}", frequency=at) from exc
+            raise SolverError(f"singular or non-finite solve at nu={nu}", frequency=nu)
         return x
 
     @abstractmethod

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,21 +43,33 @@ def test_select_parameters_assigns_half_angle():
         assert p.d == p.phi
 
 
-def test_select_parameters_scan_oracle():
-    # rho_opt beats a dense independent scan of the objective
-    K, Lam, theta = 25, 5, HALF_PI
-    p = select_parameters(K, Lam, theta)
+@pytest.mark.parametrize("theta", [0.05, np.pi / 6, np.pi / 4, HALF_PI])
+@pytest.mark.parametrize("Lam", [2, 5, 8])
+@pytest.mark.parametrize("K", [5, 25, 110, 500])
+def test_select_parameters_scan_oracle(K, Lam, theta):
+    """rho_opt beats an independent scan of the objective over the span of
+    the first scan, [1/2001, 2000/2001], and, within a relative 1e-7, one at
+    spacing 1e-7 around it. Where the independent scan is least at an end
+    of the span (K = 110 at pi/2, K = 500 from pi/6 up) the objective is
+    monotone over it, and select_parameters warns."""
     eps = np.finfo(float).eps
     phi = theta / 2
 
     def objective(rho):
         a = np.arccosh(Lam / ((1 - rho) * np.sin(phi)))
         ek = np.exp(-2 * np.pi * phi * K / a)
-        return eps * ek ** (rho - 1) + ek**rho
+        with np.errstate(over="ignore", divide="ignore"):
+            return eps * ek ** (rho - 1) + ek**rho
 
-    grid = np.linspace(0, 1, 4003)[1:-1]
-    assert objective(p.rho_opt) <= np.min(objective(grid)) * (1 + 1e-9)
-    assert 0 < p.rho_opt < 1
+    span = np.linspace(1 / 2001, 2000 / 2001, 4001)
+    values = objective(span)
+    monotone = np.argmin(values) in (0, len(span) - 1)
+    with pytest.warns(UserWarning, match="monotone") if monotone else contextlib.nullcontext():
+        p = select_parameters(K, Lam, theta)
+    assert span[0] <= p.rho_opt <= span[-1]
+    assert objective(p.rho_opt) <= np.min(values) * (1 + 1e-9)
+    near = np.linspace(max(p.rho_opt - 1e-3, span[0]), min(p.rho_opt + 1e-3, span[-1]), 20001)
+    assert objective(p.rho_opt) <= np.min(objective(near)) * (1 + 1e-7)
     assert p.tau > 0
 
 
@@ -77,9 +91,13 @@ def test_select_parameters_validation():
     with pytest.raises(ConfigError):
         select_parameters(1, 5, 1.0)
     with pytest.raises(ConfigError):
-        select_parameters(10, 1, 1.0)
-    with pytest.raises(ConfigError):
         select_parameters(10, 5, 0.0)
+    # Lambda: an integer >= 2, not a bool; 5.0 also after 5 is cached.
+    # inf returned a_rho = inf after a warning, and nan and 2.5 got through.
+    select_parameters(10, 5, 1.0)
+    for Lambda in (1, np.int64(1), float("inf"), float("nan"), 2.5, 5.0, True):
+        with pytest.raises(ConfigError, match="integer growth factor"):
+            select_parameters(10, Lambda, 1.0)
 
 
 def test_mu_level_ratio_and_h_scaling():

@@ -67,6 +67,13 @@ def test_dense_singular_raises():
     fam = dense_operator(None, np.zeros((2, 2)))
     with pytest.raises(SolverError):
         fam.solve(0.0, np.ones(2))
+    # in a batch, with or without weights, the error names the first
+    # singular node, where the stacked LAPACK solve named the whole batch
+    fam, nus = dense_operator(None, -np.eye(2)), np.array([1.0, -1.0, 2.0, -1.0])
+    for y, w in ((np.ones((4, 2)), None), (np.ones((2, 1)), np.ones((4, 1)))):
+        with pytest.raises(SolverError, match=r"singular at nu=\(-1\+0j\)$") as info:
+            fam.solve(nus, y, weights=w)
+        assert np.ndim(info.value.frequency) == 0 and info.value.frequency == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +712,26 @@ def test_a_scalar_nu_with_weights_is_the_batch_of_one(backend, rng):
     assert np.array_equal(got, fam.solve(np.array([1.1 + 0.7j]), y, weights=w))
 
 
+@pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
+def test_an_empty_batch_solves_to_zeros(backend, rng, monkeypatch):
+    """A batch of no nodes returns zeros of the shape of its solutions or of
+    their weighted sum, before any hook runs; the spectral family raised
+    numpy's ValueError from np.stack of no solutions."""
+    fam = _family(backend, rng)
+
+    def no_hook(*args):
+        raise AssertionError("a hook ran for an empty batch")
+
+    monkeypatch.setattr(type(fam), "_solve_batch", no_hook)
+    monkeypatch.setattr(type(fam), "_weighted_sum", no_hook)
+    nus = np.zeros(0, complex)
+    for y in (np.zeros((0, fam.dim)), np.zeros((0, fam.dim, 3))):
+        x = fam.solve(nus, y)
+        assert x.shape == y.shape and x.dtype == complex
+    x = fam.solve(nus, np.ones((fam.dim, 3)), weights=np.zeros((0, 3)))
+    assert x.dtype == complex and np.array_equal(x, np.zeros(fam.dim))
+
+
 @pytest.mark.parametrize("backend", ["dense", "spectral-8", "spectral-5", "tbc"])
 def test_apply_and_solve_describe_one_operator(backend, rng):
     """solve(nu, nu * apply_mass(Y) - apply_op(Y)) returns the (dim, m)
@@ -759,12 +786,15 @@ def test_numpy_integer_grid_sizes_are_kept():
 @pytest.mark.parametrize("backend", ["dense", "spectral-4", "tbc"])
 @pytest.mark.parametrize("nu", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_non_finite_solutions_raise_solver_error(backend, nu, rng):
-    """A non-finite frequency returned NaN from every backend."""
+    """A non-finite frequency returned NaN from every backend; in a batch,
+    with or without weights, the error names that node."""
     fam = _family(backend, rng)
     with np.errstate(all="ignore"), pytest.raises(SolverError):
         fam.solve(nu, np.ones(fam.dim))
-    with np.errstate(all="ignore"), pytest.raises(SolverError):
-        fam.solve(np.array([1.0 + 1.0j, nu]), np.ones((2, fam.dim)))
+    for y, w in ((np.ones((2, fam.dim)), None), (np.ones((fam.dim, 1)), np.ones((2, 1)))):
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as info:
+            fam.solve(np.array([1.0 + 1.0j, nu]), y, weights=w)
+        assert np.array_equal(info.value.frequency, nu, equal_nan=True)  # the node, not the batch
     if backend == "tbc":  # an overflowing recurrence, with RuntimeWarning an error under pytest
         with pytest.raises(SolverError):
             fam.solve(1e-6 + 1e-6j, np.full(fam.dim, 1e307))
