@@ -130,10 +130,12 @@ _FRESNEL_EDGE = 1.28 * np.pi  # omega t at x = 1.6
 
 
 def _ratio(x, num, den):
-    """num(x) / den(x) by in-place Horner steps (coefficients highest first)."""
-    out, below = np.full_like(x, num[0]), np.full_like(x, den[0])
+    """num(x) / den(x) by in-place Horner steps (coefficients highest first),
+    each started from x * coefs[0], the first step's product."""
+    out, below = x * num[0], x * den[0]
     for poly, coefs in ((out, num), (below, den)):
-        for a in coefs[1:]:
+        poly += coefs[1]
+        for a in coefs[2:]:
             poly *= x
             poly += a
     out /= below
@@ -144,26 +146,36 @@ def _fresnel_half(wt, s, c, sin=True):
     """(D^(1/2) sin(omega .), D^(1/2) (1 - cos(omega .))) / sqrt(2 omega)
     from flat arrays of the angles wt = omega t >= 0 and of sin(wt) and
     cos(wt) (Fresnel form: module docstring). With sin=False the first
-    entry is None and is not computed."""
+    entry is None and is not computed. wt is overwritten: its callers pass
+    a temporary, and each temporary here is dropped once read, so that few
+    arrays are live at a time."""
+    small = np.flatnonzero(wt < _FRESNEL_EDGE)
+    x = np.sqrt(wt[small] * (2.0 / np.pi))
     # x >= 1.6, with inv = 1/(pi x^2) = 1/(2 omega t) and 1/(pi x) = sqrt(inv/pi);
     # entries below the edge are clamped here and overwritten below
-    inv = 0.5 / np.maximum(wt, _FRESNEL_EDGE)
+    inv = np.maximum(wt, _FRESNEL_EDGE, out=wt)
+    np.divide(0.5, inv, out=inv)
     u = inv * inv
-    r = np.sqrt(inv / np.pi)
     d_cos = _ratio(u, _FRESNEL_FN, _FRESNEL_FD)
     d_cos *= u
-    d_cos -= 1.0
-    d_cos *= r
-    np.subtract(0.5 * (s - c), d_cos, out=d_cos)  # (sin - cos)/2 + f/(pi x)
     d_sin = None
     if sin:
         d_sin = _ratio(u, _FRESNEL_GN, _FRESNEL_GD)
         d_sin *= inv
+    del u
+    r = inv / np.pi
+    np.sqrt(r, out=r)
+    d_cos -= 1.0
+    d_cos *= r
+    half = s - c
+    half *= 0.5
+    np.subtract(half, d_cos, out=d_cos)  # (sin - cos)/2 + f/(pi x)
+    if sin:
         d_sin *= r
-        np.subtract(0.5 * (s + c), d_sin, out=d_sin)  # (sin + cos)/2 - g/(pi x)
-    small = np.flatnonzero(wt < _FRESNEL_EDGE)
+        np.add(s, c, out=half)
+        half *= 0.5
+        np.subtract(half, d_sin, out=d_sin)  # (sin + cos)/2 - g/(pi x)
     if len(small):
-        x = np.sqrt(wt[small] * (2.0 / np.pi))
         x2 = x * x
         quartic = x2 * x2
         fs = _ratio(quartic, _FRESNEL_SN, _FRESNEL_SD)
@@ -187,7 +199,9 @@ def _half_derivatives(omega, t):
     wt = wt.ravel()
     s, c = np.sin(wt), np.cos(wt)
     scale = np.sqrt(2.0 * omega)
-    d_sin, d_cos = (col.reshape(shape) * scale for col in _fresnel_half(wt, s, c))
+    d_sin, d_cos = (col.reshape(shape) for col in _fresnel_half(wt, s, c))
+    d_sin *= scale
+    d_cos *= scale
     return d_sin, d_cos, s.reshape(shape), c.reshape(shape)
 
 
@@ -285,7 +299,10 @@ class HalfOrderTrigTable:
         f1 = D^(1/2) sin(pi .) + sin(pi t) and
         f2 = D^(1/2) (1 - cos(pi .)) + 1 - cos(pi t)."""
         d_sin, d_cos, s, c = _half_derivatives(np.pi, self._checked(t))
-        return np.stack([d_sin + s, d_cos + 1.0 - c], axis=-1)
+        d_sin += s
+        d_cos += 1.0
+        d_cos -= c
+        return np.stack([d_sin, d_cos], axis=-1)
 
     def f1(self, t):
         return self.factors(t)[..., 0]

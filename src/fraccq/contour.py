@@ -81,7 +81,7 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     phi = d = theta/2. rho_opt minimizes the error model (_model) over
     (0,1), with a(rho) = arccosh(Lambda / ((1-rho) sin(phi))): a scan of
     2,000 points, then one of 1,001 (spacing <= 1e-6) over the two scan
-    steps around its least value. Lambda is an integer >= 2, not a bool.
+    steps around its least value. K and Lambda are integers >= 2, not bools.
 
     Cached, since the stage plan of every fresh problem asks (benchmark
     passes, tests, convergence's three tableaux) and the scans take 0.08 ms
@@ -89,8 +89,9 @@ def select_parameters(K: int, Lambda: int, theta: float) -> ContourParams:
     Callers share the frozen ContourParams, and the warning for an
     objective monotone over (0,1) comes from the first call per arguments.
     """
-    if not 2 <= K <= (np.iinfo(np.intp).max - 1) // 2:
-        raise ConfigError(f"need K >= 2 with 2K+1 nodes in the index range, got K={K}")
+    if (isinstance(K, bool) or not isinstance(K, (int, np.integer))
+            or not 2 <= K <= (np.iinfo(np.intp).max - 1) // 2):
+        raise ConfigError(f"need an integer K >= 2 with 2K+1 nodes in the index range, got K={K!r}")
     if isinstance(Lambda, bool) or not isinstance(Lambda, (int, np.integer)) or Lambda < 2:
         raise ConfigError(f"need an integer growth factor Lambda >= 2, got {Lambda!r}")
     if not 0.0 < theta < np.pi:

@@ -72,3 +72,18 @@ def _example1_u_prime(t):
             3.0 * _SQRT5 * np.sin(_SQRT5 * t) * q**5,
         ]
     )
+
+
+def full_grid_pairs(n):
+    """(pair masses, pair symbols, pair index) of the n^3 compact-FD
+    Laplacian from np.unique over the symbols at every wavevector, without
+    the spectral family's fold to the indices 0..n//2."""
+    eta = 2.0 * np.pi / n
+    xi = 2.0 * np.pi * np.fft.fftfreq(n)
+    a = (2.0 * np.cos(xi) - 2.0) / eta**2
+    m = 5.0 / 6.0 + np.cos(xi) / 6.0
+    (ax, ay, az), (mx, my, mz) = np.ix_(a, a, a), np.ix_(m, m, m)
+    mass = mx * my * mz
+    op = ax * my * mz + mx * ay * mz + mx * my * az
+    pairs, index = np.unique((mass + 1j * op).ravel(), return_inverse=True)
+    return pairs.real.astype(complex), pairs.imag.astype(complex), index.ravel()

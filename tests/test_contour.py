@@ -100,6 +100,15 @@ def test_select_parameters_validation():
             select_parameters(10, Lambda, 1.0)
 
 
+@pytest.mark.parametrize("K", [2.5, np.float64(3.0), True], ids=["2.5", "float64-3", "True"])
+def test_select_parameters_refuses_a_non_integer_K(K):
+    """K = 2.5 returned a 6-node hyperbola without its centre node, and
+    np.float64(3.0) and True got through; 3.0 is refused also after 3."""
+    select_parameters(3, 5, 1.0)
+    with pytest.raises(ConfigError, match="integer K"):
+        select_parameters(K, 5, 1.0)
+
+
 def test_mu_level_ratio_and_h_scaling():
     p = select_parameters(20, 5, HALF_PI)
     mus = [mu_level(ell, 1e-3, 12, p) for ell in (1, 2, 3, 4)]

@@ -18,7 +18,7 @@ from fraccq.operators import (
     schrodinger_tbc_1d,
     transform_initial,
 )
-from oracles import sample, sector_probe
+from oracles import full_grid_pairs, sample, sector_probe
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
@@ -150,6 +150,17 @@ def test_spectral_weighted_solve_keeps_the_bits_of_real_symbols(rng):
         total = (hat.reshape(2, -1) * np.take(mult, fam._pair_index, axis=1)).sum(axis=0)
         want = np.fft.ifftn(total.reshape(n, n, n)).ravel()
         assert np.array_equal(fam.solve(nus, y, weights=w), want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 16])
+def test_the_folded_pair_table_is_the_full_grid_table(n):
+    """The family finds its pairs on the folded indices 0..n//2 and gathers
+    each wavevector's index from them; pairs, symbols and index equal, bit
+    for bit, np.unique over all n^3 wavevectors, at odd n and even n (whose
+    index n/2 is its own fold)."""
+    fam = periodic_compact_fd_3d(n)
+    for got, want in zip((fam._pair_mass, fam._pair_op, fam._pair_index), full_grid_pairs(n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +517,24 @@ def test_stage_tables_keep_the_kind_of_their_time_factors():
 
 
 def test_a_stage_table_is_built_in_bounded_chunks():
-    """Example 2 at N = 2e5 (radau5: 6e5 stage times, a 9.6 MB table) is
-    evaluated in chunks of at least 2^16 stage times: the table equals one
-    call of its time factors bit for bit, and its build peaks at no more
-    than twice the table's bytes (five times in one call)."""
-    g = example2_problem(8).problem.g
-    N, c = 200_000, radau_iia(3).c
-    h = 123.45 / N
-    tracemalloc.start()
-    try:
-        table = g.table(N, h, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
-    assert np.array_equal(table.time, g._time_factors(times).reshape(N, 3, 2))
-    assert peak <= 2 * table.time.nbytes, f"peak {peak / table.time.nbytes:.2f}x the table"
+    """Example 2 at N = 2e5 on 8^3 (radau5: 6e5 stage times, a 9.6 MB table)
+    and at N = 2e4 on 16^3 (the benchmark's table, 0.96 MB) is evaluated in
+    blocks of _TABLE_CHUNK stage times: each table equals one call of its
+    time factors bit for bit, and its build peaks at no more than twice the
+    table's bytes (five times in one call)."""
+    c = radau_iia(3).c
+    for n, N in ((8, 200_000), (16, 20_000)):
+        g = example2_problem(n).problem.g
+        h = 123.45 / N
+        tracemalloc.start()
+        try:
+            table = g.table(N, h, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
+        assert np.array_equal(table.time, g._time_factors(times).reshape(N, 3, 2))
+        assert peak <= 2 * table.time.nbytes, f"{n}^3: peak {peak / table.time.nbytes:.2f}x the table"
 
 
 def test_a_tbc_weighted_solve_is_summed_in_bounded_chunks():
