@@ -26,8 +26,8 @@ exactly against those of omega t:
     D^(1/2) (1 - cos(omega t)) = sqrt(2 omega) ((sin - cos)/2 + f/(pi x)),
 
 so large arguments need no further trig calls and lose nothing to
-rounding of the angle. The inhomogeneities are evaluated in one
-vectorized call per stage table; the oracle is the independent check of
+rounding of the angle. The inhomogeneities are evaluated in
+vectorized blocks of stage times; the oracle is the independent check of
 that data. Only the oracle imports scipy (the oracle extra), when called.
 
 Example 1's nine frequencies are harmonics of two base frequencies,
@@ -37,7 +37,14 @@ exp(i sqrt5 t), formed by complex products, and sum the solution
 u = sum_k b_k (1 - cos(omega_k t)) from the same cosines: two complex
 exponentials per time instead of nine sines and nine cosines plus the
 powers of u. This agrees with the nine separate evaluations to about
-1e-15 of the data scale.
+1e-15 of the data scale. The harmonics are evaluated in even blocks of
+at most 1,024 stage times (_EXAMPLE1_BLOCK), a block's cosines and
+sines written row by row into two (9, m) float arrays: every array of a
+block takes at most 72 bytes per time (74 KB), below glibc's 128 KB mmap
+threshold, so it comes from the heap and not from a fresh mapping whose
+pages fault in on every build. Even blocks avoid a block of one time,
+whose (1, 9) matrix product takes another BLAS path and rounds
+otherwise, so the blocks are bit for bit one call.
 """
 
 from __future__ import annotations
@@ -236,22 +243,31 @@ EXAMPLE1_MATRIX = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 # the unscaled half derivatives of 1 - cos(omega t) (_fresnel_half)
 _EXAMPLE1_DHALF = np.sqrt(2.0 * _EXAMPLE1_OMEGAS)[:, None] * _EXAMPLE1_WEIGHTS
 _EXAMPLE1_AU = _EXAMPLE1_WEIGHTS @ EXAMPLE1_MATRIX.T
+_EXAMPLE1_BLOCK = 1024  # most stage times per harmonic block (module docstring)
 
 
 def _example1_factors(ts):
     """g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2) array, from the powers
-    of two base phases (harmonic evaluation: module docstring)."""
+    of two base phases, in even blocks of at most _EXAMPLE1_BLOCK times
+    (harmonic evaluation: module docstring)."""
     ts = np.asarray(ts, dtype=float)
-    phase = np.empty((9, len(ts)), dtype=complex)  # row k: exp(i omega_k t)
-    for first, stop, base in ((0, 3, 4.0), (3, 9, _SQRT5)):
-        phase[first] = np.exp(1j * (base * ts))
-        for k in range(first + 1, stop):
-            np.multiply(phase[k - 1], phase[first], out=phase[k])
-    cos = phase.real.ravel()
-    _, d_cos = _fresnel_half((_EXAMPLE1_OMEGAS[:, None] * ts).ravel(), phase.imag.ravel(),
-                             cos, sin=False)
-    return (d_cos.reshape(9, -1).T @ _EXAMPLE1_DHALF
-            - (1.0 - cos.reshape(9, -1)).T @ _EXAMPLE1_AU)
+    out = np.empty((len(ts), 2))
+    blocks = max(1, -(-len(ts) // _EXAMPLE1_BLOCK))
+    for i in range(blocks):
+        b0, b1 = len(ts) * i // blocks, len(ts) * (i + 1) // blocks
+        t = ts[b0:b1]
+        cosines, sines = np.empty((9, len(t))), np.empty((9, len(t)))  # of omega_k t, row k
+        for first, stop, base in ((0, 3, 4.0), (3, 9, _SQRT5)):
+            step = phase = np.exp(1j * (base * t))
+            for k in range(first, stop):
+                if k > first:
+                    phase = phase * step
+                cosines[k], sines[k] = phase.real, phase.imag
+        _, d_cos = _fresnel_half((_EXAMPLE1_OMEGAS[:, None] * t).ravel(), sines.ravel(),
+                                 cosines.ravel(), sin=False)
+        np.subtract(d_cos.reshape(9, -1).T @ _EXAMPLE1_DHALF, (1.0 - cosines).T @ _EXAMPLE1_AU,
+                    out=out[b0:b1])
+    return out
 
 
 def example1_problem() -> ManufacturedProblem:

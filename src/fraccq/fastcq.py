@@ -44,7 +44,8 @@ kappa, and the hyperbola of level l has scale mu_l ~ 1/(Lambda^l
 d^alpha and the plan's contour nodes, weights h omega, r(z) and q(z),
 combine factors r^(m_(l-1)), powers z^alpha and march powers r^(w-1-j)
 are the same at every h and N: each is computed once, the levels as N
-grows, and a solve only scales them by powers of h. direct_cq and
+grows and the march powers as deep as the solves read, and a solve only
+scales them by powers of h. direct_cq and
 weight_matrices_direct split their own circle on every call; the weights
 experiment reads its contour weights from the stage plan (StagePlan).
 When the operator and the data are both real, both routes solve only the
@@ -372,16 +373,21 @@ def weight_rows_direct(family, tab, alpha, h, n_list):
 # scalar Runge-Kutta marches
 
 
-def _descending_powers(r, width):
-    """The read-only (width, nodes) powers p[j] = r^(width-1-j) of a node
-    set, by one cumprod written in reverse. Row width-w on equals the
-    powers of a width-w block bit for bit, so one array serves every
-    block of a window."""
-    powers = np.empty((width, len(r)), dtype=complex)
-    powers[-1] = 1.0
-    np.cumprod(np.broadcast_to(r, (width - 1, len(r))), axis=0, out=powers[-2::-1])
-    powers.setflags(write=False)
-    return powers
+def _fill_powers(rows, have, depth, r):
+    """Fill the descending powers rows[j] = r^(len(rows)-1-j) of a node set
+    from its `have` filled tail rows (rows[-1] = 1 at least) to `depth`,
+    bit for bit one cumprod of r over all rows. A later fill runs on from
+    r^(have-2), recomputing r^(have-1), so that no accumulate takes one
+    step: numpy runs that through its vectorised complex multiply, which
+    rounds otherwise (fused multiply-add; numpy 2.4, AVX-512). A first
+    fill of 3 rows is one step, so march_powers fills at least 4."""
+    asc = rows[::-1]  # asc[j] = r^j
+    if have == 1:
+        np.cumprod(np.broadcast_to(r, (depth - 1, len(r))), axis=0, out=asc[1:depth])
+    else:
+        asc = asc[have - 2:depth]
+        asc[1:] = r
+        np.cumprod(asc, axis=0, out=asc)
 
 
 def _march_window(r, q, powers, table, n0, n1, h):
@@ -394,7 +400,7 @@ def _march_window(r, q, powers, table, n0, n1, h):
     For a stiffly accurate scheme one step is y <- r_k y + h q_k . G_n, so
     a block of w steps collapses into y <- r^w y + h sum_j r^(w-1-j) q.G.
     The blocks are len(powers) steps long, a shorter last one reading the
-    trailing rows of the descending powers (_descending_powers), and the
+    trailing rows of the descending powers (StagePlan.march_powers), and the
     inner sum is one real matrix product of the factor columns against
     the powers viewed as (re, im) column pairs. Complex factors enter as
     their own (re, im) column pairs and are recombined once at the end.
@@ -449,14 +455,20 @@ class StagePlan:
     from contour.level_contours at h = 1 and z cleared of the stage
     spectrum. The weight rows a solve sums are, for m_(l-1) <= n < m_l,
     w_n = (1/h) sum_k scale_k r_k^(n-m_(l-1)) q_k x (nu_k M - A)^-1 at
-    nu_k = z_alpha_k h^-alpha, real parts when folded. It also keeps
-    the descending powers r^(w-1-j) of its march blocks
-    (powers: one read-only (w, nodes) array, w = min(1024, the level's
-    full window (kappa+1)(Lambda-1)Lambda^(l-1))). Levels, their powers
-    included, are computed when a solve first needs them; built counts
-    them. The powers take at most 1024 nodes 16 bytes per level: 1.1 MB
-    for the N = 2e4 example-2 solve (K = 20, 5 levels), 5.3 MB for the
-    default Schroedinger run.
+    nu_k = z_alpha_k h^-alpha, real parts when folded. Levels are
+    computed when a solve first needs them; built counts them.
+
+    It also keeps, per level, the read-only descending powers r^(w-1-j)
+    of its march blocks (powers), w = min(1024, the level's full window
+    (kappa+1)(Lambda-1)Lambda^(l-1)), but only as deep as the solves so
+    far have read (march_powers): the tail of one (w, nodes) buffer per
+    level, filled in place as a deeper solve needs it, bit for bit one
+    full cumprod (_fill_powers). Unread rows are never written, so a
+    buffer above glibc's mmap threshold faults in only the pages it
+    fills; the example-1 ladder N = 20..640 fills 619 of 1,528 rows. A
+    full level takes 1024 nodes 16 bytes: 1.1 MB for the N = 2e4
+    example-2 solve (K = 20, 5 levels), 5.3 MB for the default
+    Schroedinger run.
     """
 
     def __init__(self, tab, K, Lambda, kappa, fold, alpha, theta):
@@ -469,7 +481,8 @@ class StagePlan:
         self.q = np.empty((0, n_nodes, tab.s), dtype=complex)
         self.scale = np.empty((0, n_nodes), dtype=complex)
         self.z_alpha = np.empty((0, n_nodes), dtype=complex)
-        self.powers = []
+        self.powers = []  # per level, the filled tail of its buffer, read-only
+        self._buffers = []
         self.built = 0
 
     def add_levels(self, plan: LevelPlan):
@@ -494,13 +507,29 @@ class StagePlan:
         if self.fold:  # node k > 0 stands for itself and its conjugate
             scale[:, 1:] *= 2.0
         z_alpha = smallmat.power_alpha(z.ravel(), self.alpha).reshape(z.shape)
-        for i, level_r in enumerate(r):  # the full window of level have+i+1
-            width = (self.kappa + 1) * (self.Lambda - 1) * self.Lambda**(have + i)
-            self.powers.append(_descending_powers(level_r, min(_MARCH_BLOCK, width)))
         self.r, self.q = np.concatenate([self.r, r]), np.concatenate([self.q, q])
         self.scale = np.concatenate([self.scale, scale])
         self.z_alpha = np.concatenate([self.z_alpha, z_alpha])
         self.built += L - have
+
+    def march_powers(self, plan: LevelPlan):
+        """The powers of levels 1..plan.L (add_levels first), each filled
+        to min(w, the solve's window m_l - m_(l-1)) rows, at least 4 of
+        them (_fill_powers)."""
+        for li in range(plan.L):
+            if li == len(self._buffers):
+                full = (self.kappa + 1) * (self.Lambda - 1) * self.Lambda**li
+                buf = np.empty((min(_MARCH_BLOCK, full), self.r.shape[1]), dtype=complex)
+                buf[-1] = 1.0
+                self._buffers.append(buf)
+                self.powers.append(buf[-1:])  # r^0, the one row a fill starts from
+            buf, have = self._buffers[li], len(self.powers[li])
+            depth = min(len(buf), max(4, plan.m[li + 1] - plan.m[li]))
+            if depth > have:
+                _fill_powers(buf, have, depth, self.r[li])
+                self.powers[li] = buf[len(buf) - depth:]
+                self.powers[li].flags.writeable = False
+        return self.powers[:plan.L]
 
 
 def _stage_plan(problem: Problem, config: CQConfig, fold: bool) -> StagePlan:
@@ -543,6 +572,7 @@ def fast_solve(problem: Problem, config: CQConfig):
     stage = _stage_plan(problem, config, fold)
     stats.K, built, circle = stage.K, stage.built, problem._kept.get("circle")
     stage.add_levels(plan)
+    powers = stage.march_powers(plan)  # filled here: the marches meet a warm table
     n_nodes = stage.r.shape[1]
     stats.wall_times["prepare"] = time.perf_counter() - t_start
 
@@ -551,7 +581,7 @@ def fast_solve(problem: Problem, config: CQConfig):
     coeffs = []
     for li in range(plan.L):
         m_lo, m_hi = plan.m[li], plan.m[li + 1]
-        coeffs.append(_march_window(stage.r[li], stage.q[li], stage.powers[li], table,
+        coeffs.append(_march_window(stage.r[li], stage.q[li], powers[li], table,
                                     N - m_hi, N - m_lo, h))
         stats.rk_steps += n_nodes * (m_hi - m_lo)
     stats.wall_times["rk_marches"] = time.perf_counter() - t_phase

@@ -4,12 +4,20 @@ Each evaluates what the package computes in its own, slower way: the
 scalar march steps the stage equations one step at a time, the data
 samples call the time factors one time at a time, and the sector probe
 measures the resolvent bound that the contour relies on. The derivative
-of example 1's exact solution feeds the quadrature of the Caputo oracle.
+of example 1's exact solution feeds the quadrature of the Caputo oracle,
+and example 1's time factors are also evaluated in one call over all
+times, without the package's blocks.
 """
 
 import numpy as np
 
-from fraccq.caputo import _SQRT5
+from fraccq.caputo import (
+    _EXAMPLE1_AU,
+    _EXAMPLE1_DHALF,
+    _EXAMPLE1_OMEGAS,
+    _SQRT5,
+    _fresnel_half,
+)
 from fraccq.errors import PoleError
 
 
@@ -72,6 +80,22 @@ def _example1_u_prime(t):
             3.0 * _SQRT5 * np.sin(_SQRT5 * t) * q**5,
         ]
     )
+
+
+def example1_factors_one_call(ts):
+    """Example 1's time factors g(ts) = D^(1/2) u(ts) - A u(ts) as an (m, 2)
+    array, with the nine harmonics of all times in one (9, m) phase array."""
+    ts = np.asarray(ts, dtype=float)
+    phase = np.empty((9, len(ts)), dtype=complex)  # row k: exp(i omega_k t)
+    for first, stop, base in ((0, 3, 4.0), (3, 9, _SQRT5)):
+        phase[first] = np.exp(1j * (base * ts))
+        for k in range(first + 1, stop):
+            np.multiply(phase[k - 1], phase[first], out=phase[k])
+    cos = phase.real.ravel()
+    _, d_cos = _fresnel_half((_EXAMPLE1_OMEGAS[:, None] * ts).ravel(), phase.imag.ravel(),
+                             cos, sin=False)
+    return (d_cos.reshape(9, -1).T @ _EXAMPLE1_DHALF
+            - (1.0 - cos.reshape(9, -1)).T @ _EXAMPLE1_AU)
 
 
 def full_grid_pairs(n):

@@ -632,6 +632,15 @@ def test_march_exponential_forcing_order():
     assert slope >= 4.7
 
 
+def fresh_descending_powers(r, width):
+    """The (width, nodes) powers desc[j] = r^(width-1-j), by one cumprod
+    along each node's row."""
+    desc = np.empty((len(r), width), dtype=complex)
+    desc[:, -1] = 1.0
+    np.cumprod(np.broadcast_to(r[:, None], (len(r), width - 1)), axis=1, out=desc[:, -2::-1])
+    return desc.T.copy()
+
+
 def test_march_window_matches_step_loop(rng):
     """The blocked power-matrix evaluation in rank space, expanded against
     the spatial factors, equals the explicit step loop on full samples.
@@ -652,7 +661,7 @@ def test_march_window_matches_step_loop(rng):
     from fraccq.tableau import stability
     for i, lam in enumerate(lams):
         rs[i], qs[i] = stability(h * lam, tab)
-    batched = fastcq._march_window(rs, qs, fastcq._descending_powers(rs, 64), table, 30, 150, h)
+    batched = fastcq._march_window(rs, qs, fresh_descending_powers(rs, 64), table, 30, 150, h)
     assert batched.shape == (7, 2)
     for i, lam in enumerate(lams):
         ref = rk_march_scalar(lam, table, 30, 150, tab, h)
@@ -676,7 +685,7 @@ def test_march_window_on_complex_time_factors(rng):
     assert table.time.dtype == complex and np.any(table.time.imag)
     lams = rng.standard_normal(5) * 4 + 1j * rng.standard_normal(5) * 40 - 2.0
     rs, qs = tableau.stability(h * lams, tab)
-    batched = fastcq._march_window(rs, qs, fastcq._descending_powers(rs, 1024), table,
+    batched = fastcq._march_window(rs, qs, fresh_descending_powers(rs, 1024), table,
                                    30, n_steps, h)
     for i, lam in enumerate(lams):
         ref = rk_march_scalar(lam, table, 30, n_steps, tab, h)
@@ -1107,13 +1116,14 @@ def test_solve_bits_do_not_depend_on_earlier_solves(example1, example1_complex):
 
 def test_kept_powers_are_read_only_and_match_a_fresh_cumprod(example1):
     """Each level of the plan keeps its descending powers once, read-only,
-    min(1024, (kappa+1)(Lambda-1)Lambda^(l-1)) rows by its nodes; they and
-    their trailing rows equal, bit for bit, the powers a per-block cumprod
+    as deep as the solve read: min(1024, its window) rows by its nodes, so
+    level 4 of N = 3000 keeps 3000 - 2625 = 375 rows; they and their
+    trailing rows equal, bit for bit, the powers a per-block cumprod
     builds for a full block and a shorter one."""
     cfg = CQConfig(tableau=radau_iia(3), h=0.002, N=3000, K=25)
     fast_solve(example1, cfg)
     stage = example1._kept["plan"][1]
-    assert [p.shape for p in stage.powers] == [(84, 26), (420, 26), (1024, 26), (1024, 26)]
+    assert [p.shape for p in stage.powers] == [(84, 26), (420, 26), (1024, 26), (375, 26)]
     for r, powers in zip(stage.r, stage.powers):
         assert not powers.flags.writeable
         for w in {len(powers), len(powers) // 3}:
@@ -1122,6 +1132,40 @@ def test_kept_powers_are_read_only_and_match_a_fresh_cumprod(example1):
             np.cumprod(np.broadcast_to(r[:, None], (len(r), w - 1)), axis=1,
                        out=desc[:, -2::-1])
             assert np.array_equal(powers[len(powers) - w:], desc.T)
+
+
+def test_kept_powers_deepen_in_place_as_a_deeper_solve_reads_them(example1):
+    """One problem solved at N = 640 and then at N = 3000 keeps 115 and
+    then 1,024 rows on level 3, in the same buffer, each time the tail of
+    one fresh full-width cumprod bit for bit; each solve gives the bits
+    of a fresh problem."""
+    tab = radau_iia(3)
+    stage = None
+    for cfg, rows in ((ladder_config(tab, 640), 115),
+                      (CQConfig(tableau=tab, h=0.002, N=3000, K=25), 1024)):
+        u, _ = fast_solve(example1, cfg)
+        assert np.array_equal(u, fast_solve(dataclasses.replace(example1), cfg)[0])
+        if stage is None:
+            stage = example1._kept["plan"][1]
+            first = stage.powers[2]
+        level3 = stage.powers[2]
+        assert level3.shape == (rows, 26) and not level3.flags.writeable
+        assert np.shares_memory(level3, first)  # grown in place, not copied
+        assert np.array_equal(level3, fresh_descending_powers(stage.r[2], 1024)[1024 - rows:])
+
+
+def test_a_fill_of_one_more_row_rounds_as_one_cumprod():
+    """Growing the powers by one row at a time, from a first fill of 4,
+    gives the rows of one full cumprod bit for bit: no fill is a one-step
+    accumulate, which numpy rounds through its vectorised multiply."""
+    rng = np.random.default_rng(7)
+    r = 0.99 * np.exp(1j * rng.uniform(-3, 3, 26))
+    rows = np.empty((64, 26), dtype=complex)
+    rows[-1] = 1.0
+    fastcq._fill_powers(rows, 1, 4, r)
+    for depth in range(5, 65):
+        fastcq._fill_powers(rows, depth - 1, depth, r)
+        assert np.array_equal(rows[64 - depth:], fresh_descending_powers(r, 64)[64 - depth:])
 
 
 def test_a_solve_at_a_new_N_and_h_builds_no_powers(example2_small):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraccq import CQConfig, contour, direct_cq, example2_problem, example3_problem, fast_solve
+from fraccq import CQConfig, contour, direct_cq, example1_problem, example2_problem
+from fraccq import example3_problem, fast_solve
 from fraccq import radau_iia, smallmat
 from fraccq.errors import ConfigError, DomainError, FracCQError, SolverError, SupportError
 from fraccq.operators import (
@@ -18,7 +19,7 @@ from fraccq.operators import (
     schrodinger_tbc_1d,
     transform_initial,
 )
-from oracles import full_grid_pairs, sample, sector_probe
+from oracles import example1_factors_one_call, full_grid_pairs, sample, sector_probe
 
 A22 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
@@ -521,10 +522,15 @@ def test_a_stage_table_is_built_in_bounded_chunks():
     and at N = 2e4 on 16^3 (the benchmark's table, 0.96 MB) is evaluated in
     blocks of _TABLE_CHUNK stage times: each table equals one call of its
     time factors bit for bit, and its build peaks at no more than twice the
-    table's bytes (five times in one call)."""
+    table's bytes (five times in one call). Example 1 at N = 2e4 (0.96 MB)
+    also evaluates its nine harmonics in blocks of at most 1,024 stage
+    times within each: its table equals one evaluation over all times bit
+    for bit, and its build peaks below twice the table (8.5 times with one
+    harmonic call per table block)."""
     c = radau_iia(3).c
-    for n, N in ((8, 200_000), (16, 20_000)):
-        g = example2_problem(n).problem.g
+    for label, g, N in (("8^3", example2_problem(8).problem.g, 200_000),
+                        ("16^3", example2_problem(16).problem.g, 20_000),
+                        ("example 1", example1_problem().problem.g, 20_000)):
         h = 123.45 / N
         tracemalloc.start()
         try:
@@ -533,8 +539,9 @@ def test_a_stage_table_is_built_in_bounded_chunks():
         finally:
             tracemalloc.stop()
         times = ((np.arange(N)[:, None] + c[None, :]) * h).ravel()
-        assert np.array_equal(table.time, g._time_factors(times).reshape(N, 3, 2))
-        assert peak <= 2 * table.time.nbytes, f"{n}^3: peak {peak / table.time.nbytes:.2f}x the table"
+        one_call = (example1_factors_one_call if label == "example 1" else g._time_factors)
+        assert np.array_equal(table.time, one_call(times).reshape(N, 3, 2))
+        assert peak <= 2 * table.time.nbytes, f"{label}: peak {peak / table.time.nbytes:.2f}x the table"
 
 
 def test_a_tbc_weighted_solve_is_summed_in_bounded_chunks():
